@@ -29,14 +29,16 @@ from .bdd import (
     sift_paths,
 )
 from .ordering import entropy_order
-from .minimizer import format_expression, minimize, simplify
+from .minimizer import format_expression, simplify
 from .qm import exact_cover, prime_implicants
+from .cli import PipelineConfig, run_pipeline
 
 __all__ = [
     "BddManager",
     "Cover",
     "Cube",
     "FunctionHandle",
+    "PipelineConfig",
     "Trit",
     "TruthTable",
     "VariableOrder",
@@ -49,10 +51,10 @@ __all__ = [
     "format_cube",
     "format_expression",
     "literal_count",
-    "minimize",
     "node_count",
     "one_path_count",
     "prime_implicants",
+    "run_pipeline",
     "sift_paths",
     "simplify",
     "truthtable_from_minterms",

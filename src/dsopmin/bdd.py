@@ -21,6 +21,8 @@ from .boolfn import (
     Trit,
     TruthTable,
     MAX_TABLE_VARS,
+    full_mask,
+    var_masks,
 )
 
 ZERO = 0
@@ -195,63 +197,25 @@ def enumerate_one_paths(h: FunctionHandle) -> Cover:
     return Cover(n, tuple(cubes))
 
 
-def restrict(h: FunctionHandle, var: int, val: bool) -> FunctionHandle:
-    """BDD of the cofactor, canonical in the same manager."""
-    mgr = h.manager
-    if not 0 <= var < mgr.n:
-        raise ValueError(f"variable index {var} out of range for n={mgr.n}")
-    target = mgr.order.position(var)
-    memo: Dict[int, int] = {}
-
-    def walk(u: int) -> int:
-        lvl = mgr.level(u)
-        if lvl > target:
-            return u
-        if u in memo:
-            return memo[u]
-        lo, hi = mgr.children(u)
-        if lvl == target:
-            r = hi if val else lo
-        else:
-            r = mgr.make(lvl, walk(lo), walk(hi))
-        memo[u] = r
-        return r
-
-    return FunctionHandle(mgr, walk(h.root))
-
-
-def is_tautology(h: FunctionHandle) -> bool:
-    return h.root == ONE
-
-
-def cube_in_function(c: Cube, h: FunctionHandle) -> bool:
-    """True iff every minterm of the cube satisfies the function."""
-    if len(c) != h.manager.n:
-        raise ValueError("cube length does not match manager")
-    g = h
-    for var, t in enumerate(c.trits):
-        if t != Trit.DONT_CARE:
-            g = restrict(g, var, t == Trit.ONE)
-    return is_tautology(g)
-
-
 def to_truthtable(h: FunctionHandle) -> TruthTable:
-    """Evaluate the function minterm by minterm (n capped at table scale)."""
+    """The function's truth table, combined bottom-up from literal masks."""
     mgr = h.manager
     n = mgr.n
     if n > MAX_TABLE_VARS:
         raise ValueError(f"variable count {n} exceeds table limit {MAX_TABLE_VARS}")
+    masks = var_masks(n)
     perm = mgr.order.perm
-    bits = 0
-    for i in range(1 << n):
-        u = h.root
-        while u >= 2:
-            var = perm[mgr.level(u)]
-            lo, hi = mgr.children(u)
-            u = hi if (i >> (n - 1 - var)) & 1 else lo
-        if u == ONE:
-            bits |= 1 << i
-    return TruthTable(n, bits)
+    memo: Dict[int, int] = {ZERO: 0, ONE: full_mask(n)}
+
+    def table(u: int) -> int:
+        if u in memo:
+            return memo[u]
+        pos = masks[perm[mgr.level(u)]]
+        lo, hi = mgr.children(u)
+        memo[u] = (table(hi) & pos) | (table(lo) & ~pos)
+        return memo[u]
+
+    return TruthTable(n, table(h.root))
 
 
 def swap_adjacent(mgr: BddManager, root: int, k: int) -> int:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterable, Iterator, Tuple
 
 # Truth-table-backed operations refuse larger n; 2^24 bits is the ceiling.
 MAX_TABLE_VARS = 24
@@ -33,7 +34,6 @@ _CHAR_TO_TRIT = {
     "-": Trit.DONT_CARE,
 }
 _TRIT_TO_CHAR = {Trit.ZERO: "0", Trit.ONE: "1", Trit.DONT_CARE: "2"}
-_TRIT_TO_PLA_CHAR = {Trit.ZERO: "0", Trit.ONE: "1", Trit.DONT_CARE: "-"}
 
 Assignment = Tuple[bool, ...]
 
@@ -129,11 +129,6 @@ def format_cube(cube: Cube) -> str:
     return "".join(_TRIT_TO_CHAR[t] for t in cube.trits)
 
 
-def format_cube_pla(cube: Cube) -> str:
-    """PLA-style text, don't-care written as '-'."""
-    return "".join(_TRIT_TO_PLA_CHAR[t] for t in cube.trits)
-
-
 def _check_same_length(c1: Cube, c2: Cube) -> None:
     if len(c1) != len(c2):
         raise ValueError(f"cube length mismatch: {len(c1)} vs {len(c2)}")
@@ -166,29 +161,9 @@ def cube_cofactor(c: Cube, var: int, val: bool) -> Cube | None:
     return Cube(c.trits[:var] + (Trit.DONT_CARE,) + c.trits[var + 1:])
 
 
-def cube_matches(cube: Cube, a: Assignment) -> bool:
-    if len(cube) != len(a):
-        raise ValueError("assignment length does not match cube length")
-    for t, bit in zip(cube.trits, a):
-        if t == Trit.DONT_CARE:
-            continue
-        if (t == Trit.ONE) != bool(bit):
-            return False
-    return True
-
-
 def index_to_assignment(i: int, n: int) -> Assignment:
     """Minterm index to assignment; variable 0 is the most significant bit."""
     return tuple(bool((i >> (n - 1 - v)) & 1) for v in range(n))
-
-
-def assignment_to_index(a: Assignment) -> int:
-    n = len(a)
-    idx = 0
-    for v, bit in enumerate(a):
-        if bit:
-            idx |= 1 << (n - 1 - v)
-    return idx
 
 
 def cube_minterms(cube: Cube) -> Iterator[int]:
@@ -207,9 +182,45 @@ def cube_minterms(cube: Cube) -> Iterator[int]:
         yield idx
 
 
-def cover_eval(cover: Cover, a: Assignment) -> bool:
-    """True iff some cube of the cover matches the assignment."""
-    return any(cube_matches(c, a) for c in cover)
+@lru_cache(maxsize=None)
+def var_masks(n: int) -> Tuple[int, ...]:
+    """Truth-table masks of the positive literals over n variables.
+
+    Bit m of ``var_masks(n)[v]`` is set iff variable v is 1 in minterm m;
+    the complemented literal's mask is ``full_mask(n) ^ var_masks(n)[v]``.
+    Only the n positive masks are kept, so the cache holds at most
+    n * 2^n bits per n.
+    """
+    if not 1 <= n <= MAX_TABLE_VARS:
+        raise ValueError(f"variable count {n} outside [1, {MAX_TABLE_VARS}]")
+    size = 1 << n
+    masks = []
+    for v in range(n):
+        run = 1 << (n - 1 - v)  # minterms in a row with the same value of v
+        mask = ((1 << run) - 1) << run
+        width = 2 * run
+        while width < size:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return tuple(masks)
+
+
+def full_mask(n: int) -> int:
+    """The constant-1 truth table over n variables."""
+    return (1 << (1 << n)) - 1
+
+
+def cube_mask(cube: Cube) -> int:
+    """Truth-table bit mask of the cube's minterms."""
+    masks = var_masks(len(cube))
+    mask = full_mask(len(cube))
+    for v, t in enumerate(cube.trits):
+        if t == Trit.ONE:
+            mask &= masks[v]
+        elif t == Trit.ZERO:
+            mask &= ~masks[v]
+    return mask
 
 
 def cover_to_truthtable(cover: Cover) -> TruthTable:
@@ -217,8 +228,7 @@ def cover_to_truthtable(cover: Cover) -> TruthTable:
         raise ValueError(f"variable count {cover.n} exceeds table limit {MAX_TABLE_VARS}")
     bits = 0
     for cube in cover:
-        for m in cube_minterms(cube):
-            bits |= 1 << m
+        bits |= cube_mask(cube)
     return TruthTable(cover.n, bits)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import random
 import sys
@@ -19,14 +18,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bdd, minimizer, qm
-from .bdd import FunctionHandle, VariableOrder, build_from_truthtable
+from .bdd import VariableOrder, build_from_truthtable
 from .boolfn import (
+    MAX_TABLE_VARS,
     Cover,
-    Cube,
     TruthTable,
     cube_from_text,
-    cube_minterms,
-    format_cube_pla,
+    cube_mask,
     literal_count,
     truthtable_from_minterms,
 )
@@ -40,6 +38,15 @@ STAGES = ("order", "build", "dsop", "minimize", "oracle")
 
 class PlaError(ValueError):
     pass
+
+
+def _directive_int(parts: List[str]) -> int:
+    if len(parts) < 2:
+        raise PlaError(f"{parts[0]} needs an integer argument")
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise PlaError(f"{parts[0]} argument {parts[1]!r} is not an integer") from None
 
 
 @dataclass
@@ -109,9 +116,11 @@ def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
             parts = line.split()
             key = parts[0]
             if key == ".i":
-                n = int(parts[1])
+                n = _directive_int(parts)
+                if not 1 <= n <= MAX_TABLE_VARS:
+                    raise PlaError(f".i {n} outside [1, {MAX_TABLE_VARS}]")
             elif key == ".o":
-                out_count = int(parts[1])
+                out_count = _directive_int(parts)
                 if out_count != 1:
                     raise PlaError("only single-output functions are supported (.o 1)")
             elif key == ".ilb":
@@ -143,21 +152,8 @@ def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
             raise PlaError(f"malformed output field {out_part!r}")
         cube = cube_from_text(in_part, n)
         if out_part == "1":
-            for m in cube_minterms(cube):
-                bits |= 1 << m
+            bits |= cube_mask(cube)
     return TruthTable(n, bits), names
-
-
-def format_pla(cover: Cover, names: Optional[Sequence[str]] = None) -> str:
-    """Write a cover in the same PLA subset parse_pla accepts."""
-    lines = [f".i {cover.n}", ".o 1"]
-    if names is not None:
-        lines.append(".ilb " + " ".join(names))
-    lines.append(f".p {len(cover.cubes)}")
-    for cube in cover:
-        lines.append(f"{format_cube_pla(cube)} 1")
-    lines.append(".e")
-    return "\n".join(lines) + "\n"
 
 
 def parse_minterms(spec: str) -> TruthTable:
@@ -293,6 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if not 1 <= args.bench_vars <= MAX_TABLE_VARS:
+        parser.error(f"--bench-vars must lie in [1, {MAX_TABLE_VARS}]")
 
     emit = tuple(s for s in args.emit.split(",") if s)
     for s in emit:

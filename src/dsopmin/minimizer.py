@@ -3,29 +3,27 @@
 simplify() recursively splits a binate cover on the most-binate
 variable and recombines the cofactor results with the containment
 lift; unate leaves fall to single-cube containment.  expand() raises
-literals toward primeness against the function's BDD; irredundant()
-then drops cubes the rest of the cover already covers.
+literals toward primeness and irredundant() then drops cubes the rest
+of the cover already covers; both answer their containment questions
+on truth-table bit masks, taking the function's table from its BDD.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from . import bdd
-from .bdd import FunctionHandle, VariableOrder, build_from_truthtable
+from .bdd import FunctionHandle
 from .boolfn import (
     Cover,
     Cube,
     Trit,
-    TruthTable,
-    cover_to_truthtable,
     cube_contains,
+    cube_mask,
     format_cube,
     universal_cube,
 )
-from .ordering import entropy_order
 
 
 class Monotonicity(Enum):
@@ -33,27 +31,6 @@ class Monotonicity(Enum):
     NEG_UNATE = "neg"
     BINATE = "binate"
     ABSENT = "absent"
-
-
-@dataclass(frozen=True)
-class CoveringMatrix:
-    """Row/column view of a cover: rows are cubes, columns variables."""
-
-    cover: Cover
-
-    @property
-    def rows(self) -> Tuple[Cube, ...]:
-        return self.cover.cubes
-
-    def entry(self, i: int, j: int) -> Trit:
-        return self.cover.cubes[i].trits[j]
-
-    def column(self, j: int) -> Tuple[Trit, ...]:
-        return tuple(c.trits[j] for c in self.cover.cubes)
-
-
-def build_matrix(cover: Cover) -> CoveringMatrix:
-    return CoveringMatrix(cover)
 
 
 def classify(cover: Cover) -> Tuple[List[Monotonicity], bool]:
@@ -184,64 +161,62 @@ def simplify(cover: Cover) -> Cover:
     return scc(cover)
 
 
+def _onset(cover: Cover, f: FunctionHandle) -> int:
+    if cover.n != f.manager.n:
+        raise ValueError("cover variable count does not match the function")
+    return bdd.to_truthtable(f).bits
+
+
 def expand(cover: Cover, f: FunctionHandle) -> Cover:
     """Raise literals to don't-care wherever the enlarged cube stays in f.
 
     Cubes are processed in cover order, variables by ascending index.
+    Raising variable v adds the cube's minterms shifted across v's bit.
     """
+    n = cover.n
+    outside = ~_onset(cover, f)  # every minterm where f is 0
     out = []
     for c in cover:
-        if not bdd.cube_in_function(c, f):
+        mask = cube_mask(c)
+        if mask & outside:
             raise ValueError(f"cube {format_cube(c)} is not contained in the function")
-        cur = c
-        for var in range(cover.n):
-            if cur.trits[var] == Trit.DONT_CARE:
+        trits = list(c.trits)
+        for var, t in enumerate(c.trits):
+            if t == Trit.DONT_CARE:
                 continue
-            raised = Cube(cur.trits[:var] + (Trit.DONT_CARE,) + cur.trits[var + 1:])
-            if bdd.cube_in_function(raised, f):
-                cur = raised
-        out.append(cur)
-    return Cover(cover.n, tuple(out))
+            shift = 1 << (n - 1 - var)
+            other_half = mask >> shift if t == Trit.ONE else mask << shift
+            if not other_half & outside:
+                mask |= other_half
+                trits[var] = Trit.DONT_CARE
+        out.append(Cube(tuple(trits)))
+    return Cover(n, tuple(out))
 
 
 def irredundant(cover: Cover, f: FunctionHandle) -> Cover:
-    """Drop duplicates, then greedily drop cubes the rest still cover."""
-    target = bdd.to_truthtable(f)
-    if cover_to_truthtable(cover).bits != target.bits:
-        raise ValueError("cover does not represent the given function")
+    """Drop duplicates, then greedily drop cubes the rest still cover.
+
+    Cube i goes iff its mask lies inside the cubes kept before it plus
+    every cube after it.
+    """
+    onset = _onset(cover, f)
     cubes: List[Cube] = []
     for c in cover:
         if c not in cubes:
             cubes.append(c)
-    i = 0
-    while i < len(cubes):
-        trial = cubes[:i] + cubes[i + 1:]
-        if cover_to_truthtable(Cover(cover.n, tuple(trial))).bits == target.bits:
-            cubes = trial
-        else:
-            i += 1
-    return Cover(cover.n, tuple(cubes))
-
-
-def minimize(
-    tt: TruthTable,
-    order: Optional[VariableOrder] = None,
-    sift: bool = False,
-) -> Cover:
-    """Full pipeline: order, build, extract disjoint cubes, minimize.
-
-    order=None selects the entropy order; sift=True additionally runs
-    path-count sifting after the build.
-    """
-    if order is None:
-        order = entropy_order(tt)
-    h = build_from_truthtable(tt, order)
-    if sift:
-        bdd.sift_paths(h.manager, h)
-    dsop = bdd.enumerate_one_paths(h)
-    cover = simplify(dsop)
-    cover = expand(cover, h)
-    return irredundant(cover, h)
+    masks = [cube_mask(c) for c in cubes]
+    suffix = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    if suffix[0] != onset:
+        raise ValueError("cover does not represent the given function")
+    kept: List[Cube] = []
+    prefix = 0
+    for i, c in enumerate(cubes):
+        if masks[i] & ~(prefix | suffix[i + 1]):
+            kept.append(c)
+            prefix |= masks[i]
+    return Cover(cover.n, tuple(kept))
 
 
 def format_expression(cover: Cover, names: Optional[Sequence[str]] = None) -> str:

@@ -9,24 +9,13 @@ on it, and recurses.  Ties break toward the lowest variable index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .bdd import VariableOrder
-from .boolfn import TruthTable, truthtable_cofactor
+from .boolfn import TruthTable, truthtable_cofactor, var_masks
 
 # Scores are irrational in general; comparisons use this slack.
 _EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class EntropyRow:
-    i0: float
-    i1: float
-    e: float
-
-
-EntropyReport = Dict[int, EntropyRow]
 
 
 def _h(p: float) -> float:
@@ -39,26 +28,14 @@ def cofactor_entropy(tt: TruthTable, var: int, val: bool) -> float:
     """I(var, val): entropy of the ON fraction of the cofactor."""
     if not 0 <= var < tt.n:
         raise ValueError(f"variable index {var} out of range for n={tt.n}")
-    bit = tt.n - 1 - var
-    on = 0
-    for i in range(1 << tt.n):
-        if ((i >> bit) & 1) == int(val) and tt.value(i):
-            on += 1
+    pos = var_masks(tt.n)[var]
+    on = (tt.bits & (pos if val else ~pos)).bit_count()
     return _h(on / (1 << (tt.n - 1)))
 
 
 def variable_entropy(tt: TruthTable, var: int) -> float:
     """E(var) = (I(var,0) + I(var,1)) / 2."""
     return 0.5 * (cofactor_entropy(tt, var, False) + cofactor_entropy(tt, var, True))
-
-
-def entropy_report(tt: TruthTable) -> EntropyReport:
-    report: EntropyReport = {}
-    for var in range(tt.n):
-        i0 = cofactor_entropy(tt, var, False)
-        i1 = cofactor_entropy(tt, var, True)
-        report[var] = EntropyRow(i0, i1, 0.5 * (i0 + i1))
-    return report
 
 
 def entropy_order(tt: TruthTable) -> VariableOrder:

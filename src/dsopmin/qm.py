@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .boolfn import (
     Cover,
@@ -33,17 +33,6 @@ _PETRICK_COLUMN_LIMIT = 12
 class Implicant:
     cube: Cube
     covered: FrozenSet[int]
-
-
-@dataclass(frozen=True)
-class PIChart:
-    """Prime rows against ON-set minterm columns."""
-
-    primes: Tuple[Implicant, ...]
-    minterms: Tuple[int, ...]
-
-    def covering_rows(self, minterm: int) -> List[int]:
-        return [i for i, p in enumerate(self.primes) if minterm in p.covered]
 
 
 def _check_n(n: int) -> None:
@@ -92,19 +81,6 @@ def prime_implicants(tt: TruthTable) -> List[Implicant]:
         cube = Cube(trits)
         out.append(Implicant(cube, frozenset(cube_minterms(cube))))
     out.sort(key=lambda p: format_cube(p.cube))
-    return out
-
-
-def make_chart(tt: TruthTable) -> PIChart:
-    return PIChart(tuple(prime_implicants(tt)), tuple(tt.minterms()))
-
-
-def essential_primes(chart: PIChart) -> List[Implicant]:
-    """Primes that are the sole cover of some minterm."""
-    out = []
-    for i, p in enumerate(chart.primes):
-        if any(chart.covering_rows(m) == [i] for m in chart.minterms):
-            out.append(p)
     return out
 
 

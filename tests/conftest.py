@@ -8,7 +8,8 @@ import itertools
 
 import pytest
 
-from dsopmin.boolfn import TruthTable, truthtable_from_minterms
+from dsopmin.boolfn import Cover, TruthTable, truthtable_from_minterms
+from dsopmin.cli import PipelineConfig, run_pipeline
 
 # The worked four-variable example used throughout: f = sum(1,5,6,9,12,13,14,15)
 GOLDEN_MINTERMS = [1, 5, 6, 9, 12, 13, 14, 15]
@@ -17,6 +18,11 @@ GOLDEN_MINTERMS = [1, 5, 6, 9, 12, 13, 14, 15]
 @pytest.fixture
 def golden_tt() -> TruthTable:
     return truthtable_from_minterms(4, GOLDEN_MINTERMS)
+
+
+def pipeline_sop(tt: TruthTable, ordering: str = "entropy") -> Cover:
+    """The minimized cover from the package's one pipeline."""
+    return run_pipeline(tt, PipelineConfig(ordering=ordering))[1]["sop"]
 
 
 def oracle_minterms(text: str) -> set:

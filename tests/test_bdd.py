@@ -8,12 +8,9 @@ from dsopmin.bdd import (
     BddManager,
     VariableOrder,
     build_from_truthtable,
-    cube_in_function,
     enumerate_one_paths,
-    is_tautology,
     node_count,
     one_path_count,
-    restrict,
     sift_paths,
     swap_adjacent,
     to_dot,
@@ -23,8 +20,10 @@ from dsopmin.boolfn import (
     TruthTable,
     cover_to_truthtable,
     cube_from_text,
+    cube_mask,
     cubes_disjoint,
     format_cube,
+    full_mask,
     truthtable_from_minterms,
 )
 
@@ -139,53 +138,37 @@ class TestOnePaths:
             assert cover_to_truthtable(dsop).bits == tt.bits
 
 
-class TestRestrict:
-    def test_golden_b0(self, golden_tt):
-        h = build_from_truthtable(golden_tt, ORDER_ABCD)
-        g = restrict(h, 1, False)
-        # paper's b=0 sub-table: f becomes c'd restricted to a-independent form
-        expected = truthtable_from_minterms(4, [1, 5, 9, 13])
-        # f|b=0 = c'd over all four variables
-        got = to_truthtable(g)
-        assert got.bits == expected.bits
-
-    def test_independent_variable(self):
-        tt = truthtable_from_minterms(3, [4, 5, 6, 7])  # f = x0
-        h = build_from_truthtable(tt)
-        assert restrict(h, 2, True).root == h.root
-
-    def test_constant(self):
-        h = build_from_truthtable(TruthTable(2, 0))
-        assert restrict(h, 0, True).root == h.root
-
-
 class TestTautologyAndContainment:
+    """f is a tautology iff its table is full; cube -> f iff the cube's
+    mask misses f's off-set."""
+
     def test_constant_one(self):
-        assert is_tautology(build_from_truthtable(TruthTable(2, 0b1111)))
+        table = to_truthtable(build_from_truthtable(TruthTable(2, 0b1111)))
+        assert table.bits == full_mask(2)
 
     def test_golden_not_tautology(self, golden_tt):
-        assert not is_tautology(build_from_truthtable(golden_tt))
+        assert to_truthtable(build_from_truthtable(golden_tt)).bits != full_mask(4)
 
     def test_x_plus_not_x(self):
         tt = truthtable_from_minterms(2, [2, 3])  # f = x0
-        h = build_from_truthtable(tt)
-        # x0|x0=1 is a tautology, x0|x0=0 is contradiction
-        assert is_tautology(restrict(h, 0, True))
-        assert restrict(h, 0, False).root == bdd.ZERO
+        table = to_truthtable(build_from_truthtable(tt))
+        # f|x0=1 is a tautology, f|x0=0 is a contradiction
+        assert cube_mask(cube_from_text("12", 2)) & ~table.bits == 0
+        assert cube_mask(cube_from_text("02", 2)) & table.bits == 0
 
     def test_cube_in_function_true(self, golden_tt):
-        h = build_from_truthtable(golden_tt)
+        table = to_truthtable(build_from_truthtable(golden_tt))
         assert {6, 14} <= set(golden_tt.minterms())
-        assert cube_in_function(cube_from_text("2110", 4), h)
+        assert cube_mask(cube_from_text("2110", 4)) & ~table.bits == 0
 
     def test_cube_in_function_false(self, golden_tt):
-        h = build_from_truthtable(golden_tt)
+        table = to_truthtable(build_from_truthtable(golden_tt))
         assert not golden_tt.value(2)
-        assert not cube_in_function(cube_from_text("2210", 4), h)
+        assert cube_mask(cube_from_text("2210", 4)) & ~table.bits != 0
 
     def test_universal_in_constant_one(self):
-        h = build_from_truthtable(TruthTable(3, (1 << 8) - 1))
-        assert cube_in_function(cube_from_text("222", 3), h)
+        table = to_truthtable(build_from_truthtable(TruthTable(3, (1 << 8) - 1)))
+        assert cube_mask(cube_from_text("222", 3)) & ~table.bits == 0
 
 
 class TestSwap:

@@ -8,14 +8,13 @@ from dsopmin.boolfn import (
     Cube,
     Trit,
     TruthTable,
-    cover_eval,
     cover_to_truthtable,
     cube_cofactor,
     cube_contains,
     cube_from_text,
+    cube_mask,
     cubes_disjoint,
     format_cube,
-    format_cube_pla,
     literal_count,
     truthtable_cofactor,
     truthtable_from_minterms,
@@ -49,7 +48,6 @@ class TestCubeCodec:
     def test_dash_alias(self):
         assert cube_from_text("1-0-", 4) == cube_from_text("1202", 4)
         assert format_cube(cube_from_text("1-0-", 4)) == "1202"
-        assert format_cube_pla(cube_from_text("1202", 4)) == "1-0-"
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
@@ -132,17 +130,25 @@ class TestCubeCofactor:
             cube_cofactor(cube("2222"), 4, True)
 
 
+class TestCubeMask:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_minterm_enumeration(self, n):
+        for text in all_cube_texts(n):
+            mask = cube_mask(cube_from_text(text, n))
+            assert {m for m in range(1 << n) if (mask >> m) & 1} == oracle_minterms(text)
+
+
 class TestCoverEval:
     def test_minterm_13_covered(self):
         c = cover("1122", "2201", "2110")
-        assert cover_eval(c, (True, True, False, True))
+        assert cover_to_truthtable(c).value(0b1101)
 
     def test_minterm_0_uncovered(self):
         c = cover("1122", "2201", "2110")
-        assert not cover_eval(c, (False, False, False, False))
+        assert not cover_to_truthtable(c).value(0b0000)
 
     def test_empty_cover(self):
-        assert not cover_eval(Cover(4, ()), (True, False, True, False))
+        assert not cover_to_truthtable(Cover(4, ())).value(0b1010)
 
 
 class TestCoverToTruthTable:

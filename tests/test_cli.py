@@ -2,14 +2,13 @@ import json
 
 import pytest
 
-from dsopmin.boolfn import Cover, cube_from_text, truthtable_from_minterms
+from dsopmin.boolfn import truthtable_from_minterms
 from dsopmin.cli import (
     PipelineConfig,
     PlaError,
     StatsReport,
     emit_csv,
     emit_report,
-    format_pla,
     main,
     parse_minterms,
     parse_pla,
@@ -56,11 +55,15 @@ class TestParsePla:
         tt, _ = parse_pla(".i 2\n.o 1\n11 1\n00 0\n.e\n")
         assert set(tt.minterms()) == {3}
 
-    def test_round_trip(self):
-        cover = Cover(4, (cube_from_text("1122", 4), cube_from_text("2201", 4)))
-        tt, names = parse_pla(format_pla(cover, ["a", "b", "c", "d"]))
-        assert names == ["a", "b", "c", "d"]
-        assert set(tt.minterms()) == {1, 5, 9, 12, 13, 14, 15}
+    @pytest.mark.parametrize("directive", [".i", ".o", ".i x", ".o 1.5"])
+    def test_directive_needs_integer(self, directive):
+        with pytest.raises(PlaError):
+            parse_pla(f"{directive}\n.e\n")
+
+    @pytest.mark.parametrize("n", [0, 25])
+    def test_input_count_out_of_range(self, n):
+        with pytest.raises(PlaError):
+            parse_pla(f".i {n}\n.o 1\n{'-' * n} 1\n.e\n")
 
 
 class TestParseMinterms:
@@ -189,6 +192,26 @@ class TestMain:
         pla = tmp_path / "bad.pla"
         pla.write_text(".i 2\n.o 2\n11 10\n.e\n")
         assert main(["--input", str(pla)]) == 2
+
+    @pytest.mark.parametrize("pla", [
+        ".i\n.o 1\n.e\n",
+        ".i 2\n.o\n.e\n",
+        ".i 25\n.o 1\n" + "-" * 25 + " 1\n.e\n",
+    ])
+    def test_bad_directive_clean_exit(self, tmp_path, capsys, pla):
+        path = tmp_path / "bad.pla"
+        path.write_text(pla)
+        assert main(["--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dsopmin: error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", ["0", "25"])
+    def test_bench_vars_out_of_range(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["--benchmark", "1", "--bench-vars", n])
+        assert exc.value.code == 2
+        assert "--bench-vars" in capsys.readouterr().err
 
     def test_missing_input_file(self, capsys):
         assert main(["--input", "/nonexistent/f.pla"]) == 2

@@ -7,7 +7,6 @@ from dsopmin.boolfn import TruthTable, truthtable_cofactor, truthtable_from_mint
 from dsopmin.ordering import (
     cofactor_entropy,
     entropy_order,
-    entropy_report,
     variable_entropy,
 )
 
@@ -55,23 +54,22 @@ class TestVariableEntropy:
 
 class TestEntropyReport:
     def test_golden_values(self, golden_tt):
-        rep = entropy_report(golden_tt)
-        assert rep[0].i0 == pytest.approx(0.954, abs=TOL)
-        assert rep[0].i1 == pytest.approx(0.954, abs=TOL)
-        assert rep[0].e == pytest.approx(0.954, abs=TOL)
-        assert rep[1].e == pytest.approx(0.811, abs=TOL)
-        assert rep[2].e == pytest.approx(0.954, abs=TOL)
-        assert rep[3].e == pytest.approx(0.954, abs=TOL)
+        assert cofactor_entropy(golden_tt, 0, False) == pytest.approx(0.954, abs=TOL)
+        assert cofactor_entropy(golden_tt, 0, True) == pytest.approx(0.954, abs=TOL)
+        assert variable_entropy(golden_tt, 0) == pytest.approx(0.954, abs=TOL)
+        assert variable_entropy(golden_tt, 1) == pytest.approx(0.811, abs=TOL)
+        assert variable_entropy(golden_tt, 2) == pytest.approx(0.954, abs=TOL)
+        assert variable_entropy(golden_tt, 3) == pytest.approx(0.954, abs=TOL)
 
     def test_values_in_unit_interval(self):
         rng = random.Random(5)
         for _ in range(20):
             n = rng.randint(1, 6)
             tt = TruthTable(n, rng.getrandbits(1 << n))
-            for row in entropy_report(tt).values():
-                assert 0.0 <= row.i0 <= 1.0
-                assert 0.0 <= row.i1 <= 1.0
-                assert 0.0 <= row.e <= 1.0
+            for var in range(n):
+                assert 0.0 <= cofactor_entropy(tt, var, False) <= 1.0
+                assert 0.0 <= cofactor_entropy(tt, var, True) <= 1.0
+                assert 0.0 <= variable_entropy(tt, var) <= 1.0
 
 
 class TestEntropyOrder:

@@ -3,23 +3,15 @@ import random
 
 import pytest
 
-from dsopmin.bdd import build_from_truthtable, cube_in_function
 from dsopmin.boolfn import (
     TruthTable,
     cover_to_truthtable,
     format_cube,
     truthtable_from_minterms,
 )
-from dsopmin.minimizer import minimize
-from dsopmin.qm import (
-    PIChart,
-    essential_primes,
-    exact_cover,
-    make_chart,
-    prime_implicants,
-)
+from dsopmin.qm import _reduce_chart, exact_cover, prime_implicants
 
-from conftest import brute_force_primes
+from conftest import brute_force_primes, oracle_minterms, pipeline_sop
 
 
 def prime_texts(tt):
@@ -57,10 +49,10 @@ class TestPrimeImplicants:
             assert prime_texts(tt) == brute_force_primes(tt)
 
     def test_primes_maximal_in_function(self, golden_tt):
-        h = build_from_truthtable(golden_tt)
+        on = set(golden_tt.minterms())
         for p in prime_implicants(golden_tt):
-            assert cube_in_function(p.cube, h)
-            assert p.covered <= set(golden_tt.minterms())
+            assert oracle_minterms(format_cube(p.cube)) <= on
+            assert p.covered <= on
 
     def test_upper_bound_sanity(self):
         rng = random.Random(29)
@@ -70,23 +62,24 @@ class TestPrimeImplicants:
             assert len(prime_implicants(tt)) <= 3 ** n / n + 1
 
 
+def essential_texts(tt):
+    chosen, _rows, _uncovered = _reduce_chart(prime_implicants(tt), set(tt.minterms()))
+    return [format_cube(p.cube) for p in chosen]
+
+
 class TestEssentialPrimes:
     def test_golden_all_essential(self, golden_tt):
-        chart = make_chart(golden_tt)
-        essentials = {format_cube(p.cube) for p in essential_primes(chart)}
+        essentials = set(essential_texts(golden_tt))
         # minterm 12 only in ab, 1 only in c'd, 6 only in bcd'
         assert essentials == {"1122", "2201", "2110"}
 
     def test_shared_coverage_not_essential(self):
         # n=3 cyclic function: every minterm covered twice
         tt = truthtable_from_minterms(3, [0, 1, 2, 5, 6, 7])
-        chart = make_chart(tt)
-        assert essential_primes(chart) == []
+        assert essential_texts(tt) == []
 
     def test_single_prime_chart(self):
-        tt = TruthTable(2, 0b1111)
-        chart = make_chart(tt)
-        assert [format_cube(p.cube) for p in essential_primes(chart)] == ["22"]
+        assert essential_texts(TruthTable(2, 0b1111)) == ["22"]
 
 
 class TestExactCover:
@@ -129,7 +122,7 @@ class TestExactCover:
         for _ in range(60):
             n = rng.randint(3, 6)
             tt = TruthTable(n, rng.getrandbits(1 << n))
-            assert len(exact_cover(tt).cubes) <= len(minimize(tt).cubes)
+            assert len(exact_cover(tt).cubes) <= len(pipeline_sop(tt).cubes)
 
     def test_deterministic(self, golden_tt):
         assert exact_cover(golden_tt) == exact_cover(golden_tt)
