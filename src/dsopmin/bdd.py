@@ -21,6 +21,7 @@ from .boolfn import (
     Trit,
     TruthTable,
     MAX_TABLE_VARS,
+    cofactor_bits,
     full_mask,
     var_masks,
 )
@@ -96,26 +97,27 @@ class BddManager:
             raise ValueError("table variable count does not match manager")
         n = self.n
         perm = self.order.perm
-        # f in order space: bit k of idx (MSB first) is the value of perm[k]
-        values = bytearray(1 << n)
-        for i in range(1 << n):
-            if tt.value(i):
-                idx = 0
-                for k in range(n):
-                    var = perm[k]
-                    if (i >> (n - 1 - var)) & 1:
-                        idx |= 1 << (n - 1 - k)
-                values[idx] = 1
+        # The subtable at a level ranges over the variables perm[level:]
+        # in ascending index order; split[level] is perm[level]'s place.
+        split = [sorted(perm[level:]).index(perm[level]) for level in range(n)]
+        fulls = [full_mask(n - level) for level in range(n + 1)]
+        memo: Dict[Tuple[int, int], int] = {}
 
-        def expand(level: int, start: int, end: int) -> int:
-            if level == n:
-                return ONE if values[start] else ZERO
-            mid = (start + end) // 2
-            lo = expand(level + 1, start, mid)
-            hi = expand(level + 1, mid, end)
-            return self.make(level, lo, hi)
+        def node(level: int, bits: int) -> int:
+            if bits == 0:
+                return ZERO
+            if bits == fulls[level]:
+                return ONE
+            key = (level, bits)
+            u = memo.get(key)
+            if u is None:
+                width, var = n - level, split[level]
+                lo = node(level + 1, cofactor_bits(bits, width, var, False))
+                hi = node(level + 1, cofactor_bits(bits, width, var, True))
+                u = memo[key] = self.make(level, lo, hi)
+            return u
 
-        return FunctionHandle(self, expand(0, 0, 1 << n))
+        return FunctionHandle(self, node(0, tt.bits))
 
     def reachable(self, root: int) -> List[int]:
         """Internal nodes reachable from root, discovery order."""

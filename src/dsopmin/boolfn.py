@@ -87,7 +87,7 @@ class TruthTable:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_TABLE_VARS:
             raise ValueError(f"variable count {self.n} outside [1, {MAX_TABLE_VARS}]")
-        if not 0 <= self.bits < (1 << (1 << self.n)):
+        if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise ValueError("onset bit vector longer than 2^n")
 
     def value(self, minterm: int) -> bool:
@@ -103,8 +103,7 @@ class TruthTable:
 
     @property
     def is_constant(self) -> bool:
-        size = 1 << self.n
-        return self.bits == 0 or self.bits == (1 << size) - 1
+        return self.bits == 0 or self.bits.bit_count() == 1 << self.n
 
 
 def universal_cube(n: int) -> Cube:
@@ -241,22 +240,31 @@ def truthtable_from_minterms(n: int, minterms: Iterable[int]) -> TruthTable:
     return TruthTable(n, bits)
 
 
+def cofactor_bits(bits: int, n: int, var: int, val: bool) -> int:
+    """Raw-bits cofactor of an n-variable table on var=val, over n-1 variables.
+
+    The var=val half is shifted into place and masked; then one
+    shift-OR-mask step per coarser variable closes the gaps between its
+    runs.  That is O(var) big-int operations, no per-minterm loop.
+    """
+    masks = var_masks(n)
+    run = 1 << (n - 1 - var)
+    if val:
+        bits >>= run
+    bits &= ~masks[var]
+    for coarser in range(var - 1, -1, -1):
+        bits = (bits | bits >> run) & ~masks[coarser]
+        run <<= 1
+    return bits
+
+
 def truthtable_cofactor(tt: TruthTable, var: int, val: bool) -> TruthTable:
     """Restrict var to val; the result ranges over the remaining n-1 variables."""
     if not 0 <= var < tt.n:
         raise ValueError(f"variable index {var} out of range for n={tt.n}")
     if tt.n == 1:
         raise ValueError("cannot drop the only variable of a table")
-    n = tt.n
-    hi_bits = n - 1 - var  # bits below var in the minterm index
-    bits = 0
-    for j in range(1 << (n - 1)):
-        low = j & ((1 << hi_bits) - 1)
-        high = j >> hi_bits
-        i = (high << (hi_bits + 1)) | (int(val) << hi_bits) | low
-        if tt.value(i):
-            bits |= 1 << j
-    return TruthTable(n - 1, bits)
+    return TruthTable(tt.n - 1, cofactor_bits(tt.bits, tt.n, var, val))
 
 
 def literal_count(cover: Cover) -> int:

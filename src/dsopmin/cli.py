@@ -291,6 +291,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if not 1 <= args.bench_vars <= MAX_TABLE_VARS:
         parser.error(f"--bench-vars must lie in [1, {MAX_TABLE_VARS}]")
+    if args.benchmark is not None and args.benchmark < 0:
+        parser.error("--benchmark COUNT must not be negative")
 
     emit = tuple(s for s in args.emit.split(",") if s)
     for s in emit:

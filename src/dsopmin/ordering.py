@@ -9,10 +9,10 @@ on it, and recurses.  Ties break toward the lowest variable index.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List
 
 from .bdd import VariableOrder
-from .boolfn import TruthTable, truthtable_cofactor, var_masks
+from .boolfn import TruthTable, cofactor_bits, var_masks
 
 # Scores are irrational in general; comparisons use this slack.
 _EPS = 1e-9
@@ -33,43 +33,60 @@ def cofactor_entropy(tt: TruthTable, var: int, val: bool) -> float:
     return _h(on / (1 << (tt.n - 1)))
 
 
+def _split_entropy(on: int, on1: int, half: int) -> float:
+    """(I(var,0) + I(var,1)) / 2 from the ON counts of a table and its var=1 half."""
+    return 0.5 * (_h((on - on1) / half) + _h(on1 / half))
+
+
 def variable_entropy(tt: TruthTable, var: int) -> float:
     """E(var) = (I(var,0) + I(var,1)) / 2."""
-    return 0.5 * (cofactor_entropy(tt, var, False) + cofactor_entropy(tt, var, True))
+    if not 0 <= var < tt.n:
+        raise ValueError(f"variable index {var} out of range for n={tt.n}")
+    on1 = (tt.bits & var_masks(tt.n)[var]).bit_count()
+    return _split_entropy(tt.bits.bit_count(), on1, 1 << (tt.n - 1))
 
 
 def entropy_order(tt: TruthTable) -> VariableOrder:
-    """Greedy recursive selection of the minimum-average-entropy variable."""
+    """Greedy recursive selection of the minimum-average-entropy variable.
+
+    Every subtable at a level ranges over the same remaining variables,
+    so a level is a list of raw table bits plus one list of variables.
+    Constant subtables score 0 and split into constants, so they are
+    dropped; the divisor still counts all 2^level subtables.
+    """
     n = tt.n
-    # (subtable, original indices of its variables); constants score 0
-    subtables: List[Tuple[TruthTable, Tuple[int, ...]]] = [(tt, tuple(range(n)))]
-    remaining = list(range(n))
+    subtables: List[int] = [] if tt.is_constant else [tt.bits]
+    remaining = list(range(n))  # the subtables' variables, ascending
     chosen: List[int] = []
+    level = 0
 
     while remaining:
-        best_var = None
+        width = n - level
+        masks = var_masks(width)
+        half = 1 << (width - 1)
+        on_counts = [st.bit_count() for st in subtables]
+        best_j = None
         best_score = math.inf
-        for var in remaining:
+        for j in range(len(remaining)):
+            pos = masks[j]
             total = 0.0
-            for st, vars_ in subtables:
-                if st.is_constant:
-                    continue
-                total += variable_entropy(st, vars_.index(var))
-            score = total / len(subtables)
+            for st, on in zip(subtables, on_counts):
+                total += _split_entropy(on, (st & pos).bit_count(), half)
+            score = total / (1 << level)
             if score < best_score - _EPS:
-                best_var = var
+                best_j = j
                 best_score = score
-        assert best_var is not None
-        chosen.append(best_var)
-        remaining.remove(best_var)
+        assert best_j is not None
+        chosen.append(remaining.pop(best_j))
+        level += 1
 
         if remaining:
-            split: List[Tuple[TruthTable, Tuple[int, ...]]] = []
-            for st, vars_ in subtables:
-                j = vars_.index(best_var)
-                rest = vars_[:j] + vars_[j + 1:]
-                split.append((truthtable_cofactor(st, j, False), rest))
-                split.append((truthtable_cofactor(st, j, True), rest))
+            split: List[int] = []
+            for st in subtables:
+                for val in (False, True):
+                    sub = cofactor_bits(st, width, best_j, val)
+                    if sub and sub.bit_count() != half:
+                        split.append(sub)
             subtables = split
 
     return VariableOrder(tuple(chosen))

@@ -69,3 +69,53 @@ def brute_force_primes(tt: TruthTable) -> set:
         if not any(u != t and contains(u, t) for u in inside):
             primes.add(t)
     return primes
+
+
+def ref_cofactor_bits(bits: int, n: int, var: int, val: bool) -> int:
+    """Cofactor of a raw n-variable table on var=val, one minterm at a time."""
+    low_bits = n - 1 - var  # index bits below var
+    out = 0
+    for j in range(1 << (n - 1)):
+        low = j & ((1 << low_bits) - 1)
+        high = j >> low_bits
+        i = (high << (low_bits + 1)) | (int(val) << low_bits) | low
+        if (bits >> i) & 1:
+            out |= 1 << j
+    return out
+
+
+def ref_build(bits: int, n: int, perm) -> tuple:
+    """Reduced ordered BDD of a raw table under perm, as (nodes, root).
+
+    The table is first permuted into order space (bit k of an index, MSB
+    first, is the value of perm[k]); a full lo-first post-order recursion
+    then allocates ids from 2 through its own unique table.  nodes maps
+    id -> (level, lo, hi); 0 and 1 are the terminals.
+    """
+    values = [0] * (1 << n)
+    for i in range(1 << n):
+        if (bits >> i) & 1:
+            idx = 0
+            for k, var in enumerate(perm):
+                if (i >> (n - 1 - var)) & 1:
+                    idx |= 1 << (n - 1 - k)
+            values[idx] = 1
+    nodes = {}
+    unique = {}
+
+    def walk(level: int, start: int, end: int) -> int:
+        if level == n:
+            return values[start]
+        mid = (start + end) // 2
+        lo = walk(level + 1, start, mid)
+        hi = walk(level + 1, mid, end)
+        if lo == hi:
+            return lo
+        key = (level, lo, hi)
+        if key not in unique:
+            unique[key] = len(unique) + 2
+            nodes[unique[key]] = key
+        return unique[key]
+
+    root = walk(0, 0, 1 << n)
+    return nodes, root

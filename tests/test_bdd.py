@@ -27,6 +27,8 @@ from dsopmin.boolfn import (
     truthtable_from_minterms,
 )
 
+from conftest import ref_build
+
 ORDER_ABCD = VariableOrder((0, 1, 2, 3))
 ORDER_BACD = VariableOrder((1, 0, 2, 3))
 
@@ -90,6 +92,29 @@ class TestBuild:
             assert (level, lo, hi) not in seen
             seen.add((level, lo, hi))
             assert mgr.level(lo) > level and mgr.level(hi) > level
+
+    def test_matches_reference_builder(self):
+        rng = random.Random(23)
+        for i in range(120):
+            n = rng.randint(1, 10)
+            kind = i % 3
+            if kind == 0:
+                bits = rng.getrandbits(1 << n)
+            elif kind == 1:  # sparse: a few minterms
+                bits = 0
+                for _ in range(rng.randint(0, 5)):
+                    bits |= 1 << rng.randrange(1 << n)
+            else:  # dense with a few holes
+                bits = (1 << (1 << n)) - 1
+                for _ in range(rng.randint(0, 5)):
+                    bits &= ~(1 << rng.randrange(1 << n))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            mgr = BddManager(n, VariableOrder(tuple(perm)))
+            root = mgr.build(TruthTable(n, bits)).root
+            nodes, ref_root = ref_build(bits, n, perm)
+            assert mgr._nodes == nodes
+            assert root == ref_root
 
 
 class TestOnePaths:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,12 @@ from dsopmin.boolfn import (
     universal_cube,
 )
 
-from conftest import all_cube_texts, oracle_cover_minterms, oracle_minterms
+from conftest import (
+    all_cube_texts,
+    oracle_cover_minterms,
+    oracle_minterms,
+    ref_cofactor_bits,
+)
 
 
 def cube(text: str) -> Cube:
@@ -202,6 +208,42 @@ class TestTruthTable:
         sub = truthtable_cofactor(golden_tt, 1, False)
         # paper's b=0 sub-table over (a,c,d): only a'c'd and ac'd are on
         assert set(sub.minterms()) == {1, 5}
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_cofactor_matches_minterm_loop(self, n):
+        rng = random.Random(f"cofactor/{n}")
+        full = (1 << (1 << n)) - 1
+        tables = [0, full, 1, 1 << ((1 << n) - 1)]
+        tables += [rng.getrandbits(1 << n) for _ in range(4)]
+        for bits in tables:
+            tt = TruthTable(n, bits)
+            for var in range(n):
+                for val in (False, True):
+                    sub = truthtable_cofactor(tt, var, val)
+                    assert sub.n == n - 1
+                    assert sub.bits == ref_cofactor_bits(bits, n, var, val)
+
+    def test_cofactor_bad_index(self, golden_tt):
+        with pytest.raises(ValueError):
+            truthtable_cofactor(golden_tt, 4, True)
+        with pytest.raises(ValueError):
+            truthtable_cofactor(TruthTable(1, 0b10), 0, True)
+
+    @pytest.mark.parametrize("n", [1, 3, 24])
+    def test_bits_bound(self, n):
+        size = 1 << n
+        assert TruthTable(n, (1 << size) - 1).on_count() == size
+        assert TruthTable(n, 1 << (size - 1)).value(size - 1)
+        with pytest.raises(ValueError):
+            TruthTable(n, 1 << size)
+        with pytest.raises(ValueError):
+            TruthTable(n, -1)
+
+    def test_is_constant(self):
+        assert TruthTable(3, 0).is_constant
+        assert TruthTable(3, 0xFF).is_constant
+        assert not TruthTable(3, 0x7F).is_constant
+        assert not TruthTable(3, 0x01).is_constant
 
 
 class TestLiteralCount:

@@ -1,4 +1,10 @@
 import json
+import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +21,9 @@ from dsopmin.cli import (
     run_benchmark,
     run_pipeline,
 )
+from dsopmin.boolfn import format_cube
+
+from conftest import oracle_cover_minterms
 
 GOLDEN_PLA = "\n".join(
     [".i 4", ".o 1", ".ilb a b c d"]
@@ -112,6 +121,27 @@ class TestRunPipeline:
         assert report.oracle_cubes == 3
         assert report.oracle_literals == 7
         assert report.check() == []
+
+    def test_sparse_pla_at_n18(self):
+        # wide-PLA shape (4 three-literal and 8 four-literal cubes) near
+        # the table cap: entropy ordering and BDD construction must not
+        # walk the 2^18 minterms one by one
+        n = 18
+        rng = random.Random("sparse-pla/18")
+        cubes = []
+        for k in (3,) * 4 + (4,) * 8:
+            cube = ["-"] * n
+            for v in rng.sample(range(n), k):
+                cube[v] = rng.choice("01")
+            cubes.append("".join(cube))
+        pla = "\n".join([f".i {n}", ".o 1"] + [f"{c} 1" for c in cubes] + [".e"])
+        tt, _ = parse_pla(pla)
+        start = time.perf_counter()
+        report, outputs = run_pipeline(tt, PipelineConfig())
+        assert time.perf_counter() - start < 10.0
+        assert report.check() == []
+        sop = [format_cube(c) for c in outputs["sop"]]
+        assert oracle_cover_minterms(sop) == oracle_cover_minterms(cubes)
 
 
 class TestReports:
@@ -213,6 +243,12 @@ class TestMain:
         assert exc.value.code == 2
         assert "--bench-vars" in capsys.readouterr().err
 
+    def test_negative_benchmark_count(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--benchmark", "-1"])
+        assert exc.value.code == 2
+        assert "--benchmark" in capsys.readouterr().err
+
     def test_missing_input_file(self, capsys):
         assert main(["--input", "/nonexistent/f.pla"]) == 2
 
@@ -231,3 +267,14 @@ class TestMain:
         rc = main(["--minterms", "2:3", "--names", "p,q"])
         assert rc == 0
         assert "pq" in capsys.readouterr().out
+
+    def test_python_m_dsopmin(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dsopmin", "--minterms", "4:1,5,6,9,12,13,14,15"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "order: b a c d" in proc.stdout

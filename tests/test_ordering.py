@@ -10,7 +10,55 @@ from dsopmin.ordering import (
     variable_entropy,
 )
 
+from conftest import oracle_cover_minterms
+
 TOL = 1e-3
+
+# entropy_order on order_tables(), recorded with the per-minterm
+# cofactoring implementation that preceded the bit-parallel one.
+RECORDED_ORDERS = (
+    (3, 1, 2, 0, 4),
+    (4, 2, 3, 1, 0),
+    (2, 4, 1, 0, 3, 5),
+    (3, 1, 4, 2, 5, 0),
+    (1, 0, 4, 2, 3, 6, 5),
+    (1, 4, 6, 0, 5, 3, 2),
+    (3, 0, 4, 7, 6, 5, 1, 2),
+    (7, 2, 4, 0, 6, 3, 5, 1),
+    (1, 7, 3, 2, 4, 8, 6, 0, 5),
+    (7, 0, 1, 2, 6, 5, 8, 3, 4),
+    (3, 8, 5, 7, 6, 9, 0, 2, 4, 1),
+    (9, 2, 0, 1, 5, 6, 8, 3, 4, 7),
+    (4, 8, 2, 6, 9, 3, 0, 10, 5, 7, 1),
+    (2, 5, 9, 0, 10, 1, 4, 3, 7, 8, 6),
+    (7, 0, 1, 10, 3, 8, 4, 5, 6, 9, 11, 2),
+    (2, 3, 5, 8, 9, 0, 4, 6, 1, 7, 10, 11),
+    (0, 3, 1, 2, 4),
+    (1, 0, 3, 2, 4),
+    (2, 1, 0, 4, 5, 3),
+    (3, 4, 5, 1, 2, 0),
+)
+
+
+def order_tables():
+    """Seeded tables, n = 5..12: even entries uniform random, odd ones an
+    OR of a few random cubes (sparse, with many constant subtables)."""
+    rng = random.Random("entropy-order")
+    for i in range(20):
+        n = 5 + (i // 2) % 8
+        if i % 2 == 0:
+            bits = rng.getrandbits(1 << n)
+        else:
+            texts = []
+            for _ in range(rng.randint(2, 8)):
+                cube = ["2"] * n
+                for v in rng.sample(range(n), rng.randint(2, n - 1)):
+                    cube[v] = rng.choice("01")
+                texts.append("".join(cube))
+            bits = 0
+            for m in oracle_cover_minterms(texts):
+                bits |= 1 << m
+        yield TruthTable(n, bits)
 
 
 class TestCofactorEntropy:
@@ -99,6 +147,10 @@ class TestEntropyOrder:
         tt = truthtable_from_minterms(3, [2, 3, 6, 7])
         order = entropy_order(tt)
         assert order.perm[0] == 1
+
+    def test_recorded_orders(self):
+        got = tuple(entropy_order(tt).perm for tt in order_tables())
+        assert got == RECORDED_ORDERS
 
     def test_golden_order_improves_bdd(self, golden_tt):
         h = build_from_truthtable(golden_tt, entropy_order(golden_tt))
