@@ -124,8 +124,16 @@ def cube_from_text(text: str, n: int) -> Cube:
 
 
 def format_cube(cube: Cube) -> str:
-    """Canonical text over {0,1,2}."""
-    return "".join(_TRIT_TO_CHAR[t] for t in cube.trits)
+    """Canonical text over {0,1,2}; equal cubes share one string."""
+    return _trits_text(cube.trits)
+
+
+# One string per distinct cube, so a caller that keeps the text of many covers
+# holds each text once.  A bounded LRU rather than sys.intern: CPython 3.12
+# makes interned strings immortal, so an intern table would only grow.
+@lru_cache(maxsize=1 << 14)
+def _trits_text(trits: Tuple[Trit, ...]) -> str:
+    return "".join(_TRIT_TO_CHAR[t] for t in trits)
 
 
 def _check_same_length(c1: Cube, c2: Cube) -> None:
@@ -220,6 +228,32 @@ def cube_mask(cube: Cube) -> int:
         elif t == Trit.ZERO:
             mask &= ~masks[v]
     return mask
+
+
+def cube_bits(cube: Cube) -> Tuple[int, int]:
+    """Packed cube ``(care, value)``: variable v is bit n-1-v of each int.
+
+    A care bit is set iff v has a literal; its value bit is set iff that
+    literal is positive, so ``value`` is always a subset of ``care``.
+    """
+    care = value = 0
+    for t in cube.trits:
+        care = care << 1 | (t != Trit.DONT_CARE)
+        value = value << 1 | (t == Trit.ONE)
+    return care, value
+
+
+# Indexed by care bit * 2 + value bit; a value bit without its care bit is refused.
+_BIT_TRITS = (Trit.DONT_CARE, None, Trit.ZERO, Trit.ONE)
+
+
+def cube_from_bits(care: int, value: int, n: int) -> Cube:
+    """Inverse of ``cube_bits`` for a cube over n variables."""
+    if value & ~care or care >> n:
+        raise ValueError(f"({care:#x}, {value:#x}) is not a packed cube over {n} variables")
+    return Cube(tuple(
+        _BIT_TRITS[(care >> s & 1) << 1 | value >> s & 1] for s in range(n - 1, -1, -1)
+    ))
 
 
 def cover_to_truthtable(cover: Cover) -> TruthTable:

@@ -2,7 +2,10 @@
 
 simplify() recursively splits a binate cover on the most-binate
 variable and recombines the cofactor results with the containment
-lift; unate leaves fall to single-cube containment.  expand() raises
+lift; unate leaves fall to single-cube containment.  It packs the
+cover once into ``(care, value)`` integer pairs (``boolfn.cube_bits``),
+so polarity, cofactor, containment and specialization are each one or
+two bitwise operations, and unpacks the result once.  expand() raises
 literals toward primeness and irredundant() then drops cubes the rest
 of the cover already covers; both answer their containment questions
 on truth-table bit masks, taking the function's table from its BDD.
@@ -10,7 +13,7 @@ on truth-table bit masks, taking the function's table from its BDD.
 
 from __future__ import annotations
 
-from enum import Enum
+from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 from . import bdd
@@ -19,146 +22,111 @@ from .boolfn import (
     Cover,
     Cube,
     Trit,
-    cube_contains,
+    cube_bits,
+    cube_from_bits,
     cube_mask,
     format_cube,
-    universal_cube,
 )
 
-
-class Monotonicity(Enum):
-    POS_UNATE = "pos"
-    NEG_UNATE = "neg"
-    BINATE = "binate"
-    ABSENT = "absent"
+# A packed cube (care, value); a variable is one bit, as in boolfn.cube_bits.
+Packed = Tuple[int, int]
 
 
-def classify(cover: Cover) -> Tuple[List[Monotonicity], bool]:
-    """Per-variable monotonicity plus an overall unate flag."""
-    result: List[Monotonicity] = []
-    unate = True
-    for j in range(cover.n):
-        has0 = any(c.trits[j] == Trit.ZERO for c in cover)
-        has1 = any(c.trits[j] == Trit.ONE for c in cover)
-        if has0 and has1:
-            result.append(Monotonicity.BINATE)
-            unate = False
-        elif has1:
-            result.append(Monotonicity.POS_UNATE)
-        elif has0:
-            result.append(Monotonicity.NEG_UNATE)
-        else:
-            result.append(Monotonicity.ABSENT)
-    return result, unate
+def polarity(cubes: Sequence[Packed]) -> Tuple[int, int]:
+    """Bit masks of the variables with a positive and with a complemented literal.
+
+    Their AND is the binate variables; the cover is unate iff it is 0.
+    """
+    ones = zeros = 0
+    for care, value in cubes:
+        ones |= value
+        zeros |= care & ~value
+    return ones, zeros
 
 
-def select_binate(cover: Cover) -> int:
-    """Most-binate variable: most rows touched, then most balanced, then index."""
-    mono, unate = classify(cover)
-    if unate:
+def select_binate(cubes: Sequence[Packed]) -> int:
+    """Bit of the most-binate variable: most rows touched, then most balanced, then index.
+
+    The lowest variable index is the highest bit.
+    """
+    ones, zeros = polarity(cubes)
+    binate = ones & zeros
+    if not binate:
         raise ValueError("cover is unate; no binate variable to select")
-    best = None
-    best_key = None
-    for j in range(cover.n):
-        if mono[j] != Monotonicity.BINATE:
-            continue
-        c0 = sum(1 for c in cover if c.trits[j] == Trit.ZERO)
-        c1 = sum(1 for c in cover if c.trits[j] == Trit.ONE)
-        key = (-(c0 + c1), abs(c0 - c1), j)
-        if best_key is None or key < best_key:
-            best, best_key = j, key
-    assert best is not None
-    return best
+    keys = []
+    for bit in (1 << s for s in range(binate.bit_length()) if binate >> s & 1):
+        c1 = sum(1 for _, value in cubes if value & bit)
+        c0 = sum(1 for care, _ in cubes if care & bit) - c1
+        keys.append((-(c0 + c1), abs(c0 - c1), -bit))
+    return -min(keys)[2]
 
 
-def cover_cofactor(cover: Cover, var: int, val: bool) -> Cover:
-    """Per-cube cofactor, dropping cubes with the opposing literal."""
-    from .boolfn import cube_cofactor
-
-    out = []
-    for c in cover:
-        cc = cube_cofactor(c, var, val)
-        if cc is not None:
-            out.append(cc)
-    return Cover(cover.n, tuple(out))
+def cover_cofactor(cubes: Sequence[Packed], bit: int, val: bool) -> List[Packed]:
+    """Per-cube cofactor on the variable at bit, dropping cubes with the opposing literal."""
+    clear = ~bit
+    if val:
+        return [(care & clear, value & clear) for care, value in cubes if not care & ~value & bit]
+    return [(care & clear, value) for care, value in cubes if not value & bit]
 
 
-def scc(cover: Cover) -> Cover:
+def scc(cubes: Sequence[Packed]) -> List[Packed]:
     """Single-cube containment: drop cubes contained in another cube.
 
     Duplicates keep the earliest occurrence; survivor order preserved.
+    Outer contains inner iff outer's care bits are inner's too and the
+    two agree on them, so only cubes with fewer literals are tried.
     """
-    cubes = cover.cubes
-    keep = []
-    for i, ci in enumerate(cubes):
-        redundant = False
-        for j, cj in enumerate(cubes):
-            if i == j or not cube_contains(cj, ci):
-                continue
-            if not cube_contains(ci, cj) or j < i:
-                redundant = True
-                break
-        if not redundant:
-            keep.append(ci)
-    return Cover(cover.n, tuple(keep))
+    unique = list(dict.fromkeys(cubes))
+    ranked = sorted(unique, key=lambda cube: cube[0].bit_count())
+    sizes = [care.bit_count() for care, _ in ranked]
+    return [
+        (ic, iv) for ic, iv in unique
+        if not any(not oc & ~ic and not (ov ^ iv) & oc
+                   for oc, ov in ranked[:bisect_left(sizes, ic.bit_count())])
+    ]
 
 
-def _specialize(c: Cube, var: int, val: bool) -> Cube:
-    t = Trit.ONE if val else Trit.ZERO
-    return Cube(c.trits[:var] + (t,) + c.trits[var + 1:])
-
-
-def merge_with_containment(h0: Cover, h1: Cover, var: int) -> Cover:
+def merge_with_containment(h0: Sequence[Packed], h1: Sequence[Packed], bit: int) -> List[Packed]:
     """Recombine cofactor covers: x'*h0 + x*h1 with the containment lift.
 
     Cubes shared between the halves (up to single-cube containment)
-    are lifted with var left don't-care; the rest get the literal back.
+    are lifted with the variable at bit left don't-care; the rest get
+    the literal back.
     """
-    for half in (h0, h1):
-        for c in half:
-            if c.trits[var] != Trit.DONT_CARE:
-                raise ValueError("merge input mentions the splitting variable")
-
-    set1 = set(h1.cubes)
-    lifted = []
-    seen = set()
-    for c in h0:
-        if c in set1 or any(cube_contains(d, c) for d in h1):
-            if c not in seen:
-                lifted.append(c)
-                seen.add(c)
-    for c in h1:
-        if any(cube_contains(d, c) for d in h0):
-            if c not in seen:
-                lifted.append(c)
-                seen.add(c)
-
+    if any(care & bit for care, _ in h0) or any(care & bit for care, _ in h1):
+        raise ValueError("merge input mentions the splitting variable")
+    lifted = {}  # insertion-ordered set
+    for half, other in ((h0, h1), (h1, h0)):
+        same = set(other)
+        for ic, iv in half:
+            if (ic, iv) in same or any(not oc & ~ic and not (ov ^ iv) & oc for oc, ov in other):
+                lifted[ic, iv] = None
     out = list(lifted)
-    for c in h0:
-        if c not in seen:
-            out.append(_specialize(c, var, False))
-    for c in h1:
-        if c not in seen:
-            out.append(_specialize(c, var, True))
-    return scc(Cover(h0.n, tuple(out)))
+    out += [(care | bit, value) for care, value in h0 if (care, value) not in lifted]
+    out += [(care | bit, value | bit) for care, value in h1 if (care, value) not in lifted]
+    return scc(out)
 
 
 def simplify(cover: Cover) -> Cover:
     """Unate recursive simplification; never grows the cube count."""
-    if not cover.cubes:
-        return cover
-    if any(c.is_universal for c in cover):
-        return Cover(cover.n, (universal_cube(cover.n),))
-    _, unate = classify(cover)
-    if unate:
-        return scc(cover)
-    var = select_binate(cover)
-    h0 = simplify(cover_cofactor(cover, var, False))
-    h1 = simplify(cover_cofactor(cover, var, True))
-    merged = merge_with_containment(h0, h1, var)
-    if len(merged) <= len(cover.cubes):
+    n = cover.n
+    out = _simplify([cube_bits(c) for c in cover])
+    return Cover(n, tuple(cube_from_bits(care, value, n) for care, value in out))
+
+
+def _simplify(cubes: List[Packed]) -> List[Packed]:
+    if any(not care for care, _ in cubes):
+        return [(0, 0)]  # the universal cube
+    ones, zeros = polarity(cubes)
+    if not ones & zeros:
+        return scc(cubes)
+    bit = select_binate(cubes)
+    h0 = _simplify(cover_cofactor(cubes, bit, False))
+    h1 = _simplify(cover_cofactor(cubes, bit, True))
+    merged = merge_with_containment(h0, h1, bit)
+    if len(merged) <= len(cubes):
         return merged
-    return scc(cover)
+    return scc(cubes)
 
 
 def _onset(cover: Cover, f: FunctionHandle) -> int:
@@ -200,10 +168,7 @@ def irredundant(cover: Cover, f: FunctionHandle) -> Cover:
     every cube after it.
     """
     onset = _onset(cover, f)
-    cubes: List[Cube] = []
-    for c in cover:
-        if c not in cubes:
-            cubes.append(c)
+    cubes = list(dict.fromkeys(cover.cubes))
     masks = [cube_mask(c) for c in cubes]
     suffix = [0] * (len(masks) + 1)
     for i in range(len(masks) - 1, -1, -1):

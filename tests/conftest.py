@@ -5,10 +5,21 @@ package, so they stay independent of the code paths they check.
 """
 
 import itertools
+from enum import Enum
+from typing import List, Tuple
 
 import pytest
 
-from dsopmin.boolfn import Cover, TruthTable, truthtable_from_minterms
+from dsopmin.boolfn import (
+    Cover,
+    Cube,
+    Trit,
+    TruthTable,
+    cube_cofactor,
+    cube_contains,
+    truthtable_from_minterms,
+    universal_cube,
+)
 from dsopmin.cli import PipelineConfig, run_pipeline
 
 # The worked four-variable example used throughout: f = sum(1,5,6,9,12,13,14,15)
@@ -119,3 +130,140 @@ def ref_build(bits: int, n: int, perm) -> tuple:
 
     root = walk(0, 0, 1 << n)
     return nodes, root
+
+
+# Reference unate recursive paradigm on tuples of Trit: the package's
+# former simplify(), kept verbatim apart from its name.  It uses only
+# boolfn's Cube primitives, never minimizer's packed steps.
+
+class Monotonicity(Enum):
+    POS_UNATE = "pos"
+    NEG_UNATE = "neg"
+    BINATE = "binate"
+    ABSENT = "absent"
+
+
+def classify(cover: Cover) -> Tuple[List[Monotonicity], bool]:
+    """Per-variable monotonicity plus an overall unate flag."""
+    result: List[Monotonicity] = []
+    unate = True
+    for j in range(cover.n):
+        has0 = any(c.trits[j] == Trit.ZERO for c in cover)
+        has1 = any(c.trits[j] == Trit.ONE for c in cover)
+        if has0 and has1:
+            result.append(Monotonicity.BINATE)
+            unate = False
+        elif has1:
+            result.append(Monotonicity.POS_UNATE)
+        elif has0:
+            result.append(Monotonicity.NEG_UNATE)
+        else:
+            result.append(Monotonicity.ABSENT)
+    return result, unate
+
+
+def select_binate(cover: Cover) -> int:
+    """Most-binate variable: most rows touched, then most balanced, then index."""
+    mono, unate = classify(cover)
+    if unate:
+        raise ValueError("cover is unate; no binate variable to select")
+    best = None
+    best_key = None
+    for j in range(cover.n):
+        if mono[j] != Monotonicity.BINATE:
+            continue
+        c0 = sum(1 for c in cover if c.trits[j] == Trit.ZERO)
+        c1 = sum(1 for c in cover if c.trits[j] == Trit.ONE)
+        key = (-(c0 + c1), abs(c0 - c1), j)
+        if best_key is None or key < best_key:
+            best, best_key = j, key
+    assert best is not None
+    return best
+
+
+def cover_cofactor(cover: Cover, var: int, val: bool) -> Cover:
+    """Per-cube cofactor, dropping cubes with the opposing literal."""
+    out = []
+    for c in cover:
+        cc = cube_cofactor(c, var, val)
+        if cc is not None:
+            out.append(cc)
+    return Cover(cover.n, tuple(out))
+
+
+def scc(cover: Cover) -> Cover:
+    """Single-cube containment: drop cubes contained in another cube.
+
+    Duplicates keep the earliest occurrence; survivor order preserved.
+    """
+    cubes = cover.cubes
+    keep = []
+    for i, ci in enumerate(cubes):
+        redundant = False
+        for j, cj in enumerate(cubes):
+            if i == j or not cube_contains(cj, ci):
+                continue
+            if not cube_contains(ci, cj) or j < i:
+                redundant = True
+                break
+        if not redundant:
+            keep.append(ci)
+    return Cover(cover.n, tuple(keep))
+
+
+def _specialize(c: Cube, var: int, val: bool) -> Cube:
+    t = Trit.ONE if val else Trit.ZERO
+    return Cube(c.trits[:var] + (t,) + c.trits[var + 1:])
+
+
+def merge_with_containment(h0: Cover, h1: Cover, var: int) -> Cover:
+    """Recombine cofactor covers: x'*h0 + x*h1 with the containment lift.
+
+    Cubes shared between the halves (up to single-cube containment)
+    are lifted with var left don't-care; the rest get the literal back.
+    """
+    for half in (h0, h1):
+        for c in half:
+            if c.trits[var] != Trit.DONT_CARE:
+                raise ValueError("merge input mentions the splitting variable")
+
+    set1 = set(h1.cubes)
+    lifted = []
+    seen = set()
+    for c in h0:
+        if c in set1 or any(cube_contains(d, c) for d in h1):
+            if c not in seen:
+                lifted.append(c)
+                seen.add(c)
+    for c in h1:
+        if any(cube_contains(d, c) for d in h0):
+            if c not in seen:
+                lifted.append(c)
+                seen.add(c)
+
+    out = list(lifted)
+    for c in h0:
+        if c not in seen:
+            out.append(_specialize(c, var, False))
+    for c in h1:
+        if c not in seen:
+            out.append(_specialize(c, var, True))
+    return scc(Cover(h0.n, tuple(out)))
+
+
+def ref_simplify(cover: Cover) -> Cover:
+    """Unate recursive simplification; never grows the cube count."""
+    if not cover.cubes:
+        return cover
+    if any(c.is_universal for c in cover):
+        return Cover(cover.n, (universal_cube(cover.n),))
+    _, unate = classify(cover)
+    if unate:
+        return scc(cover)
+    var = select_binate(cover)
+    h0 = ref_simplify(cover_cofactor(cover, var, False))
+    h1 = ref_simplify(cover_cofactor(cover, var, True))
+    merged = merge_with_containment(h0, h1, var)
+    if len(merged) <= len(cover.cubes):
+        return merged
+    return scc(cover)

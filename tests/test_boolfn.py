@@ -10,8 +10,10 @@ from dsopmin.boolfn import (
     Trit,
     TruthTable,
     cover_to_truthtable,
+    cube_bits,
     cube_cofactor,
     cube_contains,
+    cube_from_bits,
     cube_from_text,
     cube_mask,
     cubes_disjoint,
@@ -54,6 +56,11 @@ class TestCubeCodec:
     def test_dash_alias(self):
         assert cube_from_text("1-0-", 4) == cube_from_text("1202", 4)
         assert format_cube(cube_from_text("1-0-", 4)) == "1202"
+
+    def test_equal_cubes_share_text(self):
+        a, b = cube_from_text("1202", 4), cube_from_text("1-0-", 4)
+        assert a is not b
+        assert format_cube(a) is format_cube(b)
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
@@ -142,6 +149,28 @@ class TestCubeMask:
         for text in all_cube_texts(n):
             mask = cube_mask(cube_from_text(text, n))
             assert {m for m in range(1 << n) if (mask >> m) & 1} == oracle_minterms(text)
+
+
+class TestCubeBits:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_text(self, n):
+        # variable v is bit n-1-v: care set iff a literal, value iff positive
+        for text in all_cube_texts(n):
+            care, value = cube_bits(cube_from_text(text, n))
+            assert care == sum(1 << (n - 1 - v) for v, ch in enumerate(text) if ch != "2")
+            assert value == sum(1 << (n - 1 - v) for v, ch in enumerate(text) if ch == "1")
+            assert format_cube(cube_from_bits(care, value, n)) == text
+
+    def test_golden_cubes(self):
+        assert cube_bits(cube("1122")) == (0b1100, 0b1100)
+        assert cube_bits(cube("2001")) == (0b0111, 0b0001)
+        assert cube_bits(universal_cube(5)) == (0, 0)
+
+    def test_rejects_non_cube(self):
+        with pytest.raises(ValueError):
+            cube_from_bits(0b01, 0b10, 2)  # a value bit without its care bit
+        with pytest.raises(ValueError):
+            cube_from_bits(0b100, 0, 2)  # a care bit beyond n variables
 
 
 class TestCoverEval:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dsopmin.boolfn import truthtable_from_minterms
+from dsopmin.boolfn import TruthTable, truthtable_from_minterms
 from dsopmin.cli import (
     PipelineConfig,
     PlaError,
@@ -142,6 +142,19 @@ class TestRunPipeline:
         assert report.check() == []
         sop = [format_cube(c) for c in outputs["sop"]]
         assert oracle_cover_minterms(sop) == oracle_cover_minterms(cubes)
+
+    def test_dense_n12(self):
+        # uniform random n=12 tables: about 1.3k DSOP cubes each, so the
+        # URP simplify must stay well under a second per function
+        rng = random.Random("dense/12")
+        for _ in range(3):
+            tt = TruthTable(12, rng.getrandbits(1 << 12))
+            start = time.perf_counter()
+            report, outputs = run_pipeline(tt, PipelineConfig(ordering="entropy"))
+            assert time.perf_counter() - start < 3.0
+            assert report.check() == []
+            sop = [format_cube(c) for c in outputs["sop"]]
+            assert oracle_cover_minterms(sop) == set(tt.minterms())
 
 
 class TestReports:

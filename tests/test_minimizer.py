@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
-from dsopmin.bdd import build_from_truthtable, enumerate_one_paths
+from dsopmin.bdd import VariableOrder, build_from_truthtable, enumerate_one_paths
 from dsopmin.boolfn import (
     Cover,
     TruthTable,
     cover_to_truthtable,
+    cube_bits,
     cube_contains,
+    cube_from_bits,
     cube_from_text,
     format_cube,
     literal_count,
@@ -15,19 +18,24 @@ from dsopmin.boolfn import (
     universal_cube,
 )
 from dsopmin.minimizer import (
-    Monotonicity,
-    classify,
     cover_cofactor,
     expand,
     format_expression,
     irredundant,
     merge_with_containment,
+    polarity,
     scc,
     select_binate,
     simplify,
 )
 
-from conftest import oracle_cover_minterms, oracle_minterms, pipeline_sop
+from conftest import (
+    all_cube_texts,
+    oracle_cover_minterms,
+    oracle_minterms,
+    pipeline_sop,
+    ref_simplify,
+)
 
 
 def cover(*texts: str) -> Cover:
@@ -39,73 +47,92 @@ def texts(c: Cover):
     return [format_cube(x) for x in c]
 
 
+def packed(*texts: str):
+    """The packed (care, value) cubes the URP steps work on."""
+    return [cube_bits(cube_from_text(t, len(t))) for t in texts]
+
+
+def unpacked(cubes, n: int = 4):
+    return [format_cube(cube_from_bits(care, value, n)) for care, value in cubes]
+
+
+def bit(var: int, n: int = 4) -> int:
+    return 1 << (n - 1 - var)
+
+
 GOLDEN_DSOP = ("1122", "0110", "2001", "0101")
 
 
 class TestClassify:
+    """polarity(): the positive and complemented literal columns as masks."""
+
     def test_golden_all_binate(self):
-        mono, unate = classify(cover(*GOLDEN_DSOP))
-        assert mono == [Monotonicity.BINATE] * 4
-        assert not unate
+        ones, zeros = polarity(packed(*GOLDEN_DSOP))
+        assert ones & zeros == 0b1111
 
     def test_unate_cover(self):
-        mono, unate = classify(cover("1122", "2110"))
-        assert unate
-        assert mono == [
-            Monotonicity.POS_UNATE,
-            Monotonicity.POS_UNATE,
-            Monotonicity.POS_UNATE,
-            Monotonicity.NEG_UNATE,
-        ]
+        # a, b, c positive unate; d negative unate
+        assert polarity(packed("1122", "2110")) == (0b1110, 0b0001)
 
     def test_universal(self):
-        mono, unate = classify(Cover(4, (universal_cube(4),)))
-        assert unate
-        assert mono == [Monotonicity.ABSENT] * 4
+        assert polarity(packed("2222")) == (0, 0)
 
 
 class TestSelectBinate:
     def test_golden_selects_b(self):
         # b touches all 4 rows; a, c, d touch 3 each
-        assert select_binate(cover(*GOLDEN_DSOP)) == 1
+        assert select_binate(packed(*GOLDEN_DSOP)) == bit(1)
 
     def test_symmetric_tie_breaks_by_index(self):
-        assert select_binate(cover("10", "01")) == 0
+        assert select_binate(packed("10", "01")) == bit(0, 2)
 
     def test_single_column(self):
-        assert select_binate(cover("1", "0")) == 0
+        assert select_binate(packed("1", "0")) == bit(0, 1)
 
     def test_unate_rejected(self):
         with pytest.raises(ValueError):
-            select_binate(cover("1122", "2110"))
+            select_binate(packed("1122", "2110"))
 
 
 class TestCoverCofactor:
     def test_golden_b1(self):
-        got = cover_cofactor(cover(*GOLDEN_DSOP), 1, True)
-        assert texts(got) == ["1222", "0210", "0201"]
+        got = cover_cofactor(packed(*GOLDEN_DSOP), bit(1), True)
+        assert unpacked(got) == ["1222", "0210", "0201"]
 
     def test_golden_b0(self):
-        got = cover_cofactor(cover(*GOLDEN_DSOP), 1, False)
-        assert texts(got) == ["2201"]
+        got = cover_cofactor(packed(*GOLDEN_DSOP), bit(1), False)
+        assert unpacked(got) == ["2201"]
 
     def test_empty(self):
-        assert cover_cofactor(Cover(4, ()), 1, True).cubes == ()
+        assert cover_cofactor([], bit(1), True) == []
 
 
 class TestScc:
     def test_contained_cube_dropped(self):
-        assert texts(scc(cover("2201", "0101"))) == ["2201"]
+        assert unpacked(scc(packed("2201", "0101"))) == ["2201"]
 
     def test_antichain_unchanged(self):
-        c = cover(*GOLDEN_DSOP)
+        c = packed(*GOLDEN_DSOP)
         assert scc(c) == c
 
     def test_derived_example(self):
-        assert texts(scc(cover("0201", "2201", "1122"))) == ["2201", "1122"]
+        assert unpacked(scc(packed("0201", "2201", "1122"))) == ["2201", "1122"]
 
     def test_duplicates_keep_earliest(self):
-        assert texts(scc(cover("1122", "2201", "1122"))) == ["1122", "2201"]
+        assert unpacked(scc(packed("1122", "2201", "1122"))) == ["1122", "2201"]
+
+    def test_matches_minterm_inclusion(self):
+        # every ordered pair of 3-variable cubes: the bitwise containment
+        # test must agree with minterm-set inclusion
+        for a, b in itertools.product(all_cube_texts(3), repeat=2):
+            ma, mb = oracle_minterms(a), oracle_minterms(b)
+            if mb <= ma:
+                expected = [a]
+            elif ma < mb:
+                expected = [b]
+            else:
+                expected = [a, b]
+            assert unpacked(scc(packed(a, b)), 3) == expected
 
     def test_output_is_antichain(self):
         rng = random.Random(3)
@@ -113,36 +140,46 @@ class TestScc:
             n = rng.randint(2, 5)
             cubes = ["".join(rng.choice("012") for _ in range(n))
                      for _ in range(rng.randint(1, 8))]
-            out = scc(Cover(n, tuple(cube_from_text(t, n) for t in cubes)))
-            for i, a in enumerate(out.cubes):
-                for j, b in enumerate(out.cubes):
+            out = [cube_from_text(t, n) for t in unpacked(scc(packed(*cubes)), n)]
+            for i, a in enumerate(out):
+                for j, b in enumerate(out):
                     if i != j:
                         assert not cube_contains(a, b)
 
 
 class TestMerge:
     def test_derived_example(self):
-        h0 = cover("2201")
-        h1 = cover("1222", "0210", "0201")
-        got = merge_with_containment(h0, h1, 1)
-        assert texts(got) == ["0201", "2001", "1122", "0110"]
+        h0 = packed("2201")
+        h1 = packed("1222", "0210", "0201")
+        got = unpacked(merge_with_containment(h0, h1, bit(1)))
+        assert got == ["0201", "2001", "1122", "0110"]
         # function equality with x1'*h0 + x1*h1, by minterm enumeration
         expected = oracle_cover_minterms(["0201", "2001", "1122", "0110"])
         shifted = oracle_cover_minterms(["2001"]) | oracle_cover_minterms(
             ["1122", "0110", "0101"])
-        assert set(cover_to_truthtable(got).minterms()) == expected == shifted
+        assert oracle_cover_minterms(got) == expected == shifted
 
     def test_identical_cube_lifted(self):
-        got = merge_with_containment(cover("1222"), cover("1222"), 1)
-        assert texts(got) == ["1222"]
+        got = merge_with_containment(packed("1222"), packed("1222"), bit(1))
+        assert unpacked(got) == ["1222"]
 
     def test_one_sided(self):
-        got = merge_with_containment(Cover(4, ()), cover("2222"), 1)
-        assert texts(got) == ["2122"]
+        got = merge_with_containment([], packed("2222"), bit(1))
+        assert unpacked(got) == ["2122"]
 
     def test_rejects_mentioned_variable(self):
         with pytest.raises(ValueError):
-            merge_with_containment(cover("0122"), cover("2222"), 1)
+            merge_with_containment(packed("0122"), packed("2222"), bit(1))
+
+
+def _random_tables(rng):
+    """Seeded random, sparse and near-full tables, n = 1-11."""
+    for n in range(1, 12):
+        for _ in range(6 if n <= 8 else 2 if n == 9 else 1):
+            on = rng.getrandbits(1 << n)
+            yield n, on
+            yield n, on & rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+            yield n, on | rng.getrandbits(1 << n) | rng.getrandbits(1 << n)
 
 
 class TestSimplify:
@@ -168,6 +205,37 @@ class TestSimplify:
             out = simplify(dsop)
             assert cover_to_truthtable(out).bits == tt.bits
             assert len(out.cubes) <= len(dsop.cubes)
+
+    def test_matches_reference_on_dsops(self):
+        # the packed recursion against the Trit-tuple reference: the same
+        # cubes in the same order, on one-path DSOPs under random orders
+        rng = random.Random("urp-dsop")
+        for n, on in _random_tables(rng):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            dsop = enumerate_one_paths(
+                build_from_truthtable(TruthTable(n, on), VariableOrder(tuple(perm))))
+            assert simplify(dsop) == ref_simplify(dsop), (n, on, perm)
+
+    def test_matches_reference_on_arbitrary_covers(self):
+        # overlapping cubes, repeats and empty covers, which no DSOP has
+        rng = random.Random("urp-cover")
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            cubes = ["".join(rng.choice("0122") for _ in range(n))
+                     for _ in range(rng.randint(0, 24))]
+            cubes += rng.choices(cubes, k=min(len(cubes), 4))
+            rng.shuffle(cubes)
+            c = Cover(n, tuple(cube_from_text(t, n) for t in cubes))
+            assert simplify(c) == ref_simplify(c), cubes
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_universal_and_empty(self, n):
+        empty = Cover(n, ())
+        assert simplify(empty) == ref_simplify(empty) == empty
+        some = Cover(n, (cube_from_text("0" * n, n), universal_cube(n),
+                         cube_from_text("1" * n, n)))
+        assert simplify(some) == ref_simplify(some) == Cover(n, (universal_cube(n),))
 
 
 class TestExpand:
