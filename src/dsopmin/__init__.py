@@ -9,7 +9,6 @@ exact Quine-McCluskey minimizer serves as the optimality oracle.
 from .boolfn import (
     Cover,
     Cube,
-    Trit,
     TruthTable,
     cover_to_truthtable,
     cube_from_text,
@@ -39,7 +38,6 @@ __all__ = [
     "Cube",
     "FunctionHandle",
     "PipelineConfig",
-    "Trit",
     "TruthTable",
     "VariableOrder",
     "build_from_truthtable",

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .boolfn import (
     Cover,
     Cube,
-    Trit,
     TruthTable,
     MAX_TABLE_VARS,
     cofactor_bits,
@@ -172,30 +171,27 @@ def one_path_count(h: FunctionHandle) -> int:
 def enumerate_one_paths(h: FunctionHandle) -> Cover:
     """One cube per one-path, depth first with the lo branch first.
 
-    The lo edge contributes the complemented literal, the hi edge the
-    positive literal; variables skipped by long edges stay don't-care.
+    Each edge ORs its variable's bit into the cube's care mask, and the
+    hi edge (the positive literal) into its value mask too; variables
+    skipped by long edges stay don't-care.
     """
     mgr = h.manager
     n = mgr.n
-    perm = mgr.order.perm
+    bits = [1 << (n - 1 - var) for var in mgr.order.perm]  # a level's variable bit
     cubes: List[Cube] = []
-    trits = [Trit.DONT_CARE] * n
 
-    def walk(u: int) -> None:
+    def walk(u: int, care: int, value: int) -> None:
         if u == ZERO:
             return
         if u == ONE:
-            cubes.append(Cube(tuple(trits)))
+            cubes.append(Cube(n, care, value))
             return
-        var = perm[mgr.level(u)]
+        bit = bits[mgr.level(u)]
         lo, hi = mgr.children(u)
-        trits[var] = Trit.ZERO
-        walk(lo)
-        trits[var] = Trit.ONE
-        walk(hi)
-        trits[var] = Trit.DONT_CARE
+        walk(lo, care | bit, value)
+        walk(hi, care | bit, value | bit)
 
-    walk(h.root)
+    walk(h.root, 0, 0)
     return Cover(n, tuple(cubes))
 
 

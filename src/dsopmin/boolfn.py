@@ -1,19 +1,25 @@
-"""Truth tables, positional-notation cubes, and cover semantics.
+"""Truth tables, bit-mask cubes, and cover semantics.
 
 Conventions used throughout the package:
 
-* A cube is written positionally, one trit per variable: 0 means the
+* A cube is two ints over n variables, ``care`` and ``value``, with
+  variable v at bit n-1-v: a care bit is set iff v has a literal, and
+  its value bit is set iff that literal is positive.  Containment,
+  cofactor and merge are each a few bitwise operations.
+* Cube text is positional, one character per variable: 0 means the
   complemented literal, 1 the positive literal, 2 (or "-" on input) an
-  absent variable.
+  absent variable.  It exists only at I/O, in ``cube_from_text`` and
+  ``format_cube``.
 * Minterm index bit order: variable 0 is the MOST significant bit.  For
-  n=4 with names a,b,c,d, minterm 5 = 0b0101 = a'bc'd.
+  n=4 with names a,b,c,d, minterm 5 = 0b0101 = a'bc'd.  So a cube's
+  ``value`` is its smallest minterm, and a don't-care variable's bit is
+  the minterm shift across that variable.
 * Truth tables describe completely specified single-output functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import lru_cache
 from typing import Iterable, Iterator, Tuple
 
@@ -21,41 +27,28 @@ from typing import Iterable, Iterator, Tuple
 MAX_TABLE_VARS = 24
 
 
-class Trit(IntEnum):
-    ZERO = 0
-    ONE = 1
-    DONT_CARE = 2
-
-
-_CHAR_TO_TRIT = {
-    "0": Trit.ZERO,
-    "1": Trit.ONE,
-    "2": Trit.DONT_CARE,
-    "-": Trit.DONT_CARE,
-}
-_TRIT_TO_CHAR = {Trit.ZERO: "0", Trit.ONE: "1", Trit.DONT_CARE: "2"}
-
-Assignment = Tuple[bool, ...]
-
-
 @dataclass(frozen=True)
 class Cube:
-    """A conjunction of literals in positional notation."""
+    """A conjunction of literals: variable v is bit n-1-v of care and value."""
 
-    trits: Tuple[Trit, ...]
+    n: int
+    care: int
+    value: int
 
-    def __len__(self) -> int:
-        return len(self.trits)
+    def __post_init__(self) -> None:
+        if self.value & ~self.care or self.care >> self.n:
+            raise ValueError(
+                f"({self.care:#x}, {self.value:#x}) is not a cube over {self.n} variables")
 
     def __repr__(self) -> str:
         return f"Cube({format_cube(self)!r})"
 
     @property
     def is_universal(self) -> bool:
-        return all(t == Trit.DONT_CARE for t in self.trits)
+        return not self.care
 
     def literal_count(self) -> int:
-        return sum(1 for t in self.trits if t != Trit.DONT_CARE)
+        return self.care.bit_count()
 
 
 @dataclass(frozen=True)
@@ -67,8 +60,8 @@ class Cover:
 
     def __post_init__(self) -> None:
         for c in self.cubes:
-            if len(c) != self.n:
-                raise ValueError(f"cube {format_cube(c)} has length {len(c)}, expected {self.n}")
+            if c.n != self.n:
+                raise ValueError(f"cube {format_cube(c)} has length {c.n}, expected {self.n}")
 
     def __len__(self) -> int:
         return len(self.cubes)
@@ -107,86 +100,44 @@ class TruthTable:
 
 
 def universal_cube(n: int) -> Cube:
-    return Cube((Trit.DONT_CARE,) * n)
+    return Cube(n, 0, 0)
+
+
+_CARE_CHARS = str.maketrans("012-", "1100")
+_VALUE_CHARS = str.maketrans("012-", "0100")
+_CUBE_CHARS = str.maketrans("", "", "012-")
 
 
 def cube_from_text(text: str, n: int) -> Cube:
     """Parse a positional cube string over {0,1,2,-}."""
     if len(text) != n:
         raise ValueError(f"cube text {text!r} has length {len(text)}, expected {n}")
-    trits = []
-    for ch in text:
-        try:
-            trits.append(_CHAR_TO_TRIT[ch])
-        except KeyError:
-            raise ValueError(f"illegal cube character {ch!r} in {text!r}") from None
-    return Cube(tuple(trits))
-
-
-def format_cube(cube: Cube) -> str:
-    """Canonical text over {0,1,2}; equal cubes share one string."""
-    return _trits_text(cube.trits)
+    illegal = text.translate(_CUBE_CHARS)
+    if illegal:
+        raise ValueError(f"illegal cube character {illegal[0]!r} in {text!r}")
+    return Cube(n, int(text.translate(_CARE_CHARS), 2), int(text.translate(_VALUE_CHARS), 2))
 
 
 # One string per distinct cube, so a caller that keeps the text of many covers
 # holds each text once.  A bounded LRU rather than sys.intern: CPython 3.12
 # makes interned strings immortal, so an intern table would only grow.
 @lru_cache(maxsize=1 << 14)
-def _trits_text(trits: Tuple[Trit, ...]) -> str:
-    return "".join(_TRIT_TO_CHAR[t] for t in trits)
-
-
-def _check_same_length(c1: Cube, c2: Cube) -> None:
-    if len(c1) != len(c2):
-        raise ValueError(f"cube length mismatch: {len(c1)} vs {len(c2)}")
-
-
-def cube_contains(outer: Cube, inner: Cube) -> bool:
-    """True iff every minterm of inner is a minterm of outer."""
-    _check_same_length(outer, inner)
-    return all(
-        o == Trit.DONT_CARE or o == i for o, i in zip(outer.trits, inner.trits)
-    )
-
-
-def cubes_disjoint(c1: Cube, c2: Cube) -> bool:
-    """True iff the two cubes share no minterm (opposing 0/1 at some position)."""
-    _check_same_length(c1, c2)
-    return any(
-        {a, b} == {Trit.ZERO, Trit.ONE} for a, b in zip(c1.trits, c2.trits)
-    )
-
-
-def cube_cofactor(c: Cube, var: int, val: bool) -> Cube | None:
-    """Cofactor w.r.t. var=val; None when the cube has the opposing literal."""
-    if not 0 <= var < len(c):
-        raise ValueError(f"variable index {var} out of range for cube of length {len(c)}")
-    t = c.trits[var]
-    want = Trit.ONE if val else Trit.ZERO
-    if t != Trit.DONT_CARE and t != want:
-        return None
-    return Cube(c.trits[:var] + (Trit.DONT_CARE,) + c.trits[var + 1:])
-
-
-def index_to_assignment(i: int, n: int) -> Assignment:
-    """Minterm index to assignment; variable 0 is the most significant bit."""
-    return tuple(bool((i >> (n - 1 - v)) & 1) for v in range(n))
+def format_cube(cube: Cube) -> str:
+    """Canonical text over {0,1,2}; equal cubes share one string."""
+    care, value = cube.care, cube.value
+    return "".join("01"[value >> s & 1] if care >> s & 1 else "2"
+                   for s in range(cube.n - 1, -1, -1))
 
 
 def cube_minterms(cube: Cube) -> Iterator[int]:
-    """Enumerate the minterm indices covered by a cube."""
-    n = len(cube)
-    free = [v for v, t in enumerate(cube.trits) if t == Trit.DONT_CARE]
-    base = 0
-    for v, t in enumerate(cube.trits):
-        if t == Trit.ONE:
-            base |= 1 << (n - 1 - v)
-    for mask in range(1 << len(free)):
-        idx = base
-        for k, v in enumerate(free):
-            if (mask >> k) & 1:
-                idx |= 1 << (n - 1 - v)
-        yield idx
+    """Enumerate the minterm indices covered by a cube, in ascending order."""
+    free = ~cube.care & ((1 << cube.n) - 1)
+    sub = 0
+    while True:
+        yield cube.value | sub
+        if sub == free:
+            return
+        sub = (sub - free) & free  # the next subset of the free bits
 
 
 @lru_cache(maxsize=None)
@@ -219,41 +170,20 @@ def full_mask(n: int) -> int:
 
 
 def cube_mask(cube: Cube) -> int:
-    """Truth-table bit mask of the cube's minterms."""
-    masks = var_masks(len(cube))
-    mask = full_mask(len(cube))
-    for v, t in enumerate(cube.trits):
-        if t == Trit.ONE:
-            mask &= masks[v]
-        elif t == Trit.ZERO:
-            mask &= ~masks[v]
-    return mask
+    """Truth-table bit mask of the cube's minterms.
 
-
-def cube_bits(cube: Cube) -> Tuple[int, int]:
-    """Packed cube ``(care, value)``: variable v is bit n-1-v of each int.
-
-    A care bit is set iff v has a literal; its value bit is set iff that
-    literal is positive, so ``value`` is always a subset of ``care``.
+    Starting from the cube's smallest minterm, each don't-care variable
+    doubles the mask by a shift of that variable's bit.
     """
-    care = value = 0
-    for t in cube.trits:
-        care = care << 1 | (t != Trit.DONT_CARE)
-        value = value << 1 | (t == Trit.ONE)
-    return care, value
-
-
-# Indexed by care bit * 2 + value bit; a value bit without its care bit is refused.
-_BIT_TRITS = (Trit.DONT_CARE, None, Trit.ZERO, Trit.ONE)
-
-
-def cube_from_bits(care: int, value: int, n: int) -> Cube:
-    """Inverse of ``cube_bits`` for a cube over n variables."""
-    if value & ~care or care >> n:
-        raise ValueError(f"({care:#x}, {value:#x}) is not a packed cube over {n} variables")
-    return Cube(tuple(
-        _BIT_TRITS[(care >> s & 1) << 1 | value >> s & 1] for s in range(n - 1, -1, -1)
-    ))
+    if cube.n > MAX_TABLE_VARS:
+        raise ValueError(f"variable count {cube.n} exceeds table limit {MAX_TABLE_VARS}")
+    mask = 1 << cube.value
+    free = ~cube.care & ((1 << cube.n) - 1)
+    while free:
+        bit = free & -free
+        mask |= mask << bit
+        free ^= bit
+    return mask
 
 
 def cover_to_truthtable(cover: Cover) -> TruthTable:
@@ -266,6 +196,8 @@ def cover_to_truthtable(cover: Cover) -> TruthTable:
 
 
 def truthtable_from_minterms(n: int, minterms: Iterable[int]) -> TruthTable:
+    if not 1 <= n <= MAX_TABLE_VARS:
+        raise ValueError(f"variable count {n} outside [1, {MAX_TABLE_VARS}]")
     bits = 0
     for m in minterms:
         if not 0 <= m < (1 << n):
@@ -302,5 +234,5 @@ def truthtable_cofactor(tt: TruthTable, var: int, val: bool) -> TruthTable:
 
 
 def literal_count(cover: Cover) -> int:
-    """Total non-don't-care trits across the cover."""
+    """Total literals across the cover."""
     return sum(c.literal_count() for c in cover)

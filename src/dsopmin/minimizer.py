@@ -2,13 +2,13 @@
 
 simplify() recursively splits a binate cover on the most-binate
 variable and recombines the cofactor results with the containment
-lift; unate leaves fall to single-cube containment.  It packs the
-cover once into ``(care, value)`` integer pairs (``boolfn.cube_bits``),
-so polarity, cofactor, containment and specialization are each one or
-two bitwise operations, and unpacks the result once.  expand() raises
-literals toward primeness and irredundant() then drops cubes the rest
-of the cover already covers; both answer their containment questions
-on truth-table bit masks, taking the function's table from its BDD.
+lift; unate leaves fall to single-cube containment.  It runs on the
+cubes' ``(care, value)`` int pairs, so polarity, cofactor, containment
+and specialization are each one or two bitwise operations.  expand()
+raises literals toward primeness by clearing their bits, and
+irredundant() then drops cubes the rest of the cover already covers;
+both answer their containment questions on truth-table bit masks, and
+each takes the function's table from its BDD.
 """
 
 from __future__ import annotations
@@ -18,17 +18,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import bdd
 from .bdd import FunctionHandle
-from .boolfn import (
-    Cover,
-    Cube,
-    Trit,
-    cube_bits,
-    cube_from_bits,
-    cube_mask,
-    format_cube,
-)
+from .boolfn import Cover, Cube, cube_mask, format_cube
 
-# A packed cube (care, value); a variable is one bit, as in boolfn.cube_bits.
+# A cube's (care, value) pair; variable v is bit n-1-v, as in boolfn.Cube.
 Packed = Tuple[int, int]
 
 
@@ -110,8 +102,8 @@ def merge_with_containment(h0: Sequence[Packed], h1: Sequence[Packed], bit: int)
 def simplify(cover: Cover) -> Cover:
     """Unate recursive simplification; never grows the cube count."""
     n = cover.n
-    out = _simplify([cube_bits(c) for c in cover])
-    return Cover(n, tuple(cube_from_bits(care, value, n) for care, value in out))
+    out = _simplify([(c.care, c.value) for c in cover])
+    return Cover(n, tuple(Cube(n, care, value) for care, value in out))
 
 
 def _simplify(cubes: List[Packed]) -> List[Packed]:
@@ -138,8 +130,9 @@ def _onset(cover: Cover, f: FunctionHandle) -> int:
 def expand(cover: Cover, f: FunctionHandle) -> Cover:
     """Raise literals to don't-care wherever the enlarged cube stays in f.
 
-    Cubes are processed in cover order, variables by ascending index.
-    Raising variable v adds the cube's minterms shifted across v's bit.
+    Cubes are processed in cover order, variables by ascending index
+    (descending bit).  Raising the variable at bit b adds the cube's
+    minterms shifted by b across it.
     """
     n = cover.n
     outside = ~_onset(cover, f)  # every minterm where f is 0
@@ -148,16 +141,17 @@ def expand(cover: Cover, f: FunctionHandle) -> Cover:
         mask = cube_mask(c)
         if mask & outside:
             raise ValueError(f"cube {format_cube(c)} is not contained in the function")
-        trits = list(c.trits)
-        for var, t in enumerate(c.trits):
-            if t == Trit.DONT_CARE:
-                continue
-            shift = 1 << (n - 1 - var)
-            other_half = mask >> shift if t == Trit.ONE else mask << shift
+        care, value = c.care, c.value
+        lits = care
+        while lits:
+            bit = 1 << (lits.bit_length() - 1)
+            lits ^= bit
+            other_half = mask >> bit if value & bit else mask << bit
             if not other_half & outside:
                 mask |= other_half
-                trits[var] = Trit.DONT_CARE
-        out.append(Cube(tuple(trits)))
+                care ^= bit
+                value &= ~bit
+        out.append(Cube(n, care, value))
     return Cover(n, tuple(out))
 
 
@@ -195,12 +189,8 @@ def format_expression(cover: Cover, names: Optional[Sequence[str]] = None) -> st
         if c.is_universal:
             terms.append("1")
             continue
-        lits = []
-        for var, t in enumerate(c.trits):
-            if t == Trit.ONE:
-                lits.append(names[var])
-            elif t == Trit.ZERO:
-                lits.append(names[var] + "'")
+        lits = [names[var] + ("" if c.value >> s & 1 else "'")
+                for var, s in enumerate(range(cover.n - 1, -1, -1)) if c.care >> s & 1]
         terms.append("".join(lits))
     return " + ".join(terms)
 

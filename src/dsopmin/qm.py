@@ -11,17 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Set, Tuple
 
-from .boolfn import (
-    Cover,
-    Cube,
-    Trit,
-    TruthTable,
-    cube_minterms,
-    format_cube,
-    index_to_assignment,
-)
+from .boolfn import Cover, Cube, TruthTable, cube_minterms, format_cube
 
 MAX_QM_VARS = 16
 
@@ -40,45 +32,36 @@ def _check_n(n: int) -> None:
         raise ValueError(f"variable count {n} exceeds QM limit {MAX_QM_VARS}")
 
 
-def _mergeable(a: Tuple[Trit, ...], b: Tuple[Trit, ...]) -> Optional[Tuple[Trit, ...]]:
-    diff = -1
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x == y:
-            continue
-        if x == Trit.DONT_CARE or y == Trit.DONT_CARE or diff >= 0:
-            return None
-        diff = i
-    if diff < 0:
-        return None
-    return a[:diff] + (Trit.DONT_CARE,) + a[diff + 1:]
-
-
 def prime_implicants(tt: TruthTable) -> List[Implicant]:
-    """All prime implicants by classic tabulation, ordered by cube text."""
+    """All prime implicants by classic tabulation, ordered by cube text.
+
+    Implicants are (care, value) pairs.  Two merge iff they share care
+    and differ in one value bit, so each implicant looks up only its
+    neighbour across each of its 0-literals.
+    """
     _check_n(tt.n)
     n = tt.n
-    current: Set[Tuple[Trit, ...]] = set()
-    for m in tt.minterms():
-        bits = index_to_assignment(m, n)
-        current.add(tuple(Trit.ONE if b else Trit.ZERO for b in bits))
+    current: Set[Tuple[int, int]] = {((1 << n) - 1, m) for m in tt.minterms()}
 
-    primes: Set[Tuple[Trit, ...]] = set()
+    primes: Set[Tuple[int, int]] = set()
     while current:
-        merged: Set[Tuple[Trit, ...]] = set()
-        used: Set[Tuple[Trit, ...]] = set()
-        pool = sorted(current)
-        for a, b in combinations(pool, 2):
-            c = _mergeable(a, b)
-            if c is not None:
-                merged.add(c)
-                used.add(a)
-                used.add(b)
-        primes.update(c for c in current if c not in used)
+        merged: Set[Tuple[int, int]] = set()
+        used: Set[Tuple[int, int]] = set()
+        for care, value in current:
+            zeros = care & ~value
+            while zeros:
+                bit = zeros & -zeros
+                zeros ^= bit
+                if (care, value | bit) in current:
+                    merged.add((care ^ bit, value))
+                    used.add((care, value))
+                    used.add((care, value | bit))
+        primes.update(current - used)
         current = merged
 
     out = []
-    for trits in primes:
-        cube = Cube(trits)
+    for care, value in primes:
+        cube = Cube(n, care, value)
         out.append(Implicant(cube, frozenset(cube_minterms(cube))))
     out.sort(key=lambda p: format_cube(p.cube))
     return out

@@ -6,19 +6,16 @@ package, so they stay independent of the code paths they check.
 
 import itertools
 from enum import Enum
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
 from dsopmin.boolfn import (
     Cover,
-    Cube,
-    Trit,
     TruthTable,
-    cube_cofactor,
-    cube_contains,
+    cube_from_text,
+    format_cube,
     truthtable_from_minterms,
-    universal_cube,
 )
 from dsopmin.cli import PipelineConfig, run_pipeline
 
@@ -59,6 +56,12 @@ def oracle_cover_minterms(texts) -> set:
     for t in texts:
         out |= oracle_minterms(t)
     return out
+
+
+def oracle_disjoint(texts) -> bool:
+    """True iff the cubes are pairwise disjoint: no minterm lies in two of them."""
+    sets = [oracle_minterms(t) for t in texts]
+    return sum(len(m) for m in sets) == len(set().union(*sets))
 
 
 def all_cube_texts(n: int):
@@ -132,9 +135,10 @@ def ref_build(bits: int, n: int, perm) -> tuple:
     return nodes, root
 
 
-# Reference unate recursive paradigm on tuples of Trit: the package's
-# former simplify(), kept verbatim apart from its name.  It uses only
-# boolfn's Cube primitives, never minimizer's packed steps.
+# Reference unate recursive paradigm on cube text: the package's former
+# simplify() on tuples of trits, ported step for step onto strings over
+# {0,1,2}.  A Cover enters through format_cube and leaves through
+# cube_from_text; nothing in between uses the package's bit masks.
 
 class Monotonicity(Enum):
     POS_UNATE = "pos"
@@ -143,13 +147,26 @@ class Monotonicity(Enum):
     ABSENT = "absent"
 
 
-def classify(cover: Cover) -> Tuple[List[Monotonicity], bool]:
+def text_contains(outer: str, inner: str) -> bool:
+    """True iff every minterm of inner is a minterm of outer."""
+    return all(o == "2" or o == i for o, i in zip(outer, inner))
+
+
+def text_cofactor(text: str, var: int, val: bool) -> Optional[str]:
+    """Cofactor w.r.t. var=val; None when the cube has the opposing literal."""
+    t = text[var]
+    if t != "2" and t != "01"[val]:
+        return None
+    return text[:var] + "2" + text[var + 1:]
+
+
+def classify(cubes: List[str], n: int) -> Tuple[List[Monotonicity], bool]:
     """Per-variable monotonicity plus an overall unate flag."""
     result: List[Monotonicity] = []
     unate = True
-    for j in range(cover.n):
-        has0 = any(c.trits[j] == Trit.ZERO for c in cover)
-        has1 = any(c.trits[j] == Trit.ONE for c in cover)
+    for j in range(n):
+        has0 = any(c[j] == "0" for c in cubes)
+        has1 = any(c[j] == "1" for c in cubes)
         if has0 and has1:
             result.append(Monotonicity.BINATE)
             unate = False
@@ -162,18 +179,18 @@ def classify(cover: Cover) -> Tuple[List[Monotonicity], bool]:
     return result, unate
 
 
-def select_binate(cover: Cover) -> int:
+def select_binate(cubes: List[str], n: int) -> int:
     """Most-binate variable: most rows touched, then most balanced, then index."""
-    mono, unate = classify(cover)
+    mono, unate = classify(cubes, n)
     if unate:
         raise ValueError("cover is unate; no binate variable to select")
     best = None
     best_key = None
-    for j in range(cover.n):
+    for j in range(n):
         if mono[j] != Monotonicity.BINATE:
             continue
-        c0 = sum(1 for c in cover if c.trits[j] == Trit.ZERO)
-        c1 = sum(1 for c in cover if c.trits[j] == Trit.ONE)
+        c0 = sum(1 for c in cubes if c[j] == "0")
+        c1 = sum(1 for c in cubes if c[j] == "1")
         key = (-(c0 + c1), abs(c0 - c1), j)
         if best_key is None or key < best_key:
             best, best_key = j, key
@@ -181,42 +198,40 @@ def select_binate(cover: Cover) -> int:
     return best
 
 
-def cover_cofactor(cover: Cover, var: int, val: bool) -> Cover:
+def cover_cofactor(cubes: List[str], var: int, val: bool) -> List[str]:
     """Per-cube cofactor, dropping cubes with the opposing literal."""
     out = []
-    for c in cover:
-        cc = cube_cofactor(c, var, val)
+    for c in cubes:
+        cc = text_cofactor(c, var, val)
         if cc is not None:
             out.append(cc)
-    return Cover(cover.n, tuple(out))
+    return out
 
 
-def scc(cover: Cover) -> Cover:
+def scc(cubes: List[str]) -> List[str]:
     """Single-cube containment: drop cubes contained in another cube.
 
     Duplicates keep the earliest occurrence; survivor order preserved.
     """
-    cubes = cover.cubes
     keep = []
     for i, ci in enumerate(cubes):
         redundant = False
         for j, cj in enumerate(cubes):
-            if i == j or not cube_contains(cj, ci):
+            if i == j or not text_contains(cj, ci):
                 continue
-            if not cube_contains(ci, cj) or j < i:
+            if not text_contains(ci, cj) or j < i:
                 redundant = True
                 break
         if not redundant:
             keep.append(ci)
-    return Cover(cover.n, tuple(keep))
+    return keep
 
 
-def _specialize(c: Cube, var: int, val: bool) -> Cube:
-    t = Trit.ONE if val else Trit.ZERO
-    return Cube(c.trits[:var] + (t,) + c.trits[var + 1:])
+def _specialize(c: str, var: int, val: bool) -> str:
+    return c[:var] + "01"[val] + c[var + 1:]
 
 
-def merge_with_containment(h0: Cover, h1: Cover, var: int) -> Cover:
+def merge_with_containment(h0: List[str], h1: List[str], var: int) -> List[str]:
     """Recombine cofactor covers: x'*h0 + x*h1 with the containment lift.
 
     Cubes shared between the halves (up to single-cube containment)
@@ -224,19 +239,19 @@ def merge_with_containment(h0: Cover, h1: Cover, var: int) -> Cover:
     """
     for half in (h0, h1):
         for c in half:
-            if c.trits[var] != Trit.DONT_CARE:
+            if c[var] != "2":
                 raise ValueError("merge input mentions the splitting variable")
 
-    set1 = set(h1.cubes)
+    set1 = set(h1)
     lifted = []
     seen = set()
     for c in h0:
-        if c in set1 or any(cube_contains(d, c) for d in h1):
+        if c in set1 or any(text_contains(d, c) for d in h1):
             if c not in seen:
                 lifted.append(c)
                 seen.add(c)
     for c in h1:
-        if any(cube_contains(d, c) for d in h0):
+        if any(text_contains(d, c) for d in h0):
             if c not in seen:
                 lifted.append(c)
                 seen.add(c)
@@ -248,22 +263,28 @@ def merge_with_containment(h0: Cover, h1: Cover, var: int) -> Cover:
     for c in h1:
         if c not in seen:
             out.append(_specialize(c, var, True))
-    return scc(Cover(h0.n, tuple(out)))
+    return scc(out)
+
+
+def _ref_simplify(cubes: List[str], n: int) -> List[str]:
+    if not cubes:
+        return cubes
+    if any(c == "2" * n for c in cubes):
+        return ["2" * n]
+    _, unate = classify(cubes, n)
+    if unate:
+        return scc(cubes)
+    var = select_binate(cubes, n)
+    h0 = _ref_simplify(cover_cofactor(cubes, var, False), n)
+    h1 = _ref_simplify(cover_cofactor(cubes, var, True), n)
+    merged = merge_with_containment(h0, h1, var)
+    if len(merged) <= len(cubes):
+        return merged
+    return scc(cubes)
 
 
 def ref_simplify(cover: Cover) -> Cover:
     """Unate recursive simplification; never grows the cube count."""
-    if not cover.cubes:
-        return cover
-    if any(c.is_universal for c in cover):
-        return Cover(cover.n, (universal_cube(cover.n),))
-    _, unate = classify(cover)
-    if unate:
-        return scc(cover)
-    var = select_binate(cover)
-    h0 = ref_simplify(cover_cofactor(cover, var, False))
-    h1 = ref_simplify(cover_cofactor(cover, var, True))
-    merged = merge_with_containment(h0, h1, var)
-    if len(merged) <= len(cover.cubes):
-        return merged
-    return scc(cover)
+    n = cover.n
+    out = _ref_simplify([format_cube(c) for c in cover], n)
+    return Cover(n, tuple(cube_from_text(t, n) for t in out))

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -7,16 +6,11 @@ from hypothesis import given, strategies as st
 from dsopmin.boolfn import (
     Cover,
     Cube,
-    Trit,
     TruthTable,
     cover_to_truthtable,
-    cube_bits,
-    cube_cofactor,
-    cube_contains,
-    cube_from_bits,
     cube_from_text,
     cube_mask,
-    cubes_disjoint,
+    cube_minterms,
     format_cube,
     literal_count,
     truthtable_cofactor,
@@ -44,7 +38,7 @@ def cover(*texts: str) -> Cover:
 class TestCubeCodec:
     def test_ab_cube(self):
         c = cube_from_text("1122", 4)
-        assert c.trits == (Trit.ONE, Trit.ONE, Trit.DONT_CARE, Trit.DONT_CARE)
+        assert (c.n, c.care, c.value) == (4, 0b1100, 0b1100)
 
     def test_universal(self):
         assert cube_from_text("2222", 4) == universal_cube(4)
@@ -82,67 +76,6 @@ class TestCubeCodec:
         assert format_cube(cube_from_text(text, len(text))) == canonical
 
 
-class TestCubeContains:
-    def test_literal_superset(self):
-        assert cube_contains(cube("2201"), cube("0101"))
-
-    def test_not_contained(self):
-        assert not cube_contains(cube("1122"), cube("2201"))
-
-    def test_reflexive(self):
-        c = cube("0110")
-        assert cube_contains(c, c)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cube_contains(cube("22"), cube("222"))
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_minterm_inclusion(self, n):
-        texts = list(all_cube_texts(n))
-        for a, b in itertools.product(texts, texts):
-            expected = oracle_minterms(b) <= oracle_minterms(a)
-            assert cube_contains(cube_from_text(a, n), cube_from_text(b, n)) == expected
-
-
-class TestCubesDisjoint:
-    def test_opposing_literal(self):
-        # ab vs b'c'd oppose at b; minterm sets verified disjoint by enumeration
-        assert oracle_minterms("1122") & oracle_minterms("2001") == set()
-        assert cubes_disjoint(cube("1122"), cube("2001"))
-
-    def test_shared_minterm(self):
-        assert 13 in oracle_minterms("1122") & oracle_minterms("2201")
-        assert not cubes_disjoint(cube("1122"), cube("2201"))
-
-    def test_universal_never_disjoint(self):
-        for text in all_cube_texts(3):
-            assert not cubes_disjoint(cube_from_text(text, 3), universal_cube(3))
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_enumeration(self, n):
-        texts = list(all_cube_texts(n))
-        for a, b in itertools.product(texts, texts):
-            expected = not (oracle_minterms(a) & oracle_minterms(b))
-            assert cubes_disjoint(cube_from_text(a, n), cube_from_text(b, n)) == expected
-
-
-class TestCubeCofactor:
-    def test_positive_literal_dropped(self):
-        assert cube_cofactor(cube("0110"), 1, True) == cube("0210")
-
-    def test_opposing_literal_absent(self):
-        assert cube_cofactor(cube("2001"), 1, True) is None
-
-    def test_universal_unchanged(self):
-        u = universal_cube(4)
-        assert cube_cofactor(u, 2, False) == u
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            cube_cofactor(cube("2222"), 4, True)
-
-
 class TestCubeMask:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_minterm_enumeration(self, n):
@@ -152,25 +85,32 @@ class TestCubeMask:
 
 
 class TestCubeBits:
+    """The Cube constructor: variable v is bit n-1-v of care and value."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_text(self, n):
-        # variable v is bit n-1-v: care set iff a literal, value iff positive
+        # care set iff a literal, value iff positive; every text round-trips
         for text in all_cube_texts(n):
-            care, value = cube_bits(cube_from_text(text, n))
-            assert care == sum(1 << (n - 1 - v) for v, ch in enumerate(text) if ch != "2")
-            assert value == sum(1 << (n - 1 - v) for v, ch in enumerate(text) if ch == "1")
-            assert format_cube(cube_from_bits(care, value, n)) == text
+            care = sum(1 << (n - 1 - v) for v, ch in enumerate(text) if ch != "2")
+            value = sum(1 << (n - 1 - v) for v, ch in enumerate(text) if ch == "1")
+            c = Cube(n, care, value)
+            assert c == cube_from_text(text, n)
+            assert format_cube(c) == text
+            assert c.literal_count() == n - text.count("2")
+            assert list(cube_minterms(c)) == sorted(oracle_minterms(text))
 
     def test_golden_cubes(self):
-        assert cube_bits(cube("1122")) == (0b1100, 0b1100)
-        assert cube_bits(cube("2001")) == (0b0111, 0b0001)
-        assert cube_bits(universal_cube(5)) == (0, 0)
+        assert (cube("1122").care, cube("1122").value) == (0b1100, 0b1100)
+        assert (cube("2001").care, cube("2001").value) == (0b0111, 0b0001)
+        assert universal_cube(5) == Cube(5, 0, 0)
 
     def test_rejects_non_cube(self):
         with pytest.raises(ValueError):
-            cube_from_bits(0b01, 0b10, 2)  # a value bit without its care bit
+            Cube(2, 0b01, 0b10)  # a value bit without its care bit
         with pytest.raises(ValueError):
-            cube_from_bits(0b100, 0, 2)  # a care bit beyond n variables
+            Cube(2, 0b100, 0)  # a care bit beyond n variables
+        with pytest.raises(ValueError):
+            Cube(2, -1, 0)  # negative masks set bits beyond n
 
 
 class TestCoverEval:

@@ -262,6 +262,13 @@ class TestMain:
         assert exc.value.code == 2
         assert "--benchmark" in capsys.readouterr().err
 
+    def test_huge_minterm_variable_count(self, capsys):
+        # n is checked before any 2^n-sized value is formed
+        assert main(["--minterms", "99999999999:1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dsopmin: error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_input_file(self, capsys):
         assert main(["--input", "/nonexistent/f.pla"]) == 2
 

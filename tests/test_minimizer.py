@@ -6,11 +6,9 @@ import pytest
 from dsopmin.bdd import VariableOrder, build_from_truthtable, enumerate_one_paths
 from dsopmin.boolfn import (
     Cover,
+    Cube,
     TruthTable,
     cover_to_truthtable,
-    cube_bits,
-    cube_contains,
-    cube_from_bits,
     cube_from_text,
     format_cube,
     literal_count,
@@ -48,12 +46,12 @@ def texts(c: Cover):
 
 
 def packed(*texts: str):
-    """The packed (care, value) cubes the URP steps work on."""
-    return [cube_bits(cube_from_text(t, len(t))) for t in texts]
+    """The (care, value) pairs the URP steps work on."""
+    return [(c.care, c.value) for c in (cube_from_text(t, len(t)) for t in texts)]
 
 
 def unpacked(cubes, n: int = 4):
-    return [format_cube(cube_from_bits(care, value, n)) for care, value in cubes]
+    return [format_cube(Cube(n, care, value)) for care, value in cubes]
 
 
 def bit(var: int, n: int = 4) -> int:
@@ -140,11 +138,11 @@ class TestScc:
             n = rng.randint(2, 5)
             cubes = ["".join(rng.choice("012") for _ in range(n))
                      for _ in range(rng.randint(1, 8))]
-            out = [cube_from_text(t, n) for t in unpacked(scc(packed(*cubes)), n)]
+            out = [oracle_minterms(t) for t in unpacked(scc(packed(*cubes)), n)]
             for i, a in enumerate(out):
                 for j, b in enumerate(out):
                     if i != j:
-                        assert not cube_contains(a, b)
+                        assert not b <= a
 
 
 class TestMerge:
@@ -207,7 +205,7 @@ class TestSimplify:
             assert len(out.cubes) <= len(dsop.cubes)
 
     def test_matches_reference_on_dsops(self):
-        # the packed recursion against the Trit-tuple reference: the same
+        # the bit-mask recursion against the cube-text reference: the same
         # cubes in the same order, on one-path DSOPs under random orders
         rng = random.Random("urp-dsop")
         for n, on in _random_tables(rng):
@@ -249,6 +247,11 @@ class TestExpand:
         assert not golden_tt.value(4) and not golden_tt.value(8)
         assert texts(expand(cover("1122"), h)) == ["1122"]
 
+    def test_raises_lowest_index_first(self):
+        # f = a + b: raising a first leaves b, raising b first would leave a
+        h = build_from_truthtable(truthtable_from_minterms(2, [1, 2, 3]))
+        assert texts(expand(cover("11"), h)) == ["21"]
+
     def test_constant_one_universal(self):
         h = build_from_truthtable(TruthTable(4, (1 << 16) - 1))
         got = expand(cover("0101", "1122"), h)
@@ -264,7 +267,7 @@ class TestExpand:
         src = cover(*GOLDEN_DSOP)
         out = expand(src, h)
         for before, after in zip(src.cubes, out.cubes):
-            assert cube_contains(after, before)
+            assert oracle_minterms(format_cube(before)) <= oracle_minterms(format_cube(after))
             assert oracle_minterms(format_cube(after)) <= set(golden_tt.minterms())
 
 

@@ -44,7 +44,7 @@ class TestPrimeImplicants:
     def test_matches_brute_force_random(self):
         rng = random.Random(13)
         for _ in range(200):
-            n = rng.randint(1, 4)
+            n = rng.randint(1, 6)
             tt = TruthTable(n, rng.getrandbits(1 << n))
             assert prime_texts(tt) == brute_force_primes(tt)
 
