@@ -65,9 +65,6 @@ class BddManager:
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._next_id = 2
 
-    def is_terminal(self, u: int) -> bool:
-        return u < 2
-
     def level(self, u: int) -> int:
         if u < 2:
             return self.n

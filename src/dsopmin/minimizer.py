@@ -4,8 +4,19 @@ simplify() recursively splits a binate cover on the most-binate
 variable and recombines the cofactor results with the containment
 lift; unate leaves fall to single-cube containment.  It runs on the
 cubes' ``(care, value)`` int pairs, so polarity, cofactor, containment
-and specialization are each one or two bitwise operations.  expand()
-raises literals toward primeness by clearing their bits, and
+and specialization are each one or two bitwise operations.  The work
+per recursion node stays near linear in its cover:
+
+* the binate counts of every variable come from one pass that packs
+  the cover into one int, then one popcount per count;
+* containment queries go through a care index, care -> set of values,
+  so a query costs one set lookup per distinct care mask, not one test
+  per cube;
+* every simplify() result is an antichain (no cube inside another, no
+  duplicates), and the merge of two antichains is one again, so the
+  merge needs no containment pass of its own.
+
+expand() raises literals toward primeness by clearing their bits, and
 irredundant() then drops cubes the rest of the cover already covers;
 both answer their containment questions on truth-table bit masks, and
 each takes the function's table from its BDD.
@@ -13,8 +24,7 @@ each takes the function's table from its BDD.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import bdd
 from .bdd import FunctionHandle
@@ -39,17 +49,28 @@ def polarity(cubes: Sequence[Packed]) -> Tuple[int, int]:
 def select_binate(cubes: Sequence[Packed]) -> int:
     """Bit of the most-binate variable: most rows touched, then most balanced, then index.
 
-    The lowest variable index is the highest bit.
+    The lowest variable index is the highest bit.  One pass packs the
+    cover into one int, a record of 2w bytes per cube: the value mask in
+    the low w bytes, the care mask in the high w.  The records' bit s
+    then recurs at a fixed period, so a variable's counts are popcounts
+    under a periodic mask.
     """
     ones, zeros = polarity(cubes)
     binate = ones & zeros
     if not binate:
         raise ValueError("cover is unate; no binate variable to select")
+    w = ((ones | zeros).bit_length() + 7) // 8
+    shift = 8 * w
+    packed = int.from_bytes(b"".join([(care << shift | value).to_bytes(2 * w, "little")
+                                      for care, value in cubes]), "little")
+    period = 2 * shift
+    column = ((1 << period * len(cubes)) - 1) // ((1 << period) - 1)  # bit 0 of each record
     keys = []
-    for bit in (1 << s for s in range(binate.bit_length()) if binate >> s & 1):
-        c1 = sum(1 for _, value in cubes if value & bit)
-        c0 = sum(1 for care, _ in cubes if care & bit) - c1
-        keys.append((-(c0 + c1), abs(c0 - c1), -bit))
+    for s in range(binate.bit_length()):
+        if binate >> s & 1:
+            c1 = (packed & (column << s)).bit_count()
+            c0 = (packed & (column << (s + shift))).bit_count() - c1
+            keys.append((-(c0 + c1), abs(c0 - c1), -(1 << s)))
     return -min(keys)[2]
 
 
@@ -61,21 +82,40 @@ def cover_cofactor(cubes: Sequence[Packed], bit: int, val: bool) -> List[Packed]
     return [(care & clear, value) for care, value in cubes if not value & bit]
 
 
+def _care_index(cubes: Sequence[Packed]) -> Dict[int, Set[int]]:
+    """The cubes grouped by care mask: care -> set of values."""
+    index: Dict[int, Set[int]] = {}
+    for care, value in cubes:
+        if care in index:
+            index[care].add(value)
+        else:
+            index[care] = {value}
+    return index
+
+
+def _inside(index: Dict[int, Set[int]], care: int, value: int, skip: int = -1) -> bool:
+    """True iff a cube of the care index, outside bucket skip, contains (care, value).
+
+    The container's care bits must be the cube's too, and on them the
+    two values agree, so each care bucket is one set lookup.
+    """
+    free = ~care
+    for oc, values in index.items():
+        if not oc & free and oc != skip and (value & oc) in values:
+            return True
+    return False
+
+
 def scc(cubes: Sequence[Packed]) -> List[Packed]:
     """Single-cube containment: drop cubes contained in another cube.
 
     Duplicates keep the earliest occurrence; survivor order preserved.
-    Outer contains inner iff outer's care bits are inner's too and the
-    two agree on them, so only cubes with fewer literals are tried.
+    A distinct container has fewer literals, so a cube's own care
+    bucket is skipped.
     """
     unique = list(dict.fromkeys(cubes))
-    ranked = sorted(unique, key=lambda cube: cube[0].bit_count())
-    sizes = [care.bit_count() for care, _ in ranked]
-    return [
-        (ic, iv) for ic, iv in unique
-        if not any(not oc & ~ic and not (ov ^ iv) & oc
-                   for oc, ov in ranked[:bisect_left(sizes, ic.bit_count())])
-    ]
+    index = _care_index(unique)
+    return [(care, value) for care, value in unique if not _inside(index, care, value, care)]
 
 
 def merge_with_containment(h0: Sequence[Packed], h1: Sequence[Packed], bit: int) -> List[Packed]:
@@ -84,19 +124,28 @@ def merge_with_containment(h0: Sequence[Packed], h1: Sequence[Packed], bit: int)
     Cubes shared between the halves (up to single-cube containment)
     are lifted with the variable at bit left don't-care; the rest get
     the literal back.
+
+    Each half must be SCC-minimal (no cube inside another, no
+    duplicates), as every simplify() result is.  The output then is
+    too, so no containment pass follows: a specialized cube could lie
+    only inside a lifted cube of its own half, which would put one cube
+    of the half inside another, or of the other half, which would have
+    lifted it; a lifted cube strictly inside another lifted one would
+    put one cube of a half strictly inside another; and the two
+    specialized sides differ in the bit.
     """
     if any(care & bit for care, _ in h0) or any(care & bit for care, _ in h1):
         raise ValueError("merge input mentions the splitting variable")
     lifted = {}  # insertion-ordered set
     for half, other in ((h0, h1), (h1, h0)):
-        same = set(other)
-        for ic, iv in half:
-            if (ic, iv) in same or any(not oc & ~ic and not (ov ^ iv) & oc for oc, ov in other):
-                lifted[ic, iv] = None
+        index = _care_index(other)
+        for care, value in half:
+            if _inside(index, care, value):
+                lifted[care, value] = None
     out = list(lifted)
     out += [(care | bit, value) for care, value in h0 if (care, value) not in lifted]
     out += [(care | bit, value | bit) for care, value in h1 if (care, value) not in lifted]
-    return scc(out)
+    return out
 
 
 def simplify(cover: Cover) -> Cover:
@@ -107,6 +156,8 @@ def simplify(cover: Cover) -> Cover:
 
 
 def _simplify(cubes: List[Packed]) -> List[Packed]:
+    if len(cubes) == 1:
+        return cubes
     if any(not care for care, _ in cubes):
         return [(0, 0)]  # the universal cube
     ones, zeros = polarity(cubes)

@@ -5,6 +5,7 @@ package, so they stay independent of the code paths they check.
 """
 
 import itertools
+from bisect import bisect_left
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -288,3 +289,54 @@ def ref_simplify(cover: Cover) -> Cover:
     n = cover.n
     out = _ref_simplify([format_cube(c) for c in cover], n)
     return Cover(n, tuple(cube_from_text(t, n) for t in out))
+
+
+# References for the packed URP kernels on (care, value) int pairs: the
+# package's former select_binate (two counts per binate column), scc (a
+# pairwise scan of the cubes with fewer literals) and merge (lift,
+# specialize, then a final scc), kept as they were so the indexed kernels
+# can be compared against them.
+
+def ref_select_binate(cubes) -> int:
+    """Bit of the most-binate variable: most rows touched, then most balanced, then index."""
+    ones = zeros = 0
+    for care, value in cubes:
+        ones |= value
+        zeros |= care & ~value
+    binate = ones & zeros
+    if not binate:
+        raise ValueError("cover is unate; no binate variable to select")
+    keys = []
+    for bit in (1 << s for s in range(binate.bit_length()) if binate >> s & 1):
+        c1 = sum(1 for _, value in cubes if value & bit)
+        c0 = sum(1 for care, _ in cubes if care & bit) - c1
+        keys.append((-(c0 + c1), abs(c0 - c1), -bit))
+    return -min(keys)[2]
+
+
+def ref_scc(cubes) -> list:
+    """Drop cubes contained in another; duplicates keep the earliest occurrence."""
+    unique = list(dict.fromkeys(cubes))
+    ranked = sorted(unique, key=lambda cube: cube[0].bit_count())
+    sizes = [care.bit_count() for care, _ in ranked]
+    return [
+        (ic, iv) for ic, iv in unique
+        if not any(not oc & ~ic and not (ov ^ iv) & oc
+                   for oc, ov in ranked[:bisect_left(sizes, ic.bit_count())])
+    ]
+
+
+def ref_merge(h0, h1, bit: int) -> list:
+    """x'*h0 + x*h1 with the containment lift, then single-cube containment."""
+    if any(care & bit for care, _ in h0) or any(care & bit for care, _ in h1):
+        raise ValueError("merge input mentions the splitting variable")
+    lifted = {}  # insertion-ordered set
+    for half, other in ((h0, h1), (h1, h0)):
+        same = set(other)
+        for ic, iv in half:
+            if (ic, iv) in same or any(not oc & ~ic and not (ov ^ iv) & oc for oc, ov in other):
+                lifted[ic, iv] = None
+    out = list(lifted)
+    out += [(care | bit, value) for care, value in h0 if (care, value) not in lifted]
+    out += [(care | bit, value | bit) for care, value in h1 if (care, value) not in lifted]
+    return ref_scc(out)

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsopmin.boolfn import TruthTable, truthtable_from_minterms
 from dsopmin.cli import (
@@ -30,6 +34,35 @@ GOLDEN_PLA = "\n".join(
     + [f"{m:04b} 1" for m in [1, 5, 6, 9, 12, 13, 14, 15]]
     + [".e"]
 )
+
+
+@st.composite
+def pla_texts(draw):
+    """PLA text near the accepted subset, often valid, often not.
+
+    Cube lines of the declared width mix with directives that have good,
+    missing, non-integer or out-of-range arguments, cube lines of the
+    wrong width or alphabet, and arbitrary text.  Declared widths stay at
+    six or below, so a valid text runs the whole pipeline in milliseconds.
+    """
+    n = draw(st.integers(1, 6))
+    cube = st.builds("{} {}".format, st.text("01-2", min_size=n, max_size=n),
+                     st.sampled_from("01"))
+    line = st.one_of(
+        cube,
+        cube,
+        st.builds("{} {}".format, st.text("01-2~x", max_size=8), st.text("01-~2 ", max_size=3)),
+        st.builds("{} {}".format, st.sampled_from([".i", ".o", ".p", ".ob", ".type"]),
+                  st.sampled_from(["", "0", "1", "2", "-1", "25", "x", "1.5", "9" * 5000])),
+        st.builds(" ".join, st.lists(st.sampled_from([".ilb", "a", "b", "c", "d", "e", "f"]),
+                                     min_size=1, max_size=8)),
+        st.sampled_from([".e", ".i", ".o", "#", "# c", ""]),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    )
+    lines = draw(st.lists(line, max_size=10))
+    if draw(st.integers(0, 2)):  # a good header two times in three
+        lines = [f".i {n}", ".o 1"] + lines
+    return "\n".join(lines)
 
 
 class TestParsePla:
@@ -156,6 +189,18 @@ class TestRunPipeline:
             sop = [format_cube(c) for c in outputs["sop"]]
             assert oracle_cover_minterms(sop) == set(tt.minterms())
 
+    def test_dense_n14(self):
+        # a uniform random n=14 table: about 5k DSOP cubes, whose URP merges
+        # are only fast with indexed containment
+        rng = random.Random("dense/14")
+        tt = TruthTable(14, rng.getrandbits(1 << 14))
+        start = time.perf_counter()
+        report, outputs = run_pipeline(tt, PipelineConfig(ordering="entropy"))
+        assert time.perf_counter() - start < 1.5
+        assert report.check() == []
+        sop = [format_cube(c) for c in outputs["sop"]]
+        assert oracle_cover_minterms(sop) == set(tt.minterms())
+
 
 class TestReports:
     def test_emit_record_fields(self, golden_tt, tmp_path):
@@ -268,6 +313,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("dsopmin: error:")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=pla_texts(), order=st.sampled_from(["entropy", "given", "sift"]),
+           oracle=st.booleans())
+    def test_fuzz_pla_text(self, text, order, oracle):
+        # any PLA text: exit 0 with a clean stderr, or exit 2 with exactly
+        # one error line; never a traceback, never an invariant violation
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.pla")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["--input", path, "--order", order] + ["--oracle", "qm"] * oracle)
+        err = err.getvalue()
+        assert rc in (0, 2), (text, err)
+        assert "Traceback" not in err
+        if rc == 2:
+            assert err.startswith("dsopmin: error:") and err.count("\n") == 1, (text, err)
+        else:
+            assert err == "" and out.getvalue().startswith("sop ("), (text, err)
 
     def test_missing_input_file(self, capsys):
         assert main(["--input", "/nonexistent/f.pla"]) == 2

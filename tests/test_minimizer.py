@@ -32,6 +32,9 @@ from conftest import (
     oracle_cover_minterms,
     oracle_minterms,
     pipeline_sop,
+    ref_merge,
+    ref_scc,
+    ref_select_binate,
     ref_simplify,
 )
 
@@ -59,6 +62,44 @@ def bit(var: int, n: int = 4) -> int:
 
 
 GOLDEN_DSOP = ("1122", "0110", "2001", "0101")
+
+# Variable counts for the seeded kernel checks: small ones, both sides of
+# each byte boundary (select_binate packs each mask into whole bytes), and
+# 20-24, the widest tables the pipeline takes.
+KERNEL_NS = (1, 2, 3, 5, 7, 8, 9, 12, 15, 16, 17, 20, 21, 22, 23, 24)
+
+
+def random_packed(rng, n: int, count: int, free: int = 0):
+    """count random (care, value) cubes over n variables, never caring about free.
+
+    The literal density is drawn per cover, so some covers nest often.
+    """
+    density = rng.choice(("sparse", "half", "dense"))
+    out = []
+    for _ in range(count):
+        care = rng.getrandbits(n)
+        if density == "sparse":
+            care &= rng.getrandbits(n)
+        elif density == "dense":
+            care |= rng.getrandbits(n)
+        care &= ~free
+        out.append((care, rng.getrandbits(n) & care))
+    return out
+
+
+def cover_size(rng) -> int:
+    """Mostly small covers, now and then one with several hundred cubes."""
+    return rng.randint(257, 700) if rng.random() < 0.08 else rng.randint(0, 24)
+
+
+def assert_antichain(cubes, n: int):
+    """No duplicates and no cube inside another; by minterm sets when n is small."""
+    assert ref_scc(cubes) == list(cubes)
+    if n <= 6:
+        sets = [oracle_minterms(t) for t in unpacked(cubes, n)]
+        for i, a in enumerate(sets):
+            for j, b in enumerate(sets):
+                assert i == j or not a <= b
 
 
 class TestClassify:
@@ -90,6 +131,31 @@ class TestSelectBinate:
     def test_unate_rejected(self):
         with pytest.raises(ValueError):
             select_binate(packed("1122", "2110"))
+
+    def test_matches_reference_random(self):
+        # seeded covers up to n=24 and 700 cubes, some with many repeats so
+        # that one column's count is large and its neighbours' near-tied
+        rng = random.Random("binate-counts")
+        for _ in range(400):
+            n = rng.choice(KERNEL_NS)
+            cubes = random_packed(rng, n, cover_size(rng) + 2)
+            if rng.random() < 0.3:
+                cubes += rng.choices(cubes, k=rng.randint(1, 300))
+            try:
+                want = ref_select_binate(cubes)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    select_binate(cubes)
+                continue
+            assert select_binate(cubes) == want, (n, cubes)
+
+    def test_full_columns_at_n24(self):
+        # 600 cubes carrying every variable: each count is 600 or near it
+        rng = random.Random("binate-n24")
+        full = (1 << 24) - 1
+        cubes = [(full, rng.getrandbits(24)) for _ in range(600)]
+        cubes += [(full, 0)] * 7 + [(full, full)] * 3
+        assert select_binate(cubes) == ref_select_binate(cubes)
 
 
 class TestCoverCofactor:
@@ -132,6 +198,18 @@ class TestScc:
                 expected = [a, b]
             assert unpacked(scc(packed(a, b)), 3) == expected
 
+    def test_matches_reference_random(self):
+        # the care-indexed scan against the former pairwise one, repeats included
+        rng = random.Random("scc-index")
+        for _ in range(200):
+            n = rng.choice(KERNEL_NS)
+            cubes = random_packed(rng, n, cover_size(rng))
+            cubes += rng.choices(cubes, k=min(len(cubes), rng.randint(0, 8)))
+            rng.shuffle(cubes)
+            got = scc(cubes)
+            assert got == ref_scc(cubes), (n, cubes)
+            assert_antichain(got, n)
+
     def test_output_is_antichain(self):
         rng = random.Random(3)
         for _ in range(50):
@@ -168,6 +246,36 @@ class TestMerge:
     def test_rejects_mentioned_variable(self):
         with pytest.raises(ValueError):
             merge_with_containment(packed("0122"), packed("2222"), bit(1))
+        with pytest.raises(ValueError):
+            merge_with_containment(packed("2222"), packed("0022"), bit(1))
+
+    def test_matches_reference_on_antichains(self):
+        # SCC-minimal halves, as simplify hands over: h1 is drawn from h0 by
+        # keeping, widening, narrowing or replacing cubes, so lifts are common
+        rng = random.Random("merge-antichains")
+        for _ in range(300):
+            n = rng.choice(KERNEL_NS)
+            split = 1 << rng.randrange(n)
+            size = cover_size(rng)
+            base = random_packed(rng, n, size, free=split)
+            derived = []
+            for (care, value), (rc, rv) in zip(base, random_packed(rng, n, size, free=split)):
+                kind = rng.randrange(4)
+                if kind == 1:  # fewer literals: contains the base cube
+                    care &= rc
+                elif kind == 2:  # more literals: inside the base cube
+                    value |= rv & ~care
+                    care |= rc
+                elif kind == 3:
+                    care, value = rc, rv
+                derived.append((care, value & care))
+            rng.shuffle(derived)
+            h0, h1 = ref_scc(base), ref_scc(derived)
+            if rng.random() < 0.5:
+                h0, h1 = h1, h0
+            got = merge_with_containment(h0, h1, split)
+            assert got == ref_merge(h0, h1, split), (n, split, h0, h1)
+            assert_antichain(got, n)
 
 
 def _random_tables(rng):
