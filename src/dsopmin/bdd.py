@@ -286,8 +286,9 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> VariableOrder:
         while pos > 0:
             root = swap_adjacent(mgr, root, pos - 1)
             pos -= 1
-            scores.setdefault(pos, (one_path_count(FunctionHandle(mgr, root)),
-                                    node_count(FunctionHandle(mgr, root))))
+            if pos not in scores:
+                scores[pos] = (one_path_count(FunctionHandle(mgr, root)),
+                               node_count(FunctionHandle(mgr, root)))
         best = min(scores, key=lambda p: (scores[p][0], scores[p][1], p))
         while pos < best:
             root = swap_adjacent(mgr, root, pos)

@@ -129,17 +129,6 @@ def format_cube(cube: Cube) -> str:
                    for s in range(cube.n - 1, -1, -1))
 
 
-def cube_minterms(cube: Cube) -> Iterator[int]:
-    """Enumerate the minterm indices covered by a cube, in ascending order."""
-    free = ~cube.care & ((1 << cube.n) - 1)
-    sub = 0
-    while True:
-        yield cube.value | sub
-        if sub == free:
-            return
-        sub = (sub - free) & free  # the next subset of the free bits
-
-
 @lru_cache(maxsize=None)
 def var_masks(n: int) -> Tuple[int, ...]:
     """Truth-table masks of the positive literals over n variables.

@@ -52,11 +52,7 @@ def _directive_int(parts: List[str]) -> int:
 @dataclass
 class PipelineConfig:
     ordering: str = "entropy"  # entropy | given | sift
-    emit: Tuple[str, ...] = ("sop",)
     oracle: bool = False
-    names: Optional[List[str]] = None
-    seed: int = 0
-    count: int = 0
     record_timings: bool = True
 
 
@@ -252,11 +248,11 @@ def random_table(n: int, rng: random.Random) -> TruthTable:
     return TruthTable(n, rng.getrandbits(1 << n))
 
 
-def run_benchmark(cfg: PipelineConfig, n: int) -> List[StatsReport]:
-    """Seeded batch of random functions through the pipeline."""
-    rng = random.Random(cfg.seed)
+def run_benchmark(cfg: PipelineConfig, n: int, count: int, seed: int) -> List[StatsReport]:
+    """Run count seeded random n-variable functions through the pipeline."""
+    rng = random.Random(seed)
     reports = []
-    for _ in range(cfg.count):
+    for _ in range(count):
         tt = random_table(n, rng)
         report, _covers = run_pipeline(tt, cfg)
         reports.append(report)
@@ -302,23 +298,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     names = args.names.split(",") if args.names else None
     cfg = PipelineConfig(
         ordering=args.order,
-        emit=emit,
         oracle=args.oracle == "qm",
-        names=names,
-        seed=args.seed,
-        count=args.benchmark or 0,
         record_timings=not args.no_timing,
     )
 
     try:
         if args.benchmark is not None:
-            reports = run_benchmark(cfg, args.bench_vars)
+            reports = run_benchmark(cfg, args.bench_vars, args.benchmark, args.seed)
             outputs = None
         elif args.input:
             with open(args.input) as fh:
                 tt, pla_names = parse_pla(fh.read())
-            if cfg.names is None:
-                cfg.names = pla_names
+            if names is None:
+                names = pla_names
             report, outputs = run_pipeline(tt, cfg)
             reports = [report]
         elif args.minterms:
@@ -335,7 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failures = [p for r in reports for p in r.check()]
 
     if outputs is not None:
-        tt_names = cfg.names or default_names(reports[0].n)
+        tt_names = names or default_names(reports[0].n)
         if len(tt_names) != reports[0].n:
             print("dsopmin: error: variable name count does not match n", file=sys.stderr)
             return 2
@@ -352,7 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"oracle: {reports[0].oracle_cubes} cubes, "
                   f"{reports[0].oracle_literals} literals")
     else:
-        print(f"benchmark: {len(reports)} runs, n={args.bench_vars}, seed={cfg.seed}")
+        print(f"benchmark: {len(reports)} runs, n={args.bench_vars}, seed={args.seed}")
 
     if args.report:
         try:

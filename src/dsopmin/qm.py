@@ -1,30 +1,24 @@
 """Quine-McCluskey exact two-level minimization.
 
 Phase one builds all prime implicants by iterative adjacency merging
-of minterm groups; phase two solves the prime-implicant chart exactly:
-essentials, then row/column dominance to a cyclic core, then Petrick
-style exhaustive search on small cores or branch and bound otherwise.
+of minterm groups; phase two solves the prime-implicant chart exactly.
+The chart is in truth-table bits: a row is its prime's ``cube_mask``,
+a column is a minterm bit, and the uncovered columns are one int.
+Essentials and row/column dominance reduce it to a cyclic core, which
+branch and bound then covers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
 from math import ceil
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
-from .boolfn import Cover, Cube, TruthTable, cube_minterms, format_cube
+from .boolfn import Cover, Cube, TruthTable, cube_mask, format_cube
 
 MAX_QM_VARS = 16
 
-# exhaustive subset search below this many chart columns, branch and bound above
-_PETRICK_COLUMN_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class Implicant:
-    cube: Cube
-    covered: FrozenSet[int]
+# A row's tie-break key, _row_key below: (literal count, cube text).
+RowKey = Tuple[int, str]
 
 
 def _check_n(n: int) -> None:
@@ -32,7 +26,7 @@ def _check_n(n: int) -> None:
         raise ValueError(f"variable count {n} exceeds QM limit {MAX_QM_VARS}")
 
 
-def prime_implicants(tt: TruthTable) -> List[Implicant]:
+def prime_implicants(tt: TruthTable) -> List[Cube]:
     """All prime implicants by classic tabulation, ordered by cube text.
 
     Implicants are (care, value) pairs.  Two merge iff they share care
@@ -59,135 +53,134 @@ def prime_implicants(tt: TruthTable) -> List[Implicant]:
         primes.update(current - used)
         current = merged
 
-    out = []
-    for care, value in primes:
-        cube = Cube(n, care, value)
-        out.append(Implicant(cube, frozenset(cube_minterms(cube))))
-    out.sort(key=lambda p: format_cube(p.cube))
-    return out
+    return sorted((Cube(n, care, value) for care, value in primes), key=format_cube)
 
 
-def _solution_key(primes: Sequence[Implicant]) -> Tuple[int, int, Tuple[str, ...]]:
-    texts = tuple(sorted(format_cube(p.cube) for p in primes))
-    literals = sum(p.cube.literal_count() for p in primes)
-    return (len(primes), literals, texts)
+def _row_key(cube: Cube) -> RowKey:
+    return (cube.literal_count(), format_cube(cube))
 
 
-def _row_key(p: Implicant) -> Tuple[int, str]:
-    return (p.cube.literal_count(), format_cube(p.cube))
+def _solution_key(keys: Sequence[RowKey], rows: Sequence[int]) -> Tuple[int, int, Tuple[str, ...]]:
+    """Cubes, then literals, then sorted cube text: the order exact covers minimize."""
+    texts = tuple(sorted(keys[k][1] for k in rows))
+    return (len(rows), sum(keys[k][0] for k in rows), texts)
 
 
 def _reduce_chart(
-    rows: List[Implicant], uncovered: Set[int]
-) -> Tuple[List[Implicant], List[Implicant], Set[int]]:
-    """Essentials plus row/column dominance to a fixpoint."""
-    chosen: List[Implicant] = []
-    rows = list(rows)
+    masks: Sequence[int], keys: Sequence[RowKey], uncovered: int
+) -> Tuple[List[int], List[int], int]:
+    """Essentials plus row/column dominance to a fixpoint.
+
+    Rows are indices into ``masks`` and ``keys``.  Returns the chosen
+    essential rows, the rows of the cyclic core in index order, and the
+    core's uncovered columns.
+    """
+    chosen: List[int] = []
+    rows = list(range(len(masks)))
     changed = True
     while changed and uncovered:
         changed = False
 
-        # essentials of the remaining chart
-        for m in list(uncovered):
-            if m not in uncovered:
-                continue
-            covering = [r for r in rows if m in r.covered]
-            if len(covering) == 1:
-                e = covering[0]
-                chosen.append(e)
-                rows.remove(e)
-                uncovered -= e.covered
-                changed = True
+        # essentials: the rows holding a column that no other row covers
+        once = twice = 0
+        for k in rows:
+            twice |= once & masks[k]
+            once |= masks[k]
+        alone = uncovered & once & ~twice
+        if alone:
+            essential = [k for k in rows if masks[k] & alone]
+            chosen += essential
+            for k in essential:
+                uncovered &= ~masks[k]
+            rows = [k for k in rows if not masks[k] & alone]
+            changed = True
         if not uncovered:
             break
 
         # row dominance: drop rows whose useful coverage fits inside another's
-        drop: Set[int] = set()
-        useful = [r.covered & uncovered for r in rows]
-        for i, j in combinations(range(len(rows)), 2):
-            if i in drop or j in drop:
+        useful = [masks[k] & uncovered for k in rows]
+        drop = [False] * len(rows)
+        for i, ui in enumerate(useful):
+            if drop[i]:
                 continue
-            if useful[i] <= useful[j] and useful[j] <= useful[i]:
-                # equal coverage: keep the cheaper, deterministic row
-                loser = max(i, j, key=lambda k: _row_key(rows[k]))
-                drop.add(loser)
-            elif useful[i] <= useful[j]:
-                drop.add(i)
-            elif useful[j] <= useful[i]:
-                drop.add(j)
-        if drop:
-            rows = [r for k, r in enumerate(rows) if k not in drop]
+            for j in range(i + 1, len(rows)):
+                if drop[j]:
+                    continue
+                uj = useful[j]
+                if not ui & ~uj:
+                    # on equal coverage keep the cheaper, deterministic row
+                    if ui != uj or keys[rows[i]] > keys[rows[j]]:
+                        drop[i] = True
+                        break
+                    drop[j] = True
+                elif not uj & ~ui:
+                    drop[j] = True
+        if any(drop):
+            rows = [k for k, dropped in zip(rows, drop) if not dropped]
             changed = True
 
         # column dominance: a minterm whose row set contains another's is easier
-        col_rows = {m: frozenset(k for k, r in enumerate(rows) if m in r.covered)
-                    for m in uncovered}
-        removed_cols = set()
-        for m1 in sorted(uncovered):
-            if m1 in removed_cols:
+        # (a column's rows are an int over positions in rows)
+        cols = []
+        rest = uncovered
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            cols.append((bit, sum(1 << i for i, k in enumerate(rows) if masks[k] & bit)))
+        removed = 0
+        for m1, r1 in cols:
+            if removed & m1:
                 continue
-            for m2 in sorted(uncovered):
-                if m1 == m2 or m2 in removed_cols:
+            for m2, r2 in cols:
+                if m1 == m2 or removed & m2:
                     continue
-                if col_rows[m2] < col_rows[m1] or (
-                    col_rows[m2] == col_rows[m1] and m2 < m1
-                ):
-                    removed_cols.add(m1)
+                if not r2 & ~r1 and (r2 != r1 or m2 < m1):
+                    removed |= m1
                     break
-        if removed_cols:
-            uncovered -= removed_cols
+        if removed:
+            uncovered &= ~removed
             changed = True
 
-    rows = [r for r in rows if r.covered & uncovered]
+    rows = [k for k in rows if masks[k] & uncovered]
     return chosen, rows, uncovered
 
 
-def _petrick(rows: List[Implicant], uncovered: Set[int]) -> List[Implicant]:
-    """Minimum cover by exhaustive subset search, smallest size first."""
-    order = sorted(range(len(rows)), key=lambda k: _row_key(rows[k]))
-    for size in range(1, len(rows) + 1):
-        best = None
-        best_key = None
-        for combo in combinations(order, size):
-            covered: Set[int] = set()
-            for k in combo:
-                covered |= rows[k].covered
-            if uncovered <= covered:
-                sol = [rows[k] for k in combo]
-                key = _solution_key(sol)
-                if best_key is None or key < best_key:
-                    best, best_key = sol, key
-        if best is not None:
-            return best
-    return []
+def _branch_and_bound(
+    masks: Sequence[int], keys: Sequence[RowKey], rows: Sequence[int], uncovered: int
+) -> List[int]:
+    """Minimum cover of the uncovered columns over rows, by _solution_key."""
+    rows = sorted(rows, key=lambda k: keys[k])
+    best: List[int] = list(rows)  # trivially feasible upper bound
+    best_key = _solution_key(keys, best)
 
-
-def _branch_and_bound(rows: List[Implicant], uncovered: Set[int]) -> List[Implicant]:
-    order = sorted(range(len(rows)), key=lambda k: _row_key(rows[k]))
-    rows = [rows[k] for k in order]
-    best: List[Implicant] = list(rows)  # trivially feasible upper bound
-    best_key = _solution_key(best)
-
-    def recurse(chosen: List[Implicant], remaining: List[Implicant], todo: Set[int]) -> None:
+    def recurse(chosen: List[int], remaining: List[int], todo: int) -> None:
         nonlocal best, best_key
         if not todo:
-            key = _solution_key(chosen)
+            key = _solution_key(keys, chosen)
             if key < best_key:
                 best, best_key = list(chosen), key
             return
-        usable = [r for r in remaining if r.covered & todo]
+        usable = []
+        counts = []
+        for k in remaining:
+            count = (masks[k] & todo).bit_count()
+            if count:
+                usable.append(k)
+                counts.append(count)
         if not usable:
             return
-        max_cov = max(len(r.covered & todo) for r in usable)
-        if len(chosen) + ceil(len(todo) / max_cov) > best_key[0]:
+        max_cov = max(counts)
+        if len(chosen) + ceil(todo.bit_count() / max_cov) > best_key[0]:
             return
-        # branch on the most-covering row, deterministic tie-break
-        pivot = min(usable, key=lambda r: (-len(r.covered & todo), _row_key(r)))
-        rest = [r for r in usable if r is not pivot]
-        recurse(chosen + [pivot], rest, todo - pivot.covered)
+        # branch on the most-covering row; usable is in key order, so the
+        # first such row is the deterministic tie-break
+        i = counts.index(max_cov)
+        pivot = usable[i]
+        rest = usable[:i] + usable[i + 1:]
+        recurse(chosen + [pivot], rest, todo & ~masks[pivot])
         recurse(chosen, rest, todo)
 
-    recurse([], rows, set(uncovered))
+    recurse([], rows, uncovered)
     return best
 
 
@@ -197,11 +190,9 @@ def exact_cover(tt: TruthTable) -> Cover:
     if tt.bits == 0:
         return Cover(tt.n, ())
     primes = prime_implicants(tt)
-    chosen, rows, uncovered = _reduce_chart(primes, set(tt.minterms()))
+    masks = [cube_mask(p) for p in primes]
+    keys = [_row_key(p) for p in primes]
+    chosen, rows, uncovered = _reduce_chart(masks, keys, tt.bits)
     if uncovered:
-        if len(uncovered) < _PETRICK_COLUMN_LIMIT:
-            chosen += _petrick(rows, uncovered)
-        else:
-            chosen += _branch_and_bound(rows, uncovered)
-    cubes = tuple(sorted((p.cube for p in chosen), key=format_cube))
-    return Cover(tt.n, cubes)
+        chosen += _branch_and_bound(masks, keys, rows, uncovered)
+    return Cover(tt.n, tuple(sorted((primes[k] for k in chosen), key=format_cube)))

@@ -140,7 +140,7 @@ def test_criterion_5_oracle_dominance():
     for _ in range(200):
         n = rng.randint(1, 4)
         tt = TruthTable(n, rng.getrandbits(1 << n))
-        got = {format_cube(p.cube) for p in qm.prime_implicants(tt)}
+        got = {format_cube(p) for p in qm.prime_implicants(tt)}
         assert got == brute_force_primes(tt)
     report(5, True)
 
@@ -169,8 +169,8 @@ def test_criterion_6_sifting_monotonicity():
 
 
 def test_criterion_7_benchmark_harness(tmp_path):
-    cfg = PipelineConfig(oracle=True, seed=777, count=100, record_timings=False)
-    reports = run_benchmark(cfg, 4)
+    cfg = PipelineConfig(oracle=True, record_timings=False)
+    reports = run_benchmark(cfg, 4, count=100, seed=777)
     assert len(reports) == 100
     for r in reports:
         assert r.dsop_cubes == r.one_paths
@@ -179,8 +179,8 @@ def test_criterion_7_benchmark_harness(tmp_path):
         assert r.check() == []
     emit_report(reports, str(tmp_path / "bench.json"))
     # seeded rerun is byte-for-byte identical
-    rerun = run_benchmark(PipelineConfig(oracle=True, seed=777, count=100,
-                                         record_timings=False), 4)
+    rerun = run_benchmark(PipelineConfig(oracle=True, record_timings=False), 4,
+                          count=100, seed=777)
     emit_report(rerun, str(tmp_path / "bench2.json"))
     assert (tmp_path / "bench.json").read_bytes() == (tmp_path / "bench2.json").read_bytes()
     report(7, True)

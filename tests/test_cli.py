@@ -237,8 +237,8 @@ class TestReports:
 
 class TestBenchmark:
     def test_records_satisfy_invariants(self):
-        cfg = PipelineConfig(oracle=True, seed=42, count=30, record_timings=False)
-        reports = run_benchmark(cfg, 4)
+        cfg = PipelineConfig(oracle=True, record_timings=False)
+        reports = run_benchmark(cfg, 4, count=30, seed=42)
         assert len(reports) == 30
         for r in reports:
             assert r.check() == []
@@ -246,8 +246,8 @@ class TestBenchmark:
     def test_fixed_seed_byte_stable(self, tmp_path):
         paths = []
         for name in ("a.json", "b.json"):
-            cfg = PipelineConfig(seed=7, count=10, record_timings=False)
-            reports = run_benchmark(cfg, 4)
+            cfg = PipelineConfig(record_timings=False)
+            reports = run_benchmark(cfg, 4, count=10, seed=7)
             p = tmp_path / name
             emit_report(reports, str(p))
             paths.append(p)

@@ -6,16 +6,24 @@ import pytest
 from dsopmin.boolfn import (
     TruthTable,
     cover_to_truthtable,
+    cube_mask,
     format_cube,
     truthtable_from_minterms,
 )
-from dsopmin.qm import _reduce_chart, exact_cover, prime_implicants
+from dsopmin.qm import _reduce_chart, _row_key, exact_cover, prime_implicants
 
-from conftest import brute_force_primes, oracle_minterms, pipeline_sop
+from conftest import (
+    brute_force_primes,
+    oracle_minterms,
+    pipeline_sop,
+    ref_exact_cover,
+    ref_implicants,
+    ref_reduce_chart,
+)
 
 
 def prime_texts(tt):
-    return {format_cube(p.cube) for p in prime_implicants(tt)}
+    return {format_cube(p) for p in prime_implicants(tt)}
 
 
 class TestPrimeImplicants:
@@ -34,7 +42,7 @@ class TestPrimeImplicants:
         assert prime_implicants(TruthTable(3, 0)) == []
 
     def test_deterministic_order(self, golden_tt):
-        got = [format_cube(p.cube) for p in prime_implicants(golden_tt)]
+        got = [format_cube(p) for p in prime_implicants(golden_tt)]
         assert got == sorted(got)
 
     def test_n_cap(self):
@@ -51,8 +59,8 @@ class TestPrimeImplicants:
     def test_primes_maximal_in_function(self, golden_tt):
         on = set(golden_tt.minterms())
         for p in prime_implicants(golden_tt):
-            assert oracle_minterms(format_cube(p.cube)) <= on
-            assert p.covered <= on
+            assert oracle_minterms(format_cube(p)) <= on
+            assert not cube_mask(p) & ~golden_tt.bits
 
     def test_upper_bound_sanity(self):
         rng = random.Random(29)
@@ -62,9 +70,16 @@ class TestPrimeImplicants:
             assert len(prime_implicants(tt)) <= 3 ** n / n + 1
 
 
+def reduce_chart(tt):
+    """_reduce_chart on tt's full chart, rows given as their primes."""
+    primes = prime_implicants(tt)
+    chosen, rows, uncovered = _reduce_chart(
+        [cube_mask(p) for p in primes], [_row_key(p) for p in primes], tt.bits)
+    return [primes[k] for k in chosen], [primes[k] for k in rows], uncovered
+
+
 def essential_texts(tt):
-    chosen, _rows, _uncovered = _reduce_chart(prime_implicants(tt), set(tt.minterms()))
-    return [format_cube(p.cube) for p in chosen]
+    return [format_cube(p) for p in reduce_chart(tt)[0]]
 
 
 class TestEssentialPrimes:
@@ -99,7 +114,7 @@ class TestExactCover:
         primes = prime_implicants(tt)
         on = set(tt.minterms())
         sizes = [k for k in range(1, len(primes) + 1)
-                 if any(set().union(*(p.covered for p in combo)) >= on
+                 if any(set().union(*(oracle_minterms(format_cube(p)) for p in combo)) >= on
                         for combo in itertools.combinations(primes, k))]
         assert min(sizes) == 3
 
@@ -126,3 +141,36 @@ class TestExactCover:
 
     def test_deterministic(self, golden_tt):
         assert exact_cover(golden_tt) == exact_cover(golden_tt)
+
+
+def oracle_pool(indices):
+    """The oracle benchmark's random n=8 pool functions, drawn as perfbench/workloads.py does."""
+    rng = random.Random("oracle/pool")
+    pool = [rng.getrandbits(1 << 8) for _ in range(8)]
+    return [TruthTable(8, pool[i]) for i in indices]
+
+
+class TestAgainstReference:
+    """The bit-mask chart against the former frozenset chart in conftest."""
+
+    def assert_matches(self, tt):
+        assert exact_cover(tt) == ref_exact_cover(tt)
+        chosen, rows, uncovered = reduce_chart(tt)
+        ref_chosen, ref_rows, ref_uncovered = ref_reduce_chart(
+            ref_implicants(tt), set(tt.minterms()))
+        assert sorted(chosen, key=format_cube) == sorted((p.cube for p in ref_chosen),
+                                                         key=format_cube)
+        assert rows == [p.cube for p in ref_rows]
+        assert {m for m in range(1 << tt.n) if uncovered >> m & 1} == ref_uncovered
+
+    def test_random(self):
+        rng = random.Random(71)
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            self.assert_matches(TruthTable(n, rng.getrandbits(1 << n)))
+
+    def test_oracle_pool_functions_that_finish(self):
+        # qm-01, qm-04, qm-05 and qm-06 hit the benchmark's 2.5 s limit;
+        # qm-01 alone takes about a minute
+        for tt in oracle_pool((0, 2, 3, 7)):
+            self.assert_matches(tt)
