@@ -194,8 +194,8 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
 
     t = time.perf_counter()
     sop = minimizer.simplify(dsop)
-    sop = minimizer.expand(sop, h)
-    sop = minimizer.irredundant(sop, h)
+    sop = minimizer.expand(sop, tt)
+    sop = minimizer.irredundant(sop, tt)
     clock("minimize", t)
 
     oracle_cubes = oracle_literals = None

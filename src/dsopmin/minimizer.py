@@ -18,17 +18,18 @@ per recursion node stays near linear in its cover:
 
 expand() raises literals toward primeness by clearing their bits, and
 irredundant() then drops cubes the rest of the cover already covers;
-both answer their containment questions on truth-table bit masks, and
-each takes the function's table from its BDD.
+both answer their containment questions on truth-table bit masks.  The
+function comes in as its truth table, which the pipeline already holds,
+or as a BDD handle, whose table they then rebuild.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from . import bdd
 from .bdd import FunctionHandle
-from .boolfn import Cover, Cube, cube_mask, format_cube
+from .boolfn import Cover, Cube, TruthTable, cube_mask, format_cube, full_mask
 
 # A cube's (care, value) pair; variable v is bit n-1-v, as in boolfn.Cube.
 Packed = Tuple[int, int]
@@ -56,6 +57,11 @@ def select_binate(cubes: Sequence[Packed]) -> int:
     under a periodic mask.
     """
     ones, zeros = polarity(cubes)
+    return _select_binate(cubes, ones, zeros)
+
+
+def _select_binate(cubes: Sequence[Packed], ones: int, zeros: int) -> int:
+    """select_binate(cubes), given the cover's polarity(cubes) masks."""
     binate = ones & zeros
     if not binate:
         raise ValueError("cover is unate; no binate variable to select")
@@ -163,7 +169,7 @@ def _simplify(cubes: List[Packed]) -> List[Packed]:
     ones, zeros = polarity(cubes)
     if not ones & zeros:
         return scc(cubes)
-    bit = select_binate(cubes)
+    bit = _select_binate(cubes, ones, zeros)
     h0 = _simplify(cover_cofactor(cubes, bit, False))
     h1 = _simplify(cover_cofactor(cubes, bit, True))
     merged = merge_with_containment(h0, h1, bit)
@@ -172,13 +178,19 @@ def _simplify(cubes: List[Packed]) -> List[Packed]:
     return scc(cubes)
 
 
-def _onset(cover: Cover, f: FunctionHandle) -> int:
-    if cover.n != f.manager.n:
+Function = Union[TruthTable, FunctionHandle]
+
+
+def _onset(cover: Cover, f: Function) -> int:
+    """f's table bits; a BDD handle's table is rebuilt from the BDD."""
+    if not isinstance(f, TruthTable):
+        f = bdd.to_truthtable(f)
+    if cover.n != f.n:
         raise ValueError("cover variable count does not match the function")
-    return bdd.to_truthtable(f).bits
+    return f.bits
 
 
-def expand(cover: Cover, f: FunctionHandle) -> Cover:
+def expand(cover: Cover, f: Function) -> Cover:
     """Raise literals to don't-care wherever the enlarged cube stays in f.
 
     Cubes are processed in cover order, variables by ascending index
@@ -186,7 +198,9 @@ def expand(cover: Cover, f: FunctionHandle) -> Cover:
     minterms shifted by b across it.
     """
     n = cover.n
-    outside = ~_onset(cover, f)  # every minterm where f is 0
+    # every minterm where f is 0, kept non-negative: CPython ANDs with a
+    # negative int several times slower, which shows on wide tables
+    outside = full_mask(n) ^ _onset(cover, f)
     out = []
     for c in cover:
         mask = cube_mask(c)
@@ -206,7 +220,7 @@ def expand(cover: Cover, f: FunctionHandle) -> Cover:
     return Cover(n, tuple(out))
 
 
-def irredundant(cover: Cover, f: FunctionHandle) -> Cover:
+def irredundant(cover: Cover, f: Function) -> Cover:
     """Drop duplicates, then greedily drop cubes the rest still cover.
 
     Cube i goes iff its mask lies inside the cubes kept before it plus
@@ -223,7 +237,8 @@ def irredundant(cover: Cover, f: FunctionHandle) -> Cover:
     kept: List[Cube] = []
     prefix = 0
     for i, c in enumerate(cubes):
-        if masks[i] & ~(prefix | suffix[i + 1]):
+        rest = prefix | suffix[i + 1]
+        if (masks[i] | rest) != rest:  # not mask & ~rest: see expand()
             kept.append(c)
             prefix |= masks[i]
     return Cover(cover.n, tuple(kept))

@@ -4,11 +4,14 @@ A variable's score is the average cofactor entropy E(x) over the
 current subtables; the greedy pass repeatedly picks the variable with
 the smallest score (largest information gain), splits every subtable
 on it, and recurses.  Ties break toward the lowest variable index.
+Equal subtables score and split alike, so a level is held as its
+distinct subtables with their counts, and each is worked on once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import List
 
 from .bdd import VariableOrder
@@ -50,12 +53,15 @@ def entropy_order(tt: TruthTable) -> VariableOrder:
     """Greedy recursive selection of the minimum-average-entropy variable.
 
     Every subtable at a level ranges over the same remaining variables,
-    so a level is a list of raw table bits plus one list of variables.
-    Constant subtables score 0 and split into constants, so they are
-    dropped; the divisor still counts all 2^level subtables.
+    so a level is one list of variables plus a count of each distinct
+    subtable's raw bits, the sharing a BDD makes of equal subfunctions.
+    A distinct subtable is scored and split once, its score weighted by
+    its count and its count added to each child's.  Constant
+    subtables score 0 and split into constants, so they are dropped; the
+    divisor still counts all 2^level subtables.
     """
     n = tt.n
-    subtables: List[int] = [] if tt.is_constant else [tt.bits]
+    subtables: Counter[int] = Counter() if tt.is_constant else Counter({tt.bits: 1})
     remaining = list(range(n))  # the subtables' variables, ascending
     chosen: List[int] = []
     level = 0
@@ -64,14 +70,14 @@ def entropy_order(tt: TruthTable) -> VariableOrder:
         width = n - level
         masks = var_masks(width)
         half = 1 << (width - 1)
-        on_counts = [st.bit_count() for st in subtables]
+        rows = [(st, st.bit_count(), count) for st, count in subtables.items()]
         best_j = None
         best_score = math.inf
         for j in range(len(remaining)):
             pos = masks[j]
             total = 0.0
-            for st, on in zip(subtables, on_counts):
-                total += _split_entropy(on, (st & pos).bit_count(), half)
+            for st, on, count in rows:
+                total += count * _split_entropy(on, (st & pos).bit_count(), half)
             score = total / (1 << level)
             if score < best_score - _EPS:
                 best_j = j
@@ -81,12 +87,12 @@ def entropy_order(tt: TruthTable) -> VariableOrder:
         level += 1
 
         if remaining:
-            split: List[int] = []
-            for st in subtables:
+            split: Counter[int] = Counter()
+            for st, count in subtables.items():
                 for val in (False, True):
                     sub = cofactor_bits(st, width, best_j, val)
                     if sub and sub.bit_count() != half:
-                        split.append(sub)
+                        split[sub] += count
             subtables = split
 
     return VariableOrder(tuple(chosen))

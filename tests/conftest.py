@@ -7,6 +7,7 @@ the rewritten ones can be compared against them.
 """
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -19,9 +20,11 @@ from dsopmin.boolfn import (
     Cover,
     Cube,
     TruthTable,
+    cofactor_bits,
     cube_from_text,
     format_cube,
     truthtable_from_minterms,
+    var_masks,
 )
 from dsopmin.cli import PipelineConfig, run_pipeline
 from dsopmin.qm import prime_implicants
@@ -71,10 +74,48 @@ def oracle_disjoint(texts) -> bool:
     return sum(len(m) for m in sets) == len(set().union(*sets))
 
 
+def oracle_sharp(c: str, d: str) -> list:
+    """Cube c minus cube d, as disjoint cube texts."""
+    if any(a in "01" and b in "01" and a != b for a, b in zip(c, d)):
+        return [c]
+    out = []
+    rest = list(c)
+    for i, (a, b) in enumerate(zip(c, d)):
+        if b in "01" and a not in "01":
+            rest[i] = "1" if b == "0" else "0"
+            out.append("".join(rest))
+            rest[i] = b
+    return out
+
+
+def oracle_same_function(a, b) -> bool:
+    """True iff two lists of cube texts cover the same minterms.
+
+    Each cube of one list is sharped by every cube of the other until
+    nothing is left, so the cost follows the cube counts, not 2^n.
+    """
+    for inner, outer in ((a, b), (b, a)):
+        for c in inner:
+            rest = [c]
+            for d in outer:
+                rest = [piece for r in rest for piece in oracle_sharp(r, d)]
+            if rest:
+                return False
+    return True
+
+
 def all_cube_texts(n: int):
     """Every positional cube over n variables (3^n of them)."""
     for trits in itertools.product("012", repeat=n):
         yield "".join(trits)
+
+
+def random_cube(rng, n: int, k: int) -> str:
+    """Cube text over {0,1,-} with k literals on k distinct random variables."""
+    cube = ["-"] * n
+    for v in rng.sample(range(n), k):
+        cube[v] = rng.choice("01")
+    return "".join(cube)
 
 
 def brute_force_primes(tt: TruthTable) -> set:
@@ -140,6 +181,63 @@ def ref_build(bits: int, n: int, perm) -> tuple:
 
     root = walk(0, 0, 1 << n)
     return nodes, root
+
+
+# Reference entropy ordering: the package's former entropy_order, which
+# keeps every non-constant subtable of a level in a list, repeats
+# included, and scores and splits each occurrence on its own.
+
+_REF_EPS = 1e-9
+
+
+def _ref_h(p: float) -> float:
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def _ref_split_entropy(on: int, on1: int, half: int) -> float:
+    return 0.5 * (_ref_h((on - on1) / half) + _ref_h(on1 / half))
+
+
+def ref_entropy_order(tt: TruthTable) -> Tuple[int, ...]:
+    """The greedy entropy order of tt, as a permutation tuple."""
+    n = tt.n
+    subtables: List[int] = [] if tt.is_constant else [tt.bits]
+    remaining = list(range(n))  # the subtables' variables, ascending
+    chosen: List[int] = []
+    level = 0
+
+    while remaining:
+        width = n - level
+        masks = var_masks(width)
+        half = 1 << (width - 1)
+        on_counts = [st.bit_count() for st in subtables]
+        best_j = None
+        best_score = math.inf
+        for j in range(len(remaining)):
+            pos = masks[j]
+            total = 0.0
+            for st, on in zip(subtables, on_counts):
+                total += _ref_split_entropy(on, (st & pos).bit_count(), half)
+            score = total / (1 << level)
+            if score < best_score - _REF_EPS:
+                best_j = j
+                best_score = score
+        assert best_j is not None
+        chosen.append(remaining.pop(best_j))
+        level += 1
+
+        if remaining:
+            split: List[int] = []
+            for st in subtables:
+                for val in (False, True):
+                    sub = cofactor_bits(st, width, best_j, val)
+                    if sub and sub.bit_count() != half:
+                        split.append(sub)
+            subtables = split
+
+    return tuple(chosen)
 
 
 # Reference unate recursive paradigm on cube text: the package's former

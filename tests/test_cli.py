@@ -27,13 +27,25 @@ from dsopmin.cli import (
 )
 from dsopmin.boolfn import format_cube
 
-from conftest import oracle_cover_minterms
+from conftest import oracle_cover_minterms, oracle_same_function, random_cube
 
 GOLDEN_PLA = "\n".join(
     [".i 4", ".o 1", ".ilb a b c d"]
     + [f"{m:04b} 1" for m in [1, 5, 6, 9, 12, 13, 14, 15]]
     + [".e"]
 )
+
+# The benchmark's wide-pla cube shape: 4 three-literal and 8 four-literal cubes.
+WIDE_PLA_LITERALS = (3,) * 4 + (4,) * 8
+
+
+def sparse_pla(n: int, literals, seed: str):
+    """The parsed table of a seeded PLA with one random k-literal cube per
+    k in literals, and the cube texts."""
+    rng = random.Random(seed)
+    cubes = [random_cube(rng, n, k) for k in literals]
+    pla = "\n".join([f".i {n}", ".o 1"] + [f"{c} 1" for c in cubes] + [".e"])
+    return parse_pla(pla)[0], cubes
 
 
 @st.composite
@@ -159,22 +171,45 @@ class TestRunPipeline:
         # wide-PLA shape (4 three-literal and 8 four-literal cubes) near
         # the table cap: entropy ordering and BDD construction must not
         # walk the 2^18 minterms one by one
-        n = 18
-        rng = random.Random("sparse-pla/18")
-        cubes = []
-        for k in (3,) * 4 + (4,) * 8:
-            cube = ["-"] * n
-            for v in rng.sample(range(n), k):
-                cube[v] = rng.choice("01")
-            cubes.append("".join(cube))
-        pla = "\n".join([f".i {n}", ".o 1"] + [f"{c} 1" for c in cubes] + [".e"])
-        tt, _ = parse_pla(pla)
+        tt, cubes = sparse_pla(18, WIDE_PLA_LITERALS, "sparse-pla/18")
         start = time.perf_counter()
         report, outputs = run_pipeline(tt, PipelineConfig())
         assert time.perf_counter() - start < 10.0
         assert report.check() == []
         sop = [format_cube(c) for c in outputs["sop"]]
         assert oracle_cover_minterms(sop) == oracle_cover_minterms(cubes)
+
+    def assert_fast_and_correct(self, tt, cubes, bound_s):
+        # SOP = f by cube-text sharps: at n >= 22 the minterm oracle would
+        # enumerate millions of minterms
+        start = time.perf_counter()
+        report, outputs = run_pipeline(tt, PipelineConfig())
+        assert time.perf_counter() - start < bound_s
+        assert report.check() == []
+        assert oracle_same_function([format_cube(c) for c in outputs["sop"]], cubes)
+
+    def test_sparse_pla_at_n22(self):
+        # a level of 2^21 subtables holds few distinct ones, and expand
+        # and irredundant read f's table instead of rebuilding it
+        self.assert_fast_and_correct(*sparse_pla(22, WIDE_PLA_LITERALS, "sparse-pla/22"), 1.0)
+
+    def test_sparse_pla_at_n24(self):
+        # the declared table cap
+        self.assert_fast_and_correct(*sparse_pla(24, WIDE_PLA_LITERALS, "sparse-pla/24"), 3.0)
+        self.assert_fast_and_correct(*sparse_pla(24, (4,), "one-cube/24"), 1.5)
+
+    def test_sharp_oracle_matches_minterm_oracle(self):
+        rng = random.Random("sharp-oracle")
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            a = [random_cube(rng, n, rng.randint(0, n)) for _ in range(rng.randint(0, 5))]
+            b = [random_cube(rng, n, rng.randint(0, n)) for _ in range(rng.randint(0, 5))]
+            if rng.random() < 0.3:
+                # the same function from other cubes: each cube split on its first free variable
+                b = [c[:i] + x + c[i + 1:] if i >= 0 else c
+                     for c in a for i in [c.find("-")] for x in ("01" if i >= 0 else "-")]
+            same = oracle_cover_minterms(a) == oracle_cover_minterms(b)
+            assert oracle_same_function(a, b) == same, (a, b)
 
     def test_dense_n12(self):
         # uniform random n=12 tables: about 1.3k DSOP cubes each, so the

@@ -402,6 +402,46 @@ class TestIrredundant:
             irredundant(cover("1122"), h)
 
 
+class TestTableHandOff:
+    """expand and irredundant take f as its truth table or as a BDD handle."""
+
+    def test_golden_table_equals_handle(self, golden_tt):
+        h = build_from_truthtable(golden_tt)
+        src = cover(*GOLDEN_DSOP)
+        assert expand(src, golden_tt) == expand(src, h)
+        expanded = expand(src, h)
+        assert irredundant(expanded, golden_tt) == irredundant(expanded, h)
+
+    def test_table_equals_handle_random(self):
+        rng = random.Random("table-hand-off")
+        for _ in range(100):
+            n = rng.randint(1, 10)
+            tt = TruthTable(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = build_from_truthtable(tt, VariableOrder(tuple(perm)))
+            src = simplify(enumerate_one_paths(h))
+            expanded = expand(src, h)
+            assert expand(src, tt) == expanded
+            assert irredundant(expanded, tt) == irredundant(expanded, h)
+            assert irredundant(src, tt) == irredundant(src, h)
+
+    def test_expand_rejects_cube_outside_table(self, golden_tt):
+        with pytest.raises(ValueError, match="not contained"):
+            expand(cover("2210"), golden_tt)
+
+    def test_irredundant_rejects_other_function(self, golden_tt):
+        with pytest.raises(ValueError, match="does not represent"):
+            irredundant(cover("1122"), golden_tt)
+
+    def test_variable_count_mismatch(self, golden_tt):
+        for f in (golden_tt, build_from_truthtable(golden_tt)):
+            with pytest.raises(ValueError, match="variable count"):
+                expand(cover("112"), f)
+            with pytest.raises(ValueError, match="variable count"):
+                irredundant(cover("112"), f)
+
+
 class TestMinimize:
     """The full pipeline, through cli.run_pipeline."""
 

@@ -3,14 +3,20 @@ import random
 import pytest
 
 from dsopmin.bdd import build_from_truthtable, node_count, one_path_count
-from dsopmin.boolfn import TruthTable, truthtable_cofactor, truthtable_from_minterms
+from dsopmin.boolfn import (
+    TruthTable,
+    cube_from_text,
+    cube_mask,
+    truthtable_cofactor,
+    truthtable_from_minterms,
+)
 from dsopmin.ordering import (
     cofactor_entropy,
     entropy_order,
     variable_entropy,
 )
 
-from conftest import oracle_cover_minterms
+from conftest import oracle_cover_minterms, random_cube, ref_entropy_order
 
 TOL = 1e-3
 
@@ -59,6 +65,73 @@ def order_tables():
             for m in oracle_cover_minterms(texts):
                 bits |= 1 << m
         yield TruthTable(n, bits)
+
+
+# entropy_order on wide_tables(), recorded with the implementation that
+# kept every occurrence of a repeated subtable in its own list entry.
+RECORDED_WIDE_ORDERS = (
+    (17, 5, 0, 6, 16, 10, 14, 12, 3, 8, 11, 2, 13, 15, 7, 4, 9, 1),
+    (18, 11, 19, 10, 16, 9, 5, 15, 13, 0, 2, 4, 14, 3, 6, 7, 8, 1, 12, 17),
+    (20, 3, 0, 15, 10, 5, 1, 17, 2, 8, 11, 21, 18, 7, 14, 12, 9, 6, 4, 19, 13, 16),
+    (5, 8, 2, 6, 1, 12, 4, 3, 10, 0, 7, 11, 13, 9),
+)
+
+
+def wide_tables():
+    """Seeded sparse PLAs of the benchmark's wide-pla shape (4 three-literal
+    and 8 four-literal cubes) at n = 18, 20 and 22, then one uniform n=14
+    table.  A wide level holds many copies of few distinct subtables."""
+    rng = random.Random("entropy-order/wide")
+    for n in (18, 20, 22):
+        bits = 0
+        for k in (3,) * 4 + (4,) * 8:
+            bits |= cube_mask(cube_from_text(random_cube(rng, n, k), n))
+        yield TruthTable(n, bits)
+    yield TruthTable(14, rng.getrandbits(1 << 14))
+
+
+def _table(n: int, f) -> TruthTable:
+    """The table of f over the n input bits, variable v being bit n-1-v."""
+    bits = 0
+    for m in range(1 << n):
+        if f([(m >> (n - 1 - v)) & 1 for v in range(n)]):
+            bits |= 1 << m
+    return TruthTable(n, bits)
+
+
+def reference_tables():
+    """360 seeded tables, n = 1..12, six kinds in turn: uniform random, an
+    OR of random cubes, and four symmetric or near-symmetric families
+    (parity, majority, adder carry-out, a random function of the weight).
+    Symmetric functions have many equal subtables at a level."""
+    rng = random.Random("entropy-order/reference")
+    for i in range(360):
+        n = 1 + i % 12
+        kind = (i // 12) % 6
+        flip = [rng.getrandbits(1) for _ in range(n)]
+        if kind == 0:
+            yield TruthTable(n, rng.getrandbits(1 << n))
+        elif kind == 1:
+            bits = 0
+            for _ in range(rng.randint(1, 6)):
+                bits |= cube_mask(cube_from_text(random_cube(rng, n, rng.randint(1, n)), n))
+            yield TruthTable(n, bits)
+        elif kind == 2:
+            yield _table(n, lambda x: sum(x) % 2)
+        elif kind == 3:
+            yield _table(n, lambda x: 2 * sum(a ^ b for a, b in zip(x, flip)) > n)
+        elif kind == 4:
+            k = n // 2
+
+            def carry(x, k=k):
+                a = int("".join(map(str, x[:k])) or "0", 2)
+                b = int("".join(map(str, x[k:2 * k])) or "0", 2)
+                return a + b + (x[-1] if n % 2 else 0) >> k
+
+            yield _table(n, carry)
+        else:
+            by_weight = [rng.getrandbits(1) for _ in range(n + 1)]
+            yield _table(n, lambda x: by_weight[sum(x)])
 
 
 class TestCofactorEntropy:
@@ -151,6 +224,14 @@ class TestEntropyOrder:
     def test_recorded_orders(self):
         got = tuple(entropy_order(tt).perm for tt in order_tables())
         assert got == RECORDED_ORDERS
+
+    def test_recorded_wide_orders(self):
+        got = tuple(entropy_order(tt).perm for tt in wide_tables())
+        assert got == RECORDED_WIDE_ORDERS
+
+    def test_matches_reference(self):
+        for tt in reference_tables():
+            assert entropy_order(tt).perm == ref_entropy_order(tt), (tt.n, hex(tt.bits))
 
     def test_golden_order_improves_bdd(self, golden_tt):
         h = build_from_truthtable(golden_tt, entropy_order(golden_tt))
