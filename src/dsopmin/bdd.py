@@ -8,6 +8,11 @@ same order always come back as the same node id.
 Terminals live at level n so that "children strictly deeper" holds
 uniformly; long edges simply skip levels, and the skipped variables
 stay don't-care in the extracted cubes.
+
+Path sifting reorders by adjacent swaps that build new nodes and never
+change an old one, so during a sift a node id's one-path count holds
+for good, and a swap reports the two level widths it changed.  After
+sift_paths the manager holds only the sifted function's diagram.
 """
 
 from __future__ import annotations
@@ -207,7 +212,10 @@ def to_truthtable(h: FunctionHandle) -> TruthTable:
             return memo[u]
         pos = masks[perm[mgr.level(u)]]
         lo, hi = mgr.children(u)
-        memo[u] = (table(hi) & pos) | (table(lo) & ~pos)
+        lo_table = table(lo)
+        # lo_table & ~pos, kept non-negative: CPython ANDs with a negative
+        # int several times slower, which shows on wide tables
+        memo[u] = (table(hi) & pos) | (lo_table ^ (lo_table & pos))
         return memo[u]
 
     return TruthTable(n, table(h.root))
@@ -219,33 +227,56 @@ def swap_adjacent(mgr: BddManager, root: int, k: int) -> int:
     Only levels <= k+1 are rebuilt; deeper nodes are shared untouched.
     The manager's order is updated in place.
     """
+    return _swap(mgr, root, k)[0]
+
+
+def _swap(mgr: BddManager, root: int, k: int) -> Tuple[int, int, int]:
+    """swap_adjacent, plus the new diagram's node counts at levels k and k+1.
+
+    Every node that the swap leaves at level k or k+1 comes out of the
+    rebuild of an old level-k node, or of an old level-k+1 node reached
+    by a long edge, so collecting those results counts both levels.
+    Every other level keeps its count: its nodes are the distinct
+    subfunctions under the same set of variables above it.
+    """
     n = mgr.n
     if not 0 <= k < n - 1:
         raise ValueError(f"level {k} has no successor to swap with")
-    memo: Dict[int, int] = {}
+    nodes, make = mgr._nodes, mgr.make
+    memo: Dict[int, int] = {ZERO: ZERO, ONE: ONE}
+    top: set[int] = set()    # the new level-k nodes
+    below: set[int] = set()  # the new level-(k+1) nodes
 
     def split(u: int) -> Tuple[int, int]:
         # cofactors w.r.t. the (old) level-k+1 variable
-        if mgr.level(u) == k + 1:
-            return mgr.children(u)
+        if u >= 2 and nodes[u][0] == k + 1:
+            return nodes[u][1], nodes[u][2]
         return u, u
 
     def rebuild(u: int) -> int:
-        lvl = mgr.level(u)
-        if u < 2 or lvl > k + 1:
-            return u
-        if u in memo:
-            return memo[u]
-        lo, hi = mgr.children(u)
-        if lvl < k:
-            r = mgr.make(lvl, rebuild(lo), rebuild(hi))
-        elif lvl == k:
-            f00, f01 = split(lo)
-            f10, f11 = split(hi)
-            r = mgr.make(k, mgr.make(k + 1, f00, f10), mgr.make(k + 1, f01, f11))
+        r = memo.get(u)
+        if r is not None:
+            return r
+        lvl, lo, hi = nodes[u]
+        if lvl > k + 1:
+            r = u
+        elif lvl < k:
+            r = make(lvl, rebuild(lo), rebuild(hi))
         else:
-            # reached by a long edge: the old level-k variable is absent here
-            r = mgr.make(k, lo, hi)
+            if lvl == k:
+                f00, f01 = split(lo)
+                f10, f11 = split(hi)
+                r0, r1 = make(k + 1, f00, f10), make(k + 1, f01, f11)
+                if r0 >= 2 and nodes[r0][0] == k + 1:
+                    below.add(r0)
+                if r1 >= 2 and nodes[r1][0] == k + 1:
+                    below.add(r1)
+                r = make(k, r0, r1)
+            else:
+                # reached by a long edge: the old level-k variable is absent here
+                r = make(k, lo, hi)
+            if nodes[r][0] == k:
+                top.add(r)
         memo[u] = r
         return r
 
@@ -253,7 +284,7 @@ def swap_adjacent(mgr: BddManager, root: int, k: int) -> int:
     p = list(mgr.order.perm)
     p[k], p[k + 1] = p[k + 1], p[k]
     mgr.order = VariableOrder(tuple(p))
-    return new_root
+    return new_root, len(top), len(below)
 
 
 def sift_paths(mgr: BddManager, h: FunctionHandle) -> VariableOrder:
@@ -263,39 +294,62 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> VariableOrder:
     their starting level; each is fixed where P1 is smallest (ties:
     fewer nodes, then the earliest position).  The manager is left in
     the final order and the handle's root updated.
+
+    No position is scored by a walk over the whole diagram.  During the
+    sift the arena only grows and a node's lo/hi never change, so one
+    table of P1 per node id serves every swap, and each swap counts
+    only the nodes it made.  The node count is the sum of per-level
+    widths, of which a swap changes just the two it exchanges (Rudell,
+    ICCAD 1993).  At the end the arena is cut to h's diagram: the
+    nodes the swaps left unreachable are dropped, and the live ones
+    keep their ids.
     """
     n = mgr.n
     if n < 2 or h.root < 2:
         return mgr.order
 
-    pops = [0] * n
+    widths = [0] * n
     for u in mgr.reachable(h.root):
-        pops[mgr.level(u)] += 1
-    schedule = sorted(range(n), key=lambda v: (-pops[mgr.order.position(v)], v))
+        widths[mgr.level(u)] += 1
+    schedule = sorted(range(n), key=lambda v: (-widths[mgr.order.position(v)], v))
+
+    nodes = mgr._nodes
+    paths: Dict[int, int] = {ZERO: 0, ONE: 1}  # node id -> P1, valid for the whole sift
+
+    def p1(u: int) -> int:
+        count = paths.get(u)
+        if count is None:
+            _, lo, hi = nodes[u]
+            count = paths[u] = p1(lo) + p1(hi)
+        return count
 
     root = h.root
+
+    def swap(k: int) -> None:
+        nonlocal root
+        root, widths[k], widths[k + 1] = _swap(mgr, root, k)
+
     for var in schedule:
         pos = mgr.order.position(var)
-        scores = {pos: (one_path_count(FunctionHandle(mgr, root)),
-                        node_count(FunctionHandle(mgr, root)))}
+        scores = {pos: (p1(root), sum(widths))}
         while pos < n - 1:
-            root = swap_adjacent(mgr, root, pos)
+            swap(pos)
             pos += 1
-            scores[pos] = (one_path_count(FunctionHandle(mgr, root)),
-                           node_count(FunctionHandle(mgr, root)))
+            scores[pos] = (p1(root), sum(widths))
         while pos > 0:
-            root = swap_adjacent(mgr, root, pos - 1)
+            swap(pos - 1)
             pos -= 1
             if pos not in scores:
-                scores[pos] = (one_path_count(FunctionHandle(mgr, root)),
-                               node_count(FunctionHandle(mgr, root)))
+                scores[pos] = (p1(root), sum(widths))
         best = min(scores, key=lambda p: (scores[p][0], scores[p][1], p))
         while pos < best:
-            root = swap_adjacent(mgr, root, pos)
+            swap(pos)
             pos += 1
-        h.root = root
 
     h.root = root
+    live = set(mgr.reachable(root))
+    mgr._nodes = {u: key for u, key in nodes.items() if u in live}
+    mgr._unique = {key: u for key, u in mgr._unique.items() if u in live}
     return mgr.order
 
 

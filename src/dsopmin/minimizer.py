@@ -14,7 +14,16 @@ per recursion node stays near linear in its cover:
   per cube;
 * every simplify() result is an antichain (no cube inside another, no
   duplicates), and the merge of two antichains is one again, so the
-  merge needs no containment pass of its own.
+  merge needs no containment pass of its own;
+* one call keeps a table from each binate sub-cover to its result,
+  the computed table of BDD packages (Brace, Rudell and Bryant, DAC
+  1990) applied to URP: cofactors of symmetric functions repeat
+  (F|x=0,y=1 = F|x=1,y=0), and a repeat is answered by one lookup.
+  The key is the packed int the binate counts are read from anyway,
+  with its record width and cube count, which give back the cube list
+  exactly.  Unlike a tuple of the cubes, an int holds no references,
+  so the keys give the garbage collector nothing to traverse.  The
+  table goes when the call returns.
 
 expand() raises literals toward primeness by clearing their bits, and
 irredundant() then drops cubes the rest of the cover already covers;
@@ -25,6 +34,7 @@ or as a BDD handle, whose table they then rebuild.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from . import bdd
@@ -50,32 +60,49 @@ def polarity(cubes: Sequence[Packed]) -> Tuple[int, int]:
 def select_binate(cubes: Sequence[Packed]) -> int:
     """Bit of the most-binate variable: most rows touched, then most balanced, then index.
 
-    The lowest variable index is the highest bit.  One pass packs the
-    cover into one int, a record of 2w bytes per cube: the value mask in
-    the low w bytes, the care mask in the high w.  The records' bit s
-    then recurs at a fixed period, so a variable's counts are popcounts
-    under a periodic mask.
+    The lowest variable index is the highest bit.
     """
     ones, zeros = polarity(cubes)
-    return _select_binate(cubes, ones, zeros)
-
-
-def _select_binate(cubes: Sequence[Packed], ones: int, zeros: int) -> int:
-    """select_binate(cubes), given the cover's polarity(cubes) masks."""
-    binate = ones & zeros
-    if not binate:
+    if not ones & zeros:
         raise ValueError("cover is unate; no binate variable to select")
+    return _pick(_pack(cubes, ones, zeros), ones & zeros)
+
+
+# A packed cover: (shift, cube count, records), the records int holding
+# cube i's record care << shift | value in bytes [2iw, 2(i+1)w), w = shift/8.
+Key = Tuple[int, int, int]
+
+
+def _pack(cubes: Sequence[Packed], ones: int, zeros: int) -> Key:
+    """The cover packed into one int, a record of 2w bytes per cube.
+
+    ones and zeros are the cover's polarity() masks; their OR is every
+    care bit, so w whole bytes hold any care or value mask.  The value
+    mask fills a record's low w bytes and the care mask its high w.
+    Shift and count fix the record layout, so the key gives back the
+    cube list exactly.
+    """
     w = ((ones | zeros).bit_length() + 7) // 8
     shift = 8 * w
-    packed = int.from_bytes(b"".join([(care << shift | value).to_bytes(2 * w, "little")
-                                      for care, value in cubes]), "little")
+    records = int.from_bytes(b"".join([(care << shift | value).to_bytes(2 * w, "little")
+                                       for care, value in cubes]), "little")
+    return shift, len(cubes), records
+
+
+def _pick(key: Key, binate: int) -> int:
+    """select_binate on a packed cover, given its binate variables' mask.
+
+    A record's bit s recurs at a fixed period in the packed int, so a
+    variable's counts are popcounts under a periodic mask.
+    """
+    shift, count, records = key
     period = 2 * shift
-    column = ((1 << period * len(cubes)) - 1) // ((1 << period) - 1)  # bit 0 of each record
+    column = ((1 << period * count) - 1) // ((1 << period) - 1)  # bit 0 of each record
     keys = []
     for s in range(binate.bit_length()):
         if binate >> s & 1:
-            c1 = (packed & (column << s)).bit_count()
-            c0 = (packed & (column << (s + shift))).bit_count() - c1
+            c1 = (records & (column << s)).bit_count()
+            c0 = (records & (column << (s + shift))).bit_count() - c1
             keys.append((-(c0 + c1), abs(c0 - c1), -(1 << s)))
     return -min(keys)[2]
 
@@ -157,25 +184,31 @@ def merge_with_containment(h0: Sequence[Packed], h1: Sequence[Packed], bit: int)
 def simplify(cover: Cover) -> Cover:
     """Unate recursive simplification; never grows the cube count."""
     n = cover.n
-    out = _simplify([(c.care, c.value) for c in cover])
+    out = _simplify([(c.care, c.value) for c in cover], {})
     return Cover(n, tuple(Cube(n, care, value) for care, value in out))
 
 
-def _simplify(cubes: List[Packed]) -> List[Packed]:
+def _simplify(cubes: List[Packed], done: Dict[Key, List[Packed]]) -> List[Packed]:
+    """simplify() on packed cubes; done maps each binate cover's key to its result."""
     if len(cubes) == 1:
         return cubes
     if any(not care for care, _ in cubes):
         return [(0, 0)]  # the universal cube
     ones, zeros = polarity(cubes)
-    if not ones & zeros:
+    binate = ones & zeros
+    if not binate:
         return scc(cubes)
-    bit = _select_binate(cubes, ones, zeros)
-    h0 = _simplify(cover_cofactor(cubes, bit, False))
-    h1 = _simplify(cover_cofactor(cubes, bit, True))
-    merged = merge_with_containment(h0, h1, bit)
-    if len(merged) <= len(cubes):
-        return merged
-    return scc(cubes)
+    key = _pack(cubes, ones, zeros)
+    out = done.get(key)
+    if out is None:
+        bit = _pick(key, binate)
+        h0 = _simplify(cover_cofactor(cubes, bit, False), done)
+        h1 = _simplify(cover_cofactor(cubes, bit, True), done)
+        out = merge_with_containment(h0, h1, bit)
+        if len(out) > len(cubes):
+            out = scc(cubes)
+        done[key] = out
+    return out
 
 
 Function = Union[TruthTable, FunctionHandle]
@@ -220,28 +253,56 @@ def expand(cover: Cover, f: Function) -> Cover:
     return Cover(n, tuple(out))
 
 
+# irredundant() holds every cube mask and suffix OR at once while the k
+# masks of 2^n bits each stay below this many bits (16 MiB); above it, it
+# keeps suffix ORs at block starts only.
+_ONE_PASS_BITS = 1 << 27
+
+
 def irredundant(cover: Cover, f: Function) -> Cover:
     """Drop duplicates, then greedily drop cubes the rest still cover.
 
     Cube i goes iff its mask lies inside the cubes kept before it plus
-    every cube after it.
+    every cube after it.  Each mask can take 2^n bits, so a large cover
+    runs in blocks of about sqrt(k) cubes, which bounds what it holds
+    at once by O(sqrt(k) 2^n) bits for the same result.
     """
     onset = _onset(cover, f)
     cubes = list(dict.fromkeys(cover.cubes))
-    masks = [cube_mask(c) for c in cubes]
-    suffix = [0] * (len(masks) + 1)
-    for i in range(len(masks) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    if suffix[0] != onset:
-        raise ValueError("cover does not represent the given function")
+    k = len(cubes)
+    block = max(k, 1) if k << cover.n < _ONE_PASS_BITS else math.isqrt(k - 1) + 1
+    return Cover(cover.n, tuple(_irredundant(cubes, onset, block)))
+
+
+def _irredundant(cubes: List[Cube], onset: int, block: int) -> List[Cube]:
+    """irredundant()'s greedy pass over cubes, block cubes at a time.
+
+    Only the suffix OR at each block start is kept across the pass.  A
+    block's masks and the suffix ORs inside it are rebuilt when the
+    pass reaches it; one block is the plain single pass.
+    """
+    starts = range(0, len(cubes) or 1, block)
+    tails = [0] * (len(starts) + 1)  # tails[j]: every mask from block j on
+    for j in range(len(starts) - 1, 0, -1):
+        tail = tails[j + 1]
+        for c in cubes[starts[j]:starts[j] + block]:
+            tail |= cube_mask(c)
+        tails[j] = tail
     kept: List[Cube] = []
     prefix = 0
-    for i, c in enumerate(cubes):
-        rest = prefix | suffix[i + 1]
-        if (masks[i] | rest) != rest:  # not mask & ~rest: see expand()
-            kept.append(c)
-            prefix |= masks[i]
-    return Cover(cover.n, tuple(kept))
+    for j, start in enumerate(starts):
+        masks = [cube_mask(c) for c in cubes[start:start + block]]
+        suffix = [0] * len(masks) + [tails[j + 1]]
+        for i in range(len(masks) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | masks[i]
+        if j == 0 and suffix[0] != onset:
+            raise ValueError("cover does not represent the given function")
+        for i, mask in enumerate(masks):
+            rest = prefix | suffix[i + 1]
+            if (mask | rest) != rest:  # not mask & ~rest: see expand()
+                kept.append(cubes[start + i])
+                prefix |= mask
+    return kept
 
 
 def format_expression(cover: Cover, names: Optional[Sequence[str]] = None) -> str:

@@ -12,16 +12,18 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from math import ceil
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
+from dsopmin.bdd import FunctionHandle, VariableOrder, build_from_truthtable, enumerate_one_paths
 from dsopmin.boolfn import (
     Cover,
     Cube,
     TruthTable,
     cofactor_bits,
     cube_from_text,
+    cube_mask,
     format_cube,
     truthtable_from_minterms,
     var_masks,
@@ -604,3 +606,200 @@ def ref_exact_cover(tt: TruthTable) -> Cover:
             chosen += _branch_and_bound(rows, uncovered)
     cubes = tuple(sorted((p.cube for p in chosen), key=format_cube))
     return Cover(tt.n, cubes)
+
+
+# Reference path sifting: the package's former swap_adjacent and
+# sift_paths, which rescore every candidate position by counting one-paths
+# and reachable nodes over the whole diagram and leave the nodes that
+# sifting made unreachable in the arena.  They work through the manager's
+# level/children/make, so they run on the package's BddManager.
+
+def _ref_reachable(mgr, root: int) -> List[int]:
+    """Internal nodes reachable from root, discovery order."""
+    seen: Set[int] = set()
+    out: List[int] = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        if u < 2 or u in seen:
+            continue
+        seen.add(u)
+        out.append(u)
+        lo, hi = mgr.children(u)
+        stack.append(hi)
+        stack.append(lo)
+    return out
+
+
+def _ref_node_count(h) -> int:
+    """Number of internal nodes reachable from the root; terminals excluded."""
+    return len(_ref_reachable(h.manager, h.root))
+
+
+def _ref_one_path_count(h) -> int:
+    """P1: paths from the root to terminal 1, counted bottom-up."""
+    mgr = h.manager
+    memo: Dict[int, int] = {0: 0, 1: 1}
+
+    def count(u: int) -> int:
+        if u in memo:
+            return memo[u]
+        lo, hi = mgr.children(u)
+        memo[u] = count(lo) + count(hi)
+        return memo[u]
+
+    return count(h.root)
+
+
+def ref_swap_adjacent(mgr, root: int, k: int) -> int:
+    """Exchange the variables at levels k and k+1, returning the new root.
+
+    Only levels <= k+1 are rebuilt; deeper nodes are shared untouched.
+    The manager's order is updated in place.
+    """
+    n = mgr.n
+    if not 0 <= k < n - 1:
+        raise ValueError(f"level {k} has no successor to swap with")
+    memo: Dict[int, int] = {}
+
+    def split(u: int) -> Tuple[int, int]:
+        # cofactors w.r.t. the (old) level-k+1 variable
+        if mgr.level(u) == k + 1:
+            return mgr.children(u)
+        return u, u
+
+    def rebuild(u: int) -> int:
+        lvl = mgr.level(u)
+        if u < 2 or lvl > k + 1:
+            return u
+        if u in memo:
+            return memo[u]
+        lo, hi = mgr.children(u)
+        if lvl < k:
+            r = mgr.make(lvl, rebuild(lo), rebuild(hi))
+        elif lvl == k:
+            f00, f01 = split(lo)
+            f10, f11 = split(hi)
+            r = mgr.make(k, mgr.make(k + 1, f00, f10), mgr.make(k + 1, f01, f11))
+        else:
+            # reached by a long edge: the old level-k variable is absent here
+            r = mgr.make(k, lo, hi)
+        memo[u] = r
+        return r
+
+    new_root = rebuild(root)
+    p = list(mgr.order.perm)
+    p[k], p[k + 1] = p[k + 1], p[k]
+    mgr.order = VariableOrder(tuple(p))
+    return new_root
+
+
+def ref_sift_paths(mgr, h) -> VariableOrder:
+    """Sift every variable once, scoring positions by one-path count.
+
+    Variables are processed in decreasing order of node population at
+    their starting level; each is fixed where P1 is smallest (ties:
+    fewer nodes, then the earliest position).  The manager is left in
+    the final order and the handle's root updated.
+    """
+    n = mgr.n
+    if n < 2 or h.root < 2:
+        return mgr.order
+
+    pops = [0] * n
+    for u in _ref_reachable(mgr, h.root):
+        pops[mgr.level(u)] += 1
+    schedule = sorted(range(n), key=lambda v: (-pops[mgr.order.position(v)], v))
+
+    root = h.root
+    for var in schedule:
+        pos = mgr.order.position(var)
+        scores = {pos: (_ref_one_path_count(FunctionHandle(mgr, root)),
+                        _ref_node_count(FunctionHandle(mgr, root)))}
+        while pos < n - 1:
+            root = ref_swap_adjacent(mgr, root, pos)
+            pos += 1
+            scores[pos] = (_ref_one_path_count(FunctionHandle(mgr, root)),
+                           _ref_node_count(FunctionHandle(mgr, root)))
+        while pos > 0:
+            root = ref_swap_adjacent(mgr, root, pos - 1)
+            pos -= 1
+            if pos not in scores:
+                scores[pos] = (_ref_one_path_count(FunctionHandle(mgr, root)),
+                               _ref_node_count(FunctionHandle(mgr, root)))
+        best = min(scores, key=lambda p: (scores[p][0], scores[p][1], p))
+        while pos < best:
+            root = ref_swap_adjacent(mgr, root, pos)
+            pos += 1
+        h.root = root
+
+    h.root = root
+    return mgr.order
+
+
+def ref_sift_summary(tt: TruthTable, start: Optional[VariableOrder] = None):
+    """(order, P1, reachable nodes, DSOP cube text) after ref_sift_paths from start."""
+    h = build_from_truthtable(tt, start)
+    order = ref_sift_paths(h.manager, h)
+    return (order.perm, _ref_one_path_count(h), _ref_node_count(h),
+            [format_cube(c) for c in enumerate_one_paths(h)])
+
+
+# Reference irredundant: the package's former single pass, which holds
+# every cube's table mask and every suffix OR at once.
+
+def ref_irredundant(cover: Cover, tt: TruthTable) -> Cover:
+    """Drop duplicates, then greedily drop cubes the rest still cover."""
+    if cover.n != tt.n:
+        raise ValueError("cover variable count does not match the function")
+    cubes = list(dict.fromkeys(cover.cubes))
+    masks = [cube_mask(c) for c in cubes]
+    suffix = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    if suffix[0] != tt.bits:
+        raise ValueError("cover does not represent the given function")
+    kept: List[Cube] = []
+    prefix = 0
+    for i, c in enumerate(cubes):
+        rest = prefix | suffix[i + 1]
+        if (masks[i] | rest) != rest:
+            kept.append(c)
+            prefix |= masks[i]
+    return Cover(cover.n, tuple(kept))
+
+
+# Symmetric and structured tables: their diagrams repeat subfunctions at
+# every level, so equal sub-problems recur in sifting and in URP.
+
+def table_of(n: int, pred) -> TruthTable:
+    """The table of pred over the bit list x, x[0] the most significant variable."""
+    bits = 0
+    for i in range(1 << n):
+        if pred([(i >> (n - 1 - v)) & 1 for v in range(n)]):
+            bits |= 1 << i
+    return TruthTable(n, bits)
+
+
+def _carry(x) -> bool:
+    k = len(x) // 2
+    a = int("".join(map(str, x[:k])), 2)
+    b = int("".join(map(str, x[k:2 * k])), 2)
+    return (a + b) >> k == 1
+
+
+def _mux(s: int):
+    return lambda x: x[s + int("".join(map(str, x[:s])), 2)] == 1
+
+
+def symmetric_tables(n_max: int = 10) -> List[Tuple[str, TruthTable]]:
+    """Parity, majority, carry-out and multiplexer tables up to n_max variables."""
+    out = []
+    for n in range(2, n_max + 1):
+        out.append((f"parity-{n}", table_of(n, lambda x: sum(x) % 2 == 1)))
+        out.append((f"majority-{n}", table_of(n, lambda x: 2 * sum(x) > len(x))))
+        if n % 2 == 0:
+            out.append((f"carry-{n}", table_of(n, _carry)))
+    for s in (1, 2):
+        out.append((f"mux-{s + (1 << s)}", table_of(s + (1 << s), _mux(s))))
+    return out

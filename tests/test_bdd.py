@@ -23,9 +23,10 @@ from dsopmin.boolfn import (
     format_cube,
     full_mask,
     truthtable_from_minterms,
+    var_masks,
 )
 
-from conftest import oracle_disjoint, ref_build
+from conftest import oracle_disjoint, ref_build, ref_sift_summary, symmetric_tables
 
 ORDER_ABCD = VariableOrder((0, 1, 2, 3))
 ORDER_BACD = VariableOrder((1, 0, 2, 3))
@@ -234,6 +235,122 @@ class TestSifting:
             sift_paths(h.manager, h)
             assert one_path_count(h) <= before
             assert to_truthtable(h).bits == tt.bits
+
+
+def relabel(tt, perm, flip):
+    """tt with variable v renamed perm[v], complemented where flip has its bit."""
+    n = tt.n
+    bits = 0
+    for i in tt.minterms():
+        j = 0
+        for v in range(n):
+            if (i >> (n - 1 - v)) & 1:
+                j |= 1 << (n - 1 - perm[v])
+        bits |= 1 << (j ^ flip)
+    return TruthTable(n, bits)
+
+
+def sift_tables():
+    """Seeded tables with n from 2 to 10: uniform, sparse, near-full,
+    constant, one-variable, and relabelled symmetric ones."""
+    rng = random.Random("sift-tables")
+    out = []
+    for i in range(260):
+        n = rng.randint(2, 10)
+        kind = i % 5
+        if kind == 0:
+            bits = rng.getrandbits(1 << n)
+        elif kind == 1:
+            bits = 0
+            for _ in range(rng.randint(1, 6)):
+                bits |= 1 << rng.randrange(1 << n)
+        elif kind == 2:
+            bits = full_mask(n)
+            for _ in range(rng.randint(1, 6)):
+                bits &= ~(1 << rng.randrange(1 << n))
+        elif kind == 3:
+            bits = rng.choice((0, full_mask(n)))
+        else:
+            bits = var_masks(n)[rng.randrange(n)]
+            if rng.random() < 0.5:
+                bits ^= full_mask(n)
+        out.append(TruthTable(n, bits))
+    for _name, tt in symmetric_tables():
+        perm = list(range(tt.n))
+        rng.shuffle(perm)
+        out.append(tt)
+        out.append(relabel(tt, perm, rng.getrandbits(tt.n)))
+    return out
+
+
+def sift_summary(tt, start=None):
+    """sift_paths's order, P1, node count and DSOP text, with its arena checks."""
+    h = build_from_truthtable(tt, start)
+    order = sift_paths(h.manager, h)
+    assert len(h.manager._nodes) == node_count(h)
+    assert to_truthtable(h).bits == tt.bits
+    return (order.perm, one_path_count(h), node_count(h),
+            [format_cube(c) for c in enumerate_one_paths(h)])
+
+
+class TestSiftAgainstReference:
+    """sift_paths against the former whole-diagram rescoring (conftest.ref_sift_paths)."""
+
+    def test_identity_start(self):
+        tables = sift_tables()
+        assert len(tables) >= 300
+        for tt in tables:
+            assert sift_summary(tt) == ref_sift_summary(tt), (tt.n, tt.bits)
+
+    def test_random_start(self):
+        rng = random.Random("sift-start")
+        for tt in sift_tables()[::3]:
+            perm = list(range(tt.n))
+            rng.shuffle(perm)
+            start = VariableOrder(tuple(perm))
+            assert sift_summary(tt, start) == ref_sift_summary(tt, start), (tt.n, tt.bits, perm)
+
+    def test_swap_reports_level_widths(self):
+        # after every swap, the two widths it reports are the reachable
+        # node counts at levels k and k+1
+        for tt in random_tables(40, (2, 8), seed=47):
+            h = build_from_truthtable(tt)
+            mgr, root = h.manager, h.root
+            for k in list(range(tt.n - 1)) + list(range(tt.n - 2, -1, -1)):
+                root, top, below = bdd._swap(mgr, root, k)
+                widths = [0] * tt.n
+                for u in mgr.reachable(root):
+                    widths[mgr.level(u)] += 1
+                assert (top, below) == (widths[k], widths[k + 1])
+
+    def test_reachable_walked_at_most_twice(self, monkeypatch):
+        # once for the starting widths, once to drop the dead arena; every
+        # position is scored from the P1 table and the level widths
+        calls = []
+        walk = BddManager.reachable
+
+        def counted(mgr, root):
+            calls.append(root)
+            return walk(mgr, root)
+
+        monkeypatch.setattr(BddManager, "reachable", counted)
+        tt = [t for name, t in symmetric_tables() if name == "carry-8"][0]
+        h = build_from_truthtable(relabel(tt, [3, 6, 0, 5, 1, 7, 2, 4], 0b10110010))
+        sift_paths(h.manager, h)
+        assert 1 <= len(calls) <= 2
+
+    def test_arena_holds_only_the_diagram(self):
+        # node ids survive the clean-up, so the handle's diagram is intact
+        tt = relabel([t for name, t in symmetric_tables() if name == "mux-6"][0],
+                     [5, 2, 4, 0, 3, 1], 0)
+        h = build_from_truthtable(tt)
+        sift_paths(h.manager, h)
+        mgr = h.manager
+        live = set(mgr.reachable(h.root))
+        assert set(mgr._nodes) == live
+        assert set(mgr._unique.values()) == live
+        assert all(mgr._unique[mgr._nodes[u]] == u for u in live)
+        assert mgr.build(tt).root == h.root
 
 
 class TestDot:

@@ -1,8 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from dsopmin import minimizer
 from dsopmin.bdd import VariableOrder, build_from_truthtable, enumerate_one_paths
 from dsopmin.boolfn import (
     Cover,
@@ -32,10 +34,13 @@ from conftest import (
     oracle_cover_minterms,
     oracle_minterms,
     pipeline_sop,
+    ref_irredundant,
     ref_merge,
     ref_scc,
     ref_select_binate,
     ref_simplify,
+    symmetric_tables,
+    table_of,
 )
 
 
@@ -344,6 +349,87 @@ class TestSimplify:
         assert simplify(some) == ref_simplify(some) == Cover(n, (universal_cube(n),))
 
 
+def count_calls(monkeypatch, name: str):
+    """A list that grows by one on each call of minimizer.<name>."""
+    calls = []
+    original = getattr(minimizer, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(minimizer, name, counted)
+    return calls
+
+
+def decode(key, n: int):
+    """The (care, value) list a packed-cover key stands for."""
+    shift, count, records = key
+    field = (1 << shift) - 1
+    out = []
+    for i in range(count):
+        record = records >> (2 * shift * i)
+        out.append((record >> shift & field, record & field))
+    assert all(care < 1 << n for care, _ in out)
+    return out
+
+
+def parity(n: int) -> TruthTable:
+    return table_of(n, lambda x: sum(x) % 2 == 1)
+
+
+def parity_dsop(n: int, perm=None) -> Cover:
+    return enumerate_one_paths(build_from_truthtable(parity(n), perm and VariableOrder(tuple(perm))))
+
+
+class TestSimplifyTable:
+    """simplify() does each distinct binate sub-cover once per call."""
+
+    def test_matches_reference_on_symmetric_dsops(self, monkeypatch):
+        # symmetric functions repeat cofactors (F|x=0,y=1 = F|x=1,y=0), so
+        # the table answers many sub-covers here
+        packs = count_calls(monkeypatch, "_pack")
+        picks = count_calls(monkeypatch, "_pick")
+        rng = random.Random("urp-symmetric")
+        for name, tt in symmetric_tables(8):
+            for _ in range(3):
+                perm = list(range(tt.n))
+                rng.shuffle(perm)
+                dsop = enumerate_one_paths(build_from_truthtable(tt, VariableOrder(tuple(perm))))
+                assert simplify(dsop) == ref_simplify(dsop), (name, perm)
+        assert len(packs) > len(picks) > 0  # some binate sub-covers were answered by the table
+
+    def test_key_decodes_to_cover(self):
+        # shift and count fix the record layout: the key is the cover, so
+        # equal keys mean equal sub-covers
+        rng = random.Random("urp-key")
+        for i in range(10_000):
+            n = rng.randint(1, 24)
+            cubes = random_packed(rng, n, rng.randint(0, 40))
+            if i % 7 == 0:
+                cubes.append((0, 0))  # a zero record, at the end or not
+                rng.shuffle(cubes)
+            assert decode(minimizer._pack(cubes, *polarity(cubes)), n) == cubes, (n, cubes)
+
+    def test_parity12_merges(self, monkeypatch):
+        # each cofactor of parity is parity or its complement over the rest,
+        # so each level has two distinct sub-covers, not 2^level
+        merges = count_calls(monkeypatch, "merge_with_containment")
+        dsop = parity_dsop(12, [5, 11, 0, 7, 2, 9, 4, 1, 10, 3, 8, 6])
+        assert set(simplify(dsop).cubes) == set(dsop.cubes)  # nothing merges in parity
+        assert 0 < len(merges) <= 12 ** 2
+
+    def test_table_lives_for_one_call(self, monkeypatch):
+        # a second call on the same cover does all the work again: nothing
+        # is kept between calls
+        merges = count_calls(monkeypatch, "merge_with_containment")
+        dsop = parity_dsop(8)
+        simplify(dsop)
+        first = len(merges)
+        simplify(dsop)
+        assert first > 0 and len(merges) == 2 * first
+
+
 class TestExpand:
     def test_golden_dsop(self, golden_tt):
         h = build_from_truthtable(golden_tt)
@@ -400,6 +486,43 @@ class TestIrredundant:
         h = build_from_truthtable(golden_tt)
         with pytest.raises(ValueError):
             irredundant(cover("1122"), h)
+
+
+class TestIrredundantBlocks:
+    """Past a size bound, irredundant() runs in blocks of about sqrt(k) cubes."""
+
+    def test_parity14_memory(self):
+        # 8192 minterm cubes over 2^14-bit masks: the single pass held
+        # about 33 MB of masks and suffix ORs
+        cover = parity_dsop(14)
+        tt = parity(14)
+        tracemalloc.start()
+        try:
+            got = irredundant(cover, tt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert got == ref_irredundant(cover, tt) == cover
+
+    def test_every_block_size_matches_single_pass(self):
+        # redundant covers of random functions: DSOP cubes next to their
+        # expansions, in shuffled order, under every block size
+        rng = random.Random("irredundant-blocks")
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            tt = TruthTable(n, rng.getrandbits(1 << n))
+            dsop = enumerate_one_paths(build_from_truthtable(tt))
+            cubes = list(dsop.cubes) + list(expand(dsop, tt).cubes)
+            rng.shuffle(cubes)
+            src = Cover(n, tuple(cubes))
+            want = ref_irredundant(src, tt)
+            assert irredundant(src, tt) == want
+            unique = list(dict.fromkeys(cubes))
+            for block in range(1, len(unique) + 2):
+                assert minimizer._irredundant(unique, tt.bits, block) == list(want.cubes)
+                with pytest.raises(ValueError, match="does not represent"):
+                    minimizer._irredundant(unique, tt.bits | 1 << (1 << n), block)
 
 
 class TestTableHandOff:
