@@ -9,6 +9,13 @@ Terminals live at level n so that "children strictly deeper" holds
 uniformly; long edges simply skip levels, and the skipped variables
 stay don't-care in the extracted cubes.
 
+split_levels is the one top-down split of a truth table: one level at
+a time, each distinct subtable cofactored once.  A rule picks each
+level's variable; the entropy ordering passes its greedy rule, and a
+fixed order is the rule "the place of perm[level]".  build_levels makes
+the nodes from those splits, so the pipeline's entropy mode orders and
+builds from one descent.
+
 Path sifting reorders by adjacent swaps that build new nodes and never
 change an old one, so during a sift a node id's one-path count holds
 for good, and a swap reports the two level widths it changed.  After
@@ -18,7 +25,7 @@ sift_paths the manager holds only the sifted function's diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .boolfn import (
     Cover,
@@ -96,29 +103,25 @@ class BddManager:
         """Build the canonical BDD of tt under the manager's current order."""
         if tt.n != self.n:
             raise ValueError("table variable count does not match manager")
-        n = self.n
         perm = self.order.perm
-        # The subtable at a level ranges over the variables perm[level:]
-        # in ascending index order; split[level] is perm[level]'s place.
-        split = [sorted(perm[level:]).index(perm[level]) for level in range(n)]
-        fulls = [full_mask(n - level) for level in range(n + 1)]
-        memo: Dict[Tuple[int, int], int] = {}
+        return self.build_levels(split_levels(tt, lambda level, rest, _: rest.index(perm[level])))
 
-        def node(level: int, bits: int) -> int:
-            if bits == 0:
-                return ZERO
-            if bits == fulls[level]:
-                return ONE
-            key = (level, bits)
-            u = memo.get(key)
+    def build_levels(self, levels: "Levels") -> "FunctionHandle":
+        """Make the nodes of a split table, lo first in post order from the root."""
+        if levels.order != self.order:
+            raise ValueError("split order does not match manager")
+        ids: List[List[Optional[int]]] = [[None] * len(kids) for kids in levels.kids]
+
+        def node(level: int, ref: int) -> int:
+            if ref < 2:
+                return ref
+            u = ids[level][ref - 2]
             if u is None:
-                width, var = n - level, split[level]
-                lo = node(level + 1, cofactor_bits(bits, width, var, False))
-                hi = node(level + 1, cofactor_bits(bits, width, var, True))
-                u = memo[key] = self.make(level, lo, hi)
+                lo, hi = levels.kids[level][ref - 2]
+                u = ids[level][ref - 2] = self.make(level, node(level + 1, lo), node(level + 1, hi))
             return u
 
-        return FunctionHandle(self, node(0, tt.bits))
+        return FunctionHandle(self, node(0, levels.root))
 
     def reachable(self, root: int) -> List[int]:
         """Internal nodes reachable from root, discovery order."""
@@ -143,6 +146,62 @@ class FunctionHandle:
 
     manager: BddManager
     root: int
+
+
+class Levels:
+    """A truth table split top down into its distinct subfunctions.
+
+    kids[level][i] is the (lo, hi) pair of the i-th distinct non-constant
+    subtable at that level, as references: 0 and 1 are the constants and
+    i + 2 is the i-th subtable one level down.  root refers to the table.
+    """
+
+    # a plain class: making a NamedTuple or dataclass costs 0.1-0.6 ms at import
+    __slots__ = ("order", "root", "kids")
+
+    def __init__(self, order: VariableOrder, root: int, kids: Tuple[List[Tuple[int, int]], ...]):
+        self.order, self.root, self.kids = order, root, kids
+
+
+def split_levels(tt: TruthTable, rule: Callable[[int, List[int], Dict[int, int]], int]) -> Levels:
+    """Split tt one level at a time, each distinct subtable once.
+
+    Every subtable at a level ranges over the same remaining variables,
+    ascending, so a level is held as the count of each distinct
+    non-constant subtable's raw bits, the sharing a BDD makes of equal
+    subfunctions.  The rule sees the level, the remaining variables and
+    those counts, and returns the place of the variable to split on.
+    Each distinct subtable is cofactored once, and its count is added
+    to each child's; constant children are terminals.  At most two
+    levels' tables are held at once; the levels above keep only their
+    children's references.
+    """
+    n = tt.n
+    below: Dict[int, int] = {}  # the next level: distinct subtable -> count
+    index: Dict[int, int] = {}  # the next level: distinct subtable -> reference
+
+    def refer(bits: int, count: int, full: int) -> int:
+        if bits == 0 or bits == full:
+            return ONE if bits else ZERO
+        ref = index.setdefault(bits, len(index) + 2)
+        below[bits] = below.get(bits, 0) + count
+        return ref
+
+    root = refer(tt.bits, 1, full_mask(n))
+    remaining = list(range(n))
+    perm: List[int] = []
+    kids: List[List[Tuple[int, int]]] = []
+    for level in range(n):
+        # refer fills the fresh dicts bound here, one level down
+        tables, below, index = below, {}, {}
+        width = n - level
+        place = rule(level, remaining, tables)
+        perm.append(remaining.pop(place))
+        full = full_mask(width - 1)
+        kids.append([(refer(cofactor_bits(bits, width, place, False), count, full),
+                      refer(cofactor_bits(bits, width, place, True), count, full))
+                     for bits, count in tables.items()])
+    return Levels(VariableOrder(tuple(perm)), root, tuple(kids))
 
 
 def build_from_truthtable(tt: TruthTable, order: Optional[VariableOrder] = None) -> FunctionHandle:

@@ -91,9 +91,6 @@ class TruthTable:
             if (self.bits >> i) & 1:
                 yield i
 
-    def on_count(self) -> int:
-        return self.bits.bit_count()
-
     @property
     def is_constant(self) -> bool:
         return self.bits == 0 or self.bits.bit_count() == 1 << self.n
@@ -217,7 +214,11 @@ def cofactor_bits(bits: int, n: int, var: int, val: bool) -> int:
 
 
 def truthtable_cofactor(tt: TruthTable, var: int, val: bool) -> TruthTable:
-    """Restrict var to val; the result ranges over the remaining n-1 variables."""
+    """Restrict var to val; the result ranges over the remaining n-1 variables.
+
+    Kept as documented API for the paper's subtables (f with x = v); the
+    pipeline splits raw bits with cofactor_bits in bdd.split_levels.
+    """
     if not 0 <= var < tt.n:
         raise ValueError(f"variable index {var} out of range for n={tt.n}")
     if tt.n == 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bdd, minimizer, qm
-from .bdd import VariableOrder, build_from_truthtable
+from .bdd import VariableOrder
 from .boolfn import (
     MAX_TABLE_VARS,
     Cover,
@@ -29,7 +29,7 @@ from .boolfn import (
     truthtable_from_minterms,
 )
 from .minimizer import default_names, format_expression
-from .ordering import entropy_order
+from .ordering import entropy_levels
 
 REPORT_SCHEMA = "dsopmin-report/1"
 
@@ -171,17 +171,21 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
         if cfg.record_timings:
             timings[stage] = (time.perf_counter() - start) * 1000.0
 
+    # in entropy mode the ordering's descent is the BDD's: its nodes are
+    # made from the ordering's splits instead of cofactoring the table again
     t = time.perf_counter()
     if cfg.ordering == "entropy":
-        order = entropy_order(tt)
+        levels = entropy_levels(tt)
     elif cfg.ordering in ("given", "sift"):
-        order = VariableOrder.identity(tt.n)
+        levels = None
     else:
         raise ValueError(f"unknown ordering mode {cfg.ordering!r}")
+    order = VariableOrder.identity(tt.n) if levels is None else levels.order
     clock("order", t)
 
     t = time.perf_counter()
-    h = build_from_truthtable(tt, order)
+    mgr = bdd.BddManager(tt.n, order)
+    h = mgr.build(tt) if levels is None else mgr.build_levels(levels)
     if cfg.ordering == "sift":
         order = bdd.sift_paths(h.manager, h)
     nodes = bdd.node_count(h)

@@ -4,18 +4,18 @@ A variable's score is the average cofactor entropy E(x) over the
 current subtables; the greedy pass repeatedly picks the variable with
 the smallest score (largest information gain), splits every subtable
 on it, and recurses.  Ties break toward the lowest variable index.
-Equal subtables score and split alike, so a level is held as its
-distinct subtables with their counts, and each is worked on once.
+The pass is bdd.split_levels with the entropy score as its rule, the
+same descent the BDD is built from: a level is held as its distinct
+subtables with their counts, and each is scored and split once.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import List
+from typing import Dict, List
 
-from .bdd import VariableOrder
-from .boolfn import TruthTable, cofactor_bits, var_masks
+from .bdd import Levels, VariableOrder, split_levels
+from .boolfn import TruthTable, var_masks
 
 # Scores are irrational in general; comparisons use this slack.
 _EPS = 1e-9
@@ -28,7 +28,11 @@ def _h(p: float) -> float:
 
 
 def cofactor_entropy(tt: TruthTable, var: int, val: bool) -> float:
-    """I(var, val): entropy of the ON fraction of the cofactor."""
+    """I(var, val): entropy of the ON fraction of the cofactor.
+
+    The paper's I(x, v) on one table, kept as documented API; the
+    ordering itself scores from ON counts with _split_entropy.
+    """
     if not 0 <= var < tt.n:
         raise ValueError(f"variable index {var} out of range for n={tt.n}")
     pos = var_masks(tt.n)[var]
@@ -42,57 +46,45 @@ def _split_entropy(on: int, on1: int, half: int) -> float:
 
 
 def variable_entropy(tt: TruthTable, var: int) -> float:
-    """E(var) = (I(var,0) + I(var,1)) / 2."""
+    """E(var) = (I(var,0) + I(var,1)) / 2.
+
+    The paper's E(x) on one table, kept as documented API; the ordering
+    weights it by count over a level's distinct subtables.
+    """
     if not 0 <= var < tt.n:
         raise ValueError(f"variable index {var} out of range for n={tt.n}")
     on1 = (tt.bits & var_masks(tt.n)[var]).bit_count()
     return _split_entropy(tt.bits.bit_count(), on1, 1 << (tt.n - 1))
 
 
-def entropy_order(tt: TruthTable) -> VariableOrder:
-    """Greedy recursive selection of the minimum-average-entropy variable.
+def _entropy_place(level: int, remaining: List[int], tables: Dict[int, int]) -> int:
+    """The place in remaining of the minimum-average-entropy variable.
 
-    Every subtable at a level ranges over the same remaining variables,
-    so a level is one list of variables plus a count of each distinct
-    subtable's raw bits, the sharing a BDD makes of equal subfunctions.
-    A distinct subtable is scored and split once, its score weighted by
-    its count and its count added to each child's.  Constant
-    subtables score 0 and split into constants, so they are dropped; the
-    divisor still counts all 2^level subtables.
+    A distinct subtable is scored once, its score weighted by its count;
+    constant subtables score 0 and are not in tables, but the divisor
+    still counts all 2^level subtables.
     """
-    n = tt.n
-    subtables: Counter[int] = Counter() if tt.is_constant else Counter({tt.bits: 1})
-    remaining = list(range(n))  # the subtables' variables, ascending
-    chosen: List[int] = []
-    level = 0
+    width = len(remaining)
+    masks = var_masks(width)
+    half = 1 << (width - 1)
+    rows = [(st, st.bit_count(), count) for st, count in tables.items()]
+    best_j, best_score = 0, math.inf
+    for j in range(width):
+        pos = masks[j]
+        total = 0.0
+        for st, on, count in rows:
+            total += count * _split_entropy(on, (st & pos).bit_count(), half)
+        score = total / (1 << level)
+        if score < best_score - _EPS:
+            best_j, best_score = j, score
+    return best_j
 
-    while remaining:
-        width = n - level
-        masks = var_masks(width)
-        half = 1 << (width - 1)
-        rows = [(st, st.bit_count(), count) for st, count in subtables.items()]
-        best_j = None
-        best_score = math.inf
-        for j in range(len(remaining)):
-            pos = masks[j]
-            total = 0.0
-            for st, on, count in rows:
-                total += count * _split_entropy(on, (st & pos).bit_count(), half)
-            score = total / (1 << level)
-            if score < best_score - _EPS:
-                best_j = j
-                best_score = score
-        assert best_j is not None
-        chosen.append(remaining.pop(best_j))
-        level += 1
 
-        if remaining:
-            split: Counter[int] = Counter()
-            for st, count in subtables.items():
-                for val in (False, True):
-                    sub = cofactor_bits(st, width, best_j, val)
-                    if sub and sub.bit_count() != half:
-                        split[sub] += count
-            subtables = split
+def entropy_levels(tt: TruthTable) -> Levels:
+    """The greedy entropy descent of tt: its order and every level's splits."""
+    return split_levels(tt, _entropy_place)
 
-    return VariableOrder(tuple(chosen))
+
+def entropy_order(tt: TruthTable) -> VariableOrder:
+    """Greedy recursive selection of the minimum-average-entropy variable."""
+    return entropy_levels(tt).order

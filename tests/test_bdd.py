@@ -25,6 +25,7 @@ from dsopmin.boolfn import (
     truthtable_from_minterms,
     var_masks,
 )
+from dsopmin.ordering import entropy_levels, entropy_order
 
 from conftest import oracle_disjoint, ref_build, ref_sift_summary, symmetric_tables
 
@@ -114,6 +115,41 @@ class TestBuild:
             nodes, ref_root = ref_build(bits, n, perm)
             assert mgr._nodes == nodes
             assert root == ref_root
+
+    def test_levels_match_build(self):
+        # the ordering's splits, made into nodes, are the BDD that building
+        # from the table under the entropy order gives, ids included
+        rng = random.Random("build-levels")
+        for i in range(200):
+            n = 1 + i % 12
+            kind = i % 5
+            if kind == 0:
+                bits = rng.getrandbits(1 << n)
+            elif kind == 1:  # an OR of a few cubes
+                bits = 0
+                for _ in range(rng.randint(1, 4)):
+                    cube = "".join(rng.choice("012") for _ in range(n))
+                    bits |= cube_mask(cube_from_text(cube, n))
+            elif kind == 2:  # the constants
+                bits = full_mask(n) if i % 2 else 0
+            elif kind == 3:  # parity
+                bits = sum(1 << m for m in range(1 << n) if bin(m).count("1") % 2)
+            else:  # dense with a few holes
+                bits = full_mask(n)
+                for _ in range(rng.randint(1, 5)):
+                    bits &= ~(1 << rng.randrange(1 << n))
+            tt = TruthTable(n, bits)
+            levels = entropy_levels(tt)
+            mgr = BddManager(n, levels.order)
+            h = mgr.build_levels(levels)
+            want = build_from_truthtable(tt, entropy_order(tt))
+            assert (mgr._nodes, h.root) == (want.manager._nodes, want.root), (n, hex(bits))
+            assert (mgr._nodes, h.root) == ref_build(bits, n, levels.order.perm)
+
+    def test_levels_under_another_order(self, golden_tt):
+        levels = entropy_levels(golden_tt)
+        with pytest.raises(ValueError):
+            BddManager(4, ORDER_ABCD).build_levels(levels)
 
 
 class TestOnePaths:

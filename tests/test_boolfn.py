@@ -153,7 +153,7 @@ class TestTruthTable:
     def test_golden_table(self, golden_tt):
         assert golden_tt.value(1) and golden_tt.value(13)
         assert not golden_tt.value(0) and not golden_tt.value(2)
-        assert golden_tt.on_count() == 8
+        assert golden_tt.bits.bit_count() == 8
 
     def test_msb_convention(self):
         # minterm 5 with n=4 is a'bc'd
@@ -202,7 +202,7 @@ class TestTruthTable:
     @pytest.mark.parametrize("n", [1, 3, 24])
     def test_bits_bound(self, n):
         size = 1 << n
-        assert TruthTable(n, (1 << size) - 1).on_count() == size
+        assert TruthTable(n, (1 << size) - 1).bits.bit_count() == size
         assert TruthTable(n, 1 << (size - 1)).value(size - 1)
         with pytest.raises(ValueError):
             TruthTable(n, 1 << size)

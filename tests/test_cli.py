@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsopmin.boolfn import TruthTable, truthtable_from_minterms
+from dsopmin.boolfn import TruthTable, cofactor_bits, truthtable_from_minterms
 from dsopmin.cli import (
     PipelineConfig,
     PlaError,
@@ -46,6 +46,24 @@ def sparse_pla(n: int, literals, seed: str):
     cubes = [random_cube(rng, n, k) for k in literals]
     pla = "\n".join([f".i {n}", ".o 1"] + [f"{c} 1" for c in cubes] + [".e"])
     return parse_pla(pla)[0], cubes
+
+
+def distinct_subtables(tt: TruthTable, perm) -> int:
+    """The distinct non-constant subtables of tt, summed over the levels
+    of perm, found by sorting every minterm into its subtable."""
+    n = tt.n
+    total = 0
+    for level in range(n):
+        fixed, rest = perm[:level], sorted(perm[level:])
+        subtables = {}
+        for m in range(1 << n):
+            x = [(m >> (n - 1 - v)) & 1 for v in range(n)]
+            key = tuple(x[v] for v in fixed)
+            j = int("".join(str(x[v]) for v in rest), 2)
+            subtables[key] = subtables.get(key, 0) | ((tt.bits >> m) & 1) << j
+        full = (1 << (1 << len(rest))) - 1
+        total += len({bits for bits in subtables.values() if bits not in (0, full)})
+    return total
 
 
 @st.composite
@@ -160,6 +178,29 @@ class TestRunPipeline:
         assert report.dsop_cubes == 0
         assert report.sop_cubes == 0
         assert outputs["sop"].cubes == ()
+
+    def test_one_split_per_distinct_subtable(self, golden_tt, monkeypatch):
+        # in entropy mode the ordering and the BDD share one descent: each
+        # distinct non-constant subtable of each level is cofactored once on
+        # each side, whichever module asks
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return cofactor_bits(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "dsopmin" and getattr(module, "cofactor_bits", None) is cofactor_bits:
+                monkeypatch.setattr(module, "cofactor_bits", counting)
+        rng = random.Random("one-descent")
+        tables = [golden_tt, TruthTable(10, rng.getrandbits(1 << 10)),
+                  sparse_pla(10, (2, 3, 3, 4), "one-descent/sparse")[0],
+                  TruthTable(8, sum(1 << m for m in range(256) if bin(m).count("1") % 2)),  # parity
+                  TruthTable(5, 0), TruthTable(5, (1 << 32) - 1)]
+        for tt in tables:
+            calls.clear()
+            report, _ = run_pipeline(tt, PipelineConfig())
+            assert len(calls) == 2 * distinct_subtables(tt, report.order), tt
 
     def test_oracle(self, golden_tt):
         report, _ = run_pipeline(golden_tt, PipelineConfig(oracle=True))

@@ -74,20 +74,29 @@ RECORDED_WIDE_ORDERS = (
     (18, 11, 19, 10, 16, 9, 5, 15, 13, 0, 2, 4, 14, 3, 6, 7, 8, 1, 12, 17),
     (20, 3, 0, 15, 10, 5, 1, 17, 2, 8, 11, 21, 18, 7, 14, 12, 9, 6, 4, 19, 13, 16),
     (5, 8, 2, 6, 1, 12, 4, 3, 10, 0, 7, 11, 13, 9),
+    # recorded with the separate ordering loop that preceded the shared
+    # descent in bdd.split_levels
+    (23, 20, 9, 2, 22, 10, 19, 11, 15, 4, 21, 13, 3, 6, 0, 8, 16, 1, 7, 12, 18, 5, 14, 17),
 )
 
 
 def wide_tables():
     """Seeded sparse PLAs of the benchmark's wide-pla shape (4 three-literal
-    and 8 four-literal cubes) at n = 18, 20 and 22, then one uniform n=14
-    table.  A wide level holds many copies of few distinct subtables."""
+    and 8 four-literal cubes) at n = 18, 20 and 22, one uniform n=14 table,
+    then one such PLA at the table cap, n=24.  A wide level holds many
+    copies of few distinct subtables."""
     rng = random.Random("entropy-order/wide")
-    for n in (18, 20, 22):
+
+    def wide_pla(n):
         bits = 0
         for k in (3,) * 4 + (4,) * 8:
             bits |= cube_mask(cube_from_text(random_cube(rng, n, k), n))
-        yield TruthTable(n, bits)
+        return TruthTable(n, bits)
+
+    for n in (18, 20, 22):
+        yield wide_pla(n)
     yield TruthTable(14, rng.getrandbits(1 << 14))
+    yield wide_pla(24)
 
 
 def _table(n: int, f) -> TruthTable:
