@@ -16,10 +16,10 @@ fixed order is the rule "the place of perm[level]".  build_levels makes
 the nodes from those splits, so the pipeline's entropy mode orders and
 builds from one descent.
 
-Path sifting reorders by adjacent swaps that build new nodes and never
-change an old one, so during a sift a node id's one-path count holds
-for good, and a swap reports the two level widths it changed.  After
-sift_paths the manager holds only the sifted function's diagram.
+Path sifting reorders by in-place adjacent swaps that touch only the
+two levels they exchange: every node keeps its id and its function,
+and a node a swap orphans is dropped at once.  After sift_paths the
+manager holds only the sifted function's diagram.
 """
 
 from __future__ import annotations
@@ -281,69 +281,149 @@ def to_truthtable(h: FunctionHandle) -> TruthTable:
 
 
 def swap_adjacent(mgr: BddManager, root: int, k: int) -> int:
-    """Exchange the variables at levels k and k+1, returning the new root.
+    """Exchange the variables at levels k and k+1 in place, returning root.
 
-    Only levels <= k+1 are rebuilt; deeper nodes are shared untouched.
-    The manager's order is updated in place.
+    The swap is sift_paths's: every node keeps its id and its function,
+    so the root id does not change.  The manager is cut to root's
+    diagram first, and its order is updated.
     """
-    return _swap(mgr, root, k)[0]
-
-
-def _swap(mgr: BddManager, root: int, k: int) -> Tuple[int, int, int]:
-    """swap_adjacent, plus the new diagram's node counts at levels k and k+1.
-
-    Every node that the swap leaves at level k or k+1 comes out of the
-    rebuild of an old level-k node, or of an old level-k+1 node reached
-    by a long edge, so collecting those results counts both levels.
-    Every other level keeps its count: its nodes are the distinct
-    subfunctions under the same set of variables above it.
-    """
-    n = mgr.n
-    if not 0 <= k < n - 1:
+    if not 0 <= k < mgr.n - 1:
         raise ValueError(f"level {k} has no successor to swap with")
-    nodes, make = mgr._nodes, mgr.make
-    memo: Dict[int, int] = {ZERO: ZERO, ONE: ONE}
-    top: set[int] = set()    # the new level-k nodes
-    below: set[int] = set()  # the new level-(k+1) nodes
+    levels = _LevelSets(mgr, root)
+    levels.swap(k)
+    mgr.order = VariableOrder(tuple(levels.perm))
+    return root
 
-    def split(u: int) -> Tuple[int, int]:
-        # cofactors w.r.t. the (old) level-k+1 variable
-        if u >= 2 and nodes[u][0] == k + 1:
-            return nodes[u][1], nodes[u][2]
-        return u, u
 
-    def rebuild(u: int) -> int:
-        r = memo.get(u)
-        if r is not None:
-            return r
-        lvl, lo, hi = nodes[u]
-        if lvl > k + 1:
-            r = u
-        elif lvl < k:
-            r = make(lvl, rebuild(lo), rebuild(hi))
-        else:
-            if lvl == k:
-                f00, f01 = split(lo)
-                f10, f11 = split(hi)
-                r0, r1 = make(k + 1, f00, f10), make(k + 1, f01, f11)
-                if r0 >= 2 and nodes[r0][0] == k + 1:
-                    below.add(r0)
-                if r1 >= 2 and nodes[r1][0] == k + 1:
-                    below.add(r1)
-                r = make(k, r0, r1)
+class _LevelSets:
+    """One diagram held as per-level node sets, for in-place swaps.
+
+    The arena is cut to root's diagram once, at the start; from then on
+    it equals the live diagram, since a swap drops the nodes it orphans.
+    ref counts a node's parents (the root one more), down is its count
+    of paths to 1, and paths is its count of root paths: into it above
+    the cut, and entering it across the cut at or below it.  P1 is the
+    sum, below the cut, of paths times down, so down is kept only there
+    and is made as the cut moves up.
+    """
+
+    def __init__(self, mgr: BddManager, root: int):
+        live = mgr.reachable(root)
+        if len(live) != len(mgr._nodes):
+            mgr._nodes = {u: mgr._nodes[u] for u in live}
+            mgr._unique = {key: u for u, key in mgr._nodes.items()}
+        nodes = mgr._nodes
+        self.mgr, self.perm = mgr, list(mgr.order.perm)
+        self.levels: List[set[int]] = [set() for _ in range(mgr.n)]
+        self.ref = dict.fromkeys([ZERO, ONE, *live], 0)
+        self.ref[root] += 1
+        for u in live:
+            level, lo, hi = nodes[u]
+            self.levels[level].add(u)
+            self.ref[lo] += 1
+            self.ref[hi] += 1
+        self.paths = dict.fromkeys(self.ref, 0)
+        self.paths[root] = 1
+        self.down = {ZERO: 0, ONE: 1}
+        self.cut = 0
+        # with the cut under every level, P1 is the root paths into 1
+        self.move_cut(mgr.n)
+        self.p1, self.size = self.paths[ONE], len(live)
+
+    def move_cut(self, k: int) -> None:
+        """Put the cut above level k; each level it passes costs its width."""
+        nodes, paths, down = self.mgr._nodes, self.paths, self.down
+        while self.cut < k:
+            for u in self.levels[self.cut]:
+                _, lo, hi = nodes[u]
+                paths[lo] += paths[u]
+                paths[hi] += paths[u]
+            self.cut += 1
+        while self.cut > k:
+            self.cut -= 1
+            for u in self.levels[self.cut]:
+                _, lo, hi = nodes[u]
+                paths[lo] -= paths[u]
+                paths[hi] -= paths[u]
+                down[u] = down[lo] + down[hi]
+
+    def swap(self, k: int) -> None:
+        """Rudell's swap of levels k and k+1 (ICCAD 1993).
+
+        Level-(k+1) nodes move up.  Level-k nodes without a level-(k+1)
+        child move down; the others keep their id and get new level-(k+1)
+        children.  P1 changes by paths times the change of down over
+        those rewritten nodes, the only ones whose down changes.
+        """
+        self.move_cut(k)
+        mgr, nodes, unique = self.mgr, self.mgr._nodes, self.mgr._unique
+        ref, down, paths = self.ref, self.down, self.paths
+        upper, lower = self.levels[k], self.levels[k + 1]
+        # every old level-(k+1) key goes first: a node moving down takes
+        # the key of one of them with the same children
+        for v in lower:
+            del unique[nodes[v]]
+        below: set[int] = set()
+        rewrite = []
+        for u in upper:
+            key = nodes[u]
+            del unique[key]
+            _, lo, hi = key
+            if lo in lower or hi in lower:
+                rewrite.append(u)
             else:
-                # reached by a long edge: the old level-k variable is absent here
-                r = make(k, lo, hi)
-            if nodes[r][0] == k:
-                top.add(r)
-        memo[u] = r
-        return r
+                key = nodes[u] = (k + 1, lo, hi)
+                unique[key] = u
+                below.add(u)
+        for v in lower:
+            _, lo, hi = nodes[v]
+            key = nodes[v] = (k, lo, hi)
+            unique[key] = v
 
-    new_root = rebuild(root)
-    p = list(mgr.order.perm)
-    p[k], p[k + 1] = p[k + 1], p[k]
-    mgr.order = VariableOrder(tuple(p))
-    return new_root, len(top), len(below)
+        def make(lo: int, hi: int) -> int:
+            if lo == hi:
+                return lo
+            key = (k + 1, lo, hi)
+            v = unique.get(key)
+            if v is None:
+                v = mgr._next_id
+                mgr._next_id += 1
+                nodes[v], unique[key] = key, v
+                ref[v], paths[v], down[v] = 0, 0, down[lo] + down[hi]
+                ref[lo] += 1
+                ref[hi] += 1
+                below.add(v)
+            return v
+
+        delta = 0
+        for u in rewrite:
+            _, lo, hi = nodes[u]
+            f00, f01 = nodes[lo][1:] if lo in lower else (lo, lo)
+            f10, f11 = nodes[hi][1:] if hi in lower else (hi, hi)
+            r0, r1 = make(f00, f10), make(f01, f11)
+            key = nodes[u] = (k, r0, r1)
+            unique[key] = u
+            ref[r0] += 1
+            ref[r1] += 1
+            ref[lo] -= 1
+            ref[hi] -= 1
+            count = down[r0] + down[r1]
+            delta += paths[u] * (count - down[u])
+            down[u] = count
+        top = set(rewrite)
+        for v in lower:
+            if ref[v]:
+                top.add(v)
+                continue
+            # orphaned; its children are the new nodes' children, so they live on
+            _, lo, hi = key = nodes.pop(v)
+            del unique[key], ref[v], down[v], paths[v]
+            ref[lo] -= 1
+            ref[hi] -= 1
+        self.size += len(top) + len(below) - len(upper) - len(lower)
+        self.levels[k], self.levels[k + 1] = top, below
+        self.p1 += delta
+        self.perm[k], self.perm[k + 1] = self.perm[k + 1], self.perm[k]
 
 
 def sift_paths(mgr: BddManager, h: FunctionHandle) -> VariableOrder:
@@ -352,63 +432,38 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> VariableOrder:
     Variables are processed in decreasing order of node population at
     their starting level; each is fixed where P1 is smallest (ties:
     fewer nodes, then the earliest position).  The manager is left in
-    the final order and the handle's root updated.
+    the final order, holding only h's diagram; h's root keeps its id.
 
-    No position is scored by a walk over the whole diagram.  During the
-    sift the arena only grows and a node's lo/hi never change, so one
-    table of P1 per node id serves every swap, and each swap counts
-    only the nodes it made.  The node count is the sum of per-level
-    widths, of which a swap changes just the two it exchanges (Rudell,
-    ICCAD 1993).  At the end the arena is cut to h's diagram: the
-    nodes the swaps left unreachable are dropped, and the live ones
-    keep their ids.
+    No position is scored by a walk over the whole diagram.  Swaps are
+    in place and touch only the two levels they exchange (Rudell, ICCAD
+    1993).  P1 is kept as a running total that a swap changes by the
+    rewritten nodes' share, and the node count as per-level widths.
     """
     n = mgr.n
     if n < 2 or h.root < 2:
         return mgr.order
 
-    widths = [0] * n
-    for u in mgr.reachable(h.root):
-        widths[mgr.level(u)] += 1
-    schedule = sorted(range(n), key=lambda v: (-widths[mgr.order.position(v)], v))
-
-    nodes = mgr._nodes
-    paths: Dict[int, int] = {ZERO: 0, ONE: 1}  # node id -> P1, valid for the whole sift
-
-    def p1(u: int) -> int:
-        count = paths.get(u)
-        if count is None:
-            _, lo, hi = nodes[u]
-            count = paths[u] = p1(lo) + p1(hi)
-        return count
-
-    root = h.root
-
-    def swap(k: int) -> None:
-        nonlocal root
-        root, widths[k], widths[k + 1] = _swap(mgr, root, k)
-
+    levels = _LevelSets(mgr, h.root)
+    perm = levels.perm
+    schedule = sorted(range(n), key=lambda v: (-len(levels.levels[perm.index(v)]), v))
     for var in schedule:
-        pos = mgr.order.position(var)
-        scores = {pos: (p1(root), sum(widths))}
+        pos = perm.index(var)
+        scores = {pos: (levels.p1, levels.size)}
         while pos < n - 1:
-            swap(pos)
+            levels.swap(pos)
             pos += 1
-            scores[pos] = (p1(root), sum(widths))
+            scores[pos] = (levels.p1, levels.size)
         while pos > 0:
-            swap(pos - 1)
+            levels.swap(pos - 1)
             pos -= 1
             if pos not in scores:
-                scores[pos] = (p1(root), sum(widths))
+                scores[pos] = (levels.p1, levels.size)
         best = min(scores, key=lambda p: (scores[p][0], scores[p][1], p))
         while pos < best:
-            swap(pos)
+            levels.swap(pos)
             pos += 1
 
-    h.root = root
-    live = set(mgr.reachable(root))
-    mgr._nodes = {u: key for u, key in nodes.items() if u in live}
-    mgr._unique = {key: u for key, u in mgr._unique.items() if u in live}
+    mgr.order = VariableOrder(tuple(perm))
     return mgr.order
 
 

@@ -27,7 +27,7 @@ from dsopmin.boolfn import (
 )
 from dsopmin.ordering import entropy_levels, entropy_order
 
-from conftest import oracle_disjoint, ref_build, ref_sift_summary, symmetric_tables
+from conftest import oracle_disjoint, random_cube, ref_build, ref_sift_summary, symmetric_tables
 
 ORDER_ABCD = VariableOrder((0, 1, 2, 3))
 ORDER_BACD = VariableOrder((1, 0, 2, 3))
@@ -243,6 +243,27 @@ class TestSwap:
         swap_adjacent(h.manager, h.root, 0)
         assert h.manager.order.perm == (1, 0, 2, 3)
 
+    def test_swap_work_follows_two_levels(self):
+        # a swap makes at most two nodes per old level-k node, every node
+        # keeps its function, and the running P1 and node count match walks
+        for tt in random_tables(40, (2, 8), seed=53):
+            h = build_from_truthtable(tt)
+            mgr = h.manager
+            levels = bdd._LevelSets(mgr, h.root)
+            for k in list(range(tt.n - 1)) + list(range(tt.n - 2, -1, -1)):
+                upper = set(levels.levels[k])
+                tables = {u: to_truthtable(bdd.FunctionHandle(mgr, u)).bits for u in mgr._nodes}
+                made = mgr._next_id
+                levels.swap(k)
+                mgr.order = VariableOrder(tuple(levels.perm))
+                assert mgr._next_id - made <= 2 * len(upper)
+                assert upper <= set(mgr._nodes)
+                for u in set(tables) & set(mgr._nodes):
+                    assert to_truthtable(bdd.FunctionHandle(mgr, u)).bits == tables[u]
+                assert to_truthtable(h).bits == tt.bits
+                assert (levels.p1, levels.size) == (one_path_count(h), node_count(h))
+                assert len(mgr._nodes) == levels.size
+
 
 class TestSifting:
     def test_golden_reaches_minimum(self, golden_tt):
@@ -352,16 +373,18 @@ class TestSiftAgainstReference:
         for tt in random_tables(40, (2, 8), seed=47):
             h = build_from_truthtable(tt)
             mgr, root = h.manager, h.root
+            levels = bdd._LevelSets(mgr, root)
             for k in list(range(tt.n - 1)) + list(range(tt.n - 2, -1, -1)):
-                root, top, below = bdd._swap(mgr, root, k)
+                levels.swap(k)
+                top, below = len(levels.levels[k]), len(levels.levels[k + 1])
                 widths = [0] * tt.n
                 for u in mgr.reachable(root):
                     widths[mgr.level(u)] += 1
                 assert (top, below) == (widths[k], widths[k + 1])
 
-    def test_reachable_walked_at_most_twice(self, monkeypatch):
-        # once for the starting widths, once to drop the dead arena; every
-        # position is scored from the P1 table and the level widths
+    def test_reachable_walked_once(self, monkeypatch):
+        # once, for the starting level sets; every position is scored from
+        # the running P1 and the level widths, and no dead arena is left
         calls = []
         walk = BddManager.reachable
 
@@ -373,13 +396,25 @@ class TestSiftAgainstReference:
         tt = [t for name, t in symmetric_tables() if name == "carry-8"][0]
         h = build_from_truthtable(relabel(tt, [3, 6, 0, 5, 1, 7, 2, 4], 0b10110010))
         sift_paths(h.manager, h)
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
+
+    def test_sparse_pla(self):
+        # 12 random cubes of 3-4 literals at n=15, the wide-pla shape: a
+        # longer sift, with wider levels, than any table above
+        rng = random.Random("sift-sparse-pla")
+        bits = 0
+        for k in (3,) * 4 + (4,) * 8:
+            bits |= cube_mask(cube_from_text(random_cube(rng, 15, k), 15))
+        tt = TruthTable(15, bits)
+        assert sift_summary(tt) == ref_sift_summary(tt)
 
     def test_arena_holds_only_the_diagram(self):
-        # node ids survive the clean-up, so the handle's diagram is intact
+        # the arena is cut to the handle's diagram before the first swap,
+        # and swaps keep node ids and drop the nodes they orphan
         tt = relabel([t for name, t in symmetric_tables() if name == "mux-6"][0],
                      [5, 2, 4, 0, 3, 1], 0)
         h = build_from_truthtable(tt)
+        h.manager.build(TruthTable(tt.n, tt.bits ^ 1))  # a second diagram in the arena
         sift_paths(h.manager, h)
         mgr = h.manager
         live = set(mgr.reachable(h.root))
