@@ -142,7 +142,7 @@ class BddManager:
 
 @dataclass
 class FunctionHandle:
-    """Reference to a root node in a manager; root is updated by sifting."""
+    """Reference to a root node in a manager; sifting keeps the root's id."""
 
     manager: BddManager
     root: int
@@ -280,21 +280,6 @@ def to_truthtable(h: FunctionHandle) -> TruthTable:
     return TruthTable(n, table(h.root))
 
 
-def swap_adjacent(mgr: BddManager, root: int, k: int) -> int:
-    """Exchange the variables at levels k and k+1 in place, returning root.
-
-    The swap is sift_paths's: every node keeps its id and its function,
-    so the root id does not change.  The manager is cut to root's
-    diagram first, and its order is updated.
-    """
-    if not 0 <= k < mgr.n - 1:
-        raise ValueError(f"level {k} has no successor to swap with")
-    levels = _LevelSets(mgr, root)
-    levels.swap(k)
-    mgr.order = VariableOrder(tuple(levels.perm))
-    return root
-
-
 class _LevelSets:
     """One diagram held as per-level node sets, for in-place swaps.
 
@@ -381,14 +366,8 @@ class _LevelSets:
             unique[key] = v
 
         def make(lo: int, hi: int) -> int:
-            if lo == hi:
-                return lo
-            key = (k + 1, lo, hi)
-            v = unique.get(key)
-            if v is None:
-                v = mgr._next_id
-                mgr._next_id += 1
-                nodes[v], unique[key] = key, v
+            v = mgr.make(k + 1, lo, hi)
+            if v not in ref:  # every live node has a ref entry, so v is new
                 ref[v], paths[v], down[v] = 0, 0, down[lo] + down[hi]
                 ref[lo] += 1
                 ref[hi] += 1

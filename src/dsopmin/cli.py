@@ -35,6 +35,13 @@ REPORT_SCHEMA = "dsopmin-report/1"
 
 STAGES = ("order", "build", "dsop", "minimize", "oracle")
 
+# a record's keys in column order; the last len(STAGES) are the stage times
+RECORD_FIELDS = ("schema", "n", "order", "bdd_nodes", "one_paths", "dsop_cubes",
+                 "sop_cubes", "sop_literals", "oracle_cubes", "oracle_literals",
+                 *(f"time_{stage}_ms" for stage in STAGES))
+
+ORDERINGS = ("entropy", "given", "sift")
+
 
 class PlaError(ValueError):
     pass
@@ -51,7 +58,7 @@ def _directive_int(parts: List[str]) -> int:
 
 @dataclass
 class PipelineConfig:
-    ordering: str = "entropy"  # entropy | given | sift
+    ordering: str = "entropy"  # one of ORDERINGS
     oracle: bool = False
     record_timings: bool = True
 
@@ -81,21 +88,11 @@ class StatsReport:
         return problems
 
     def to_record(self) -> Dict[str, object]:
-        rec: Dict[str, object] = {
-            "schema": REPORT_SCHEMA,
-            "n": self.n,
-            "order": list(self.order),
-            "bdd_nodes": self.bdd_nodes,
-            "one_paths": self.one_paths,
-            "dsop_cubes": self.dsop_cubes,
-            "sop_cubes": self.sop_cubes,
-            "sop_literals": self.sop_literals,
-            "oracle_cubes": self.oracle_cubes,
-            "oracle_literals": self.oracle_literals,
-        }
-        for stage in STAGES:
-            rec[f"time_{stage}_ms"] = self.timings_ms.get(stage, 0.0)
-        return rec
+        """The report keyed by RECORD_FIELDS, in that order."""
+        values = dict(vars(self), schema=REPORT_SCHEMA, order=list(self.order))
+        values.update(zip(RECORD_FIELDS[-len(STAGES):],
+                          (self.timings_ms.get(stage, 0.0) for stage in STAGES)))
+        return {key: values[key] for key in RECORD_FIELDS}
 
 
 def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
@@ -173,13 +170,10 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
 
     # in entropy mode the ordering's descent is the BDD's: its nodes are
     # made from the ordering's splits instead of cofactoring the table again
-    t = time.perf_counter()
-    if cfg.ordering == "entropy":
-        levels = entropy_levels(tt)
-    elif cfg.ordering in ("given", "sift"):
-        levels = None
-    else:
+    if cfg.ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering mode {cfg.ordering!r}")
+    t = time.perf_counter()
+    levels = entropy_levels(tt) if cfg.ordering == "entropy" else None
     order = VariableOrder.identity(tt.n) if levels is None else levels.order
     clock("order", t)
 
@@ -235,15 +229,11 @@ def emit_report(reports: Sequence[StatsReport], path: str) -> None:
 
 def emit_csv(reports: Sequence[StatsReport], path: str) -> None:
     """Delimited table for spreadsheet import, one row per run."""
-    records = [r.to_record() for r in reports]
-    fields = ["schema", "n", "order", "bdd_nodes", "one_paths", "dsop_cubes",
-              "sop_cubes", "sop_literals", "oracle_cubes", "oracle_literals"]
-    fields += [f"time_{s}_ms" for s in STAGES]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
         writer.writeheader()
-        for rec in records:
-            rec = dict(rec)
+        for r in reports:
+            rec = r.to_record()
             rec["order"] = " ".join(str(v) for v in rec["order"])
             writer.writerow(rec)
 
@@ -273,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--minterms", metavar="N:LIST", help='minterm shorthand, e.g. "4:1,5,6,9"')
     src.add_argument("--benchmark", type=int, metavar="COUNT",
                      help="run COUNT seeded random functions instead of one input")
-    parser.add_argument("--order", choices=["entropy", "given", "sift"], default="entropy")
+    parser.add_argument("--order", choices=ORDERINGS, default="entropy")
     parser.add_argument("--emit", default="sop", help="comma-separated subset of dsop,sop")
     parser.add_argument("--oracle", choices=["qm"], help="cross-check with the exact minimizer")
     parser.add_argument("--report", metavar="PATH", help="write the JSON report here")
@@ -284,6 +274,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-timing", action="store_true",
                         help="zero the timing fields (byte-stable reports)")
     return parser
+
+
+def _run_one(args: argparse.Namespace, cfg: PipelineConfig, emit: Sequence[str]) -> StatsReport:
+    """Read the one input, run it and print its covers and counts."""
+    if args.input:
+        with open(args.input) as fh:
+            tt, names = parse_pla(fh.read())
+    else:
+        tt, names = parse_minterms(args.minterms), None
+    if args.names:
+        names = args.names.split(",")
+    names = names or default_names(tt.n)
+    if len(names) != tt.n:
+        raise ValueError("variable name count does not match n")
+    report, covers = run_pipeline(tt, cfg)
+    if "dsop" in emit:
+        print(f"dsop ({report.dsop_cubes} cubes): {format_expression(covers['dsop'], names)}")
+    if "sop" in emit:
+        print(f"sop ({report.sop_cubes} cubes, {report.sop_literals} literals): "
+              f"{format_expression(covers['sop'], names)}")
+    print(f"order: {' '.join(names[v] for v in report.order)}  nodes: {report.bdd_nodes}  "
+          f"one-paths: {report.one_paths}")
+    if report.oracle_cubes is not None:
+        print(f"oracle: {report.oracle_cubes} cubes, {report.oracle_literals} literals")
+    return report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -299,7 +314,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if s not in ("dsop", "sop"):
             parser.error(f"unknown emit kind {s!r}")
 
-    names = args.names.split(",") if args.names else None
+    if args.benchmark is None and not (args.input or args.minterms):
+        parser.error("one of --input, --minterms, --benchmark is required")
     cfg = PipelineConfig(
         ordering=args.order,
         oracle=args.oracle == "qm",
@@ -309,60 +325,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.benchmark is not None:
             reports = run_benchmark(cfg, args.bench_vars, args.benchmark, args.seed)
-            outputs = None
-        elif args.input:
-            with open(args.input) as fh:
-                tt, pla_names = parse_pla(fh.read())
-            if names is None:
-                names = pla_names
-            report, outputs = run_pipeline(tt, cfg)
-            reports = [report]
-        elif args.minterms:
-            tt = parse_minterms(args.minterms)
-            report, outputs = run_pipeline(tt, cfg)
-            reports = [report]
+            print(f"benchmark: {len(reports)} runs, n={args.bench_vars}, seed={args.seed}")
         else:
-            parser.error("one of --input, --minterms, --benchmark is required")
-            return 2
+            reports = [_run_one(args, cfg, emit)]
+        if args.report:
+            emit_report(reports, args.report)
+        if args.csv:
+            emit_csv(reports, args.csv)
     except (OSError, ValueError) as exc:
         print(f"dsopmin: error: {exc}", file=sys.stderr)
         return 2
 
     failures = [p for r in reports for p in r.check()]
-
-    if outputs is not None:
-        tt_names = names or default_names(reports[0].n)
-        if len(tt_names) != reports[0].n:
-            print("dsopmin: error: variable name count does not match n", file=sys.stderr)
-            return 2
-        if "dsop" in emit:
-            print(f"dsop ({reports[0].dsop_cubes} cubes): "
-                  f"{format_expression(outputs['dsop'], tt_names)}")
-        if "sop" in emit:
-            print(f"sop ({reports[0].sop_cubes} cubes, {reports[0].sop_literals} literals): "
-                  f"{format_expression(outputs['sop'], tt_names)}")
-        order_names = " ".join(tt_names[v] for v in reports[0].order)
-        print(f"order: {order_names}  nodes: {reports[0].bdd_nodes}  "
-              f"one-paths: {reports[0].one_paths}")
-        if reports[0].oracle_cubes is not None:
-            print(f"oracle: {reports[0].oracle_cubes} cubes, "
-                  f"{reports[0].oracle_literals} literals")
-    else:
-        print(f"benchmark: {len(reports)} runs, n={args.bench_vars}, seed={args.seed}")
-
-    if args.report:
-        try:
-            emit_report(reports, args.report)
-        except OSError as exc:
-            print(f"dsopmin: error: {exc}", file=sys.stderr)
-            return 2
-    if args.csv:
-        try:
-            emit_csv(reports, args.csv)
-        except OSError as exc:
-            print(f"dsopmin: error: {exc}", file=sys.stderr)
-            return 2
-
     if failures:
         for p in failures:
             print(f"dsopmin: invariant violation: {p}", file=sys.stderr)

@@ -11,7 +11,6 @@ from dsopmin.bdd import (
     node_count,
     one_path_count,
     sift_paths,
-    swap_adjacent,
     to_dot,
     to_truthtable,
 )
@@ -231,18 +230,6 @@ class TestTautologyAndContainment:
 
 
 class TestSwap:
-    def test_preserves_function(self):
-        for tt in random_tables(40, (2, 7), seed=23):
-            h = build_from_truthtable(tt)
-            for k in range(tt.n - 1):
-                h.root = swap_adjacent(h.manager, h.root, k)
-                assert to_truthtable(h).bits == tt.bits
-
-    def test_swap_updates_order(self, golden_tt):
-        h = build_from_truthtable(golden_tt, ORDER_ABCD)
-        swap_adjacent(h.manager, h.root, 0)
-        assert h.manager.order.perm == (1, 0, 2, 3)
-
     def test_swap_work_follows_two_levels(self):
         # a swap makes at most two nodes per old level-k node, every node
         # keeps its function, and the running P1 and node count match walks

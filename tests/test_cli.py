@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dsopmin import cli
 from dsopmin.boolfn import TruthTable, cofactor_bits, truthtable_from_minterms
 from dsopmin.cli import (
     PipelineConfig,
@@ -303,7 +304,11 @@ class TestReports:
         emit_csv([report], str(path))
         lines = path.read_text().splitlines()
         assert lines[0].startswith("schema,n,order")
+        assert lines[0].split(",") == list(report.to_record())
         assert len(lines) == 2
+        # --benchmark 0: no rows, the same header
+        emit_csv([], str(path))
+        assert path.read_text().splitlines() == lines[:1]
 
     def test_invariant_checker(self):
         bad = StatsReport(n=2, order=(0, 1), bdd_nodes=1, one_paths=2,
@@ -429,6 +434,16 @@ class TestMain:
         rc = main(["--minterms", "2:3", "--names", "p,q"])
         assert rc == 0
         assert "pq" in capsys.readouterr().out
+
+    def test_name_count_checked_before_pipeline(self, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("run_pipeline ran before the name check")
+
+        monkeypatch.setattr(cli, "run_pipeline", never)
+        assert main(["--minterms", "3:1", "--names", "p,q"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dsopmin: error: variable name count does not match n\n"
 
     def test_python_m_dsopmin(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
