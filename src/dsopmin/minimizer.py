@@ -1,41 +1,34 @@
 """Cover minimization by the unate recursive paradigm.
 
-simplify() recursively splits a binate cover on the most-binate
-variable and recombines the cofactor results with the containment
-lift; unate leaves fall to single-cube containment.  It runs on the
-cubes' ``(care, value)`` int pairs, so polarity, cofactor, containment
-and specialization are each one or two bitwise operations.  The work
-per recursion node stays near linear in its cover:
+simplify() splits a binate cover on its most-binate variable and
+joins the cofactor results with the containment lift; unate leaves
+fall to single-cube containment.  Cubes are ``(care, value)`` int
+pairs, so polarity, cofactor and specialization are bitwise operations,
+and the work per recursion node stays near linear in its cover:
 
-* the binate counts of every variable come from one pass that packs
-  the cover into one int, then one popcount per count;
-* containment queries go through a care index, care -> set of values,
-  so a query costs one set lookup per distinct care mask, not one test
-  per cube;
+* a cover packs into one int, a field per cube; each binate count is
+  one popcount on it and each containment query of the merge or scc()
+  a few operations; a two-cube node is closed form;
 * every simplify() result is an antichain (no cube inside another, no
   duplicates), and the merge of two antichains is one again, so the
   merge needs no containment pass of its own;
-* one call keeps a table from each binate sub-cover to its result,
-  the computed table of BDD packages (Brace, Rudell and Bryant, DAC
-  1990) applied to URP: cofactors of symmetric functions repeat
-  (F|x=0,y=1 = F|x=1,y=0), and a repeat is answered by one lookup.
-  The key is the packed int the binate counts are read from anyway,
-  with its record width and cube count, which give back the cube list
-  exactly.  Unlike a tuple of the cubes, an int holds no references,
-  so the keys give the garbage collector nothing to traverse.  The
-  table goes when the call returns.
+* one call keeps a table from each binate sub-cover to its result, the
+  computed table of BDD packages (Brace, Rudell and Bryant, DAC 1990)
+  applied to URP: cofactors of symmetric functions repeat (F|x=0,y=1 =
+  F|x=1,y=0).  Its key is the packed int with its field size and cube
+  count, which give back the cube list exactly and, unlike a tuple of
+  cubes, hold no references for the garbage collector to traverse.
 
-expand() raises literals toward primeness by clearing their bits, and
-irredundant() then drops cubes the rest of the cover already covers;
-both answer their containment questions on truth-table bit masks.  The
-function comes in as its truth table, which the pipeline already holds,
-or as a BDD handle, whose table they then rebuild.
+expand() raises literals toward primeness and irredundant() drops cubes
+the rest of the cover covers, both on truth-table bit masks of the
+function, given as its truth table or as a BDD handle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import bdd
 from .bdd import FunctionHandle
@@ -58,97 +51,103 @@ def polarity(cubes: Sequence[Packed]) -> Tuple[int, int]:
 
 
 def select_binate(cubes: Sequence[Packed]) -> int:
-    """Bit of the most-binate variable: most rows touched, then most balanced, then index.
-
-    The lowest variable index is the highest bit.
-    """
+    """Bit of the most-binate variable: most rows, most balanced, then lowest index (top bit)."""
     ones, zeros = polarity(cubes)
     if not ones & zeros:
         raise ValueError("cover is unate; no binate variable to select")
-    return _pick(_pack(cubes, ones, zeros), ones & zeros)
+    return _pick(_pack(cubes, ones | zeros), ones & zeros)
 
 
-# A packed cover: (shift, cube count, records), the records int holding
-# cube i's record care << shift | value in bytes [2iw, 2(i+1)w), w = shift/8.
+# A packed cover: (size, cube count, fields).  Cube i's record (care ^ value) << 4 size | value,
+# complemented literals above positive ones, fills bytes [i size, (i+1) size) under a guard bit.
 Key = Tuple[int, int, int]
 
 
-def _pack(cubes: Sequence[Packed], ones: int, zeros: int) -> Key:
-    """The cover packed into one int, a record of 2w bytes per cube.
-
-    ones and zeros are the cover's polarity() masks; their OR is every
-    care bit, so w whole bytes hold any care or value mask.  The value
-    mask fills a record's low w bytes and the care mask its high w.
-    Shift and count fix the record layout, so the key gives back the
-    cube list exactly.
-    """
-    w = ((ones | zeros).bit_length() + 7) // 8
-    shift = 8 * w
-    records = int.from_bytes(b"".join([(care << shift | value).to_bytes(2 * w, "little")
-                                       for care, value in cubes]), "little")
-    return shift, len(cubes), records
+def _pack(cubes: Sequence[Packed], wide: int) -> Key:
+    """The cover packed into one int; wide is the OR of every care mask."""
+    size = wide.bit_length() // 4 + 1  # two masks and the guard bit
+    half, period = 4 * size, 8 * size
+    if len(cubes) < 16:  # shifting is quadratic in the count, joining slower on few cubes
+        fields = 0
+        for care, value in reversed(cubes):
+            fields = fields << period | (care ^ value) << half | value
+    else:
+        fields = int.from_bytes(b"".join([((care ^ value) << half | value).to_bytes(size, "little")
+                                          for care, value in cubes]), "little")
+    return size, len(cubes), fields
 
 
 def _pick(key: Key, binate: int) -> int:
-    """select_binate on a packed cover, given its binate variables' mask.
-
-    A record's bit s recurs at a fixed period in the packed int, so a
-    variable's counts are popcounts under a periodic mask.
-    """
-    shift, count, records = key
-    period = 2 * shift
-    column = ((1 << period * count) - 1) // ((1 << period) - 1)  # bit 0 of each record
+    """select_binate on a packed cover; each count is one popcount under a periodic mask."""
+    size, count, fields = key
+    column = _columns(size, count)[0]
     keys = []
     for s in range(binate.bit_length()):
         if binate >> s & 1:
-            c1 = (records & (column << s)).bit_count()
-            c0 = (records & (column << (s + shift))).bit_count() - c1
+            c1 = (fields & column << s).bit_count()
+            c0 = (fields & column << s + 4 * size).bit_count()
             keys.append((-(c0 + c1), abs(c0 - c1), -(1 << s)))
     return -min(keys)[2]
 
 
-def cover_cofactor(cubes: Sequence[Packed], bit: int, val: bool) -> List[Packed]:
-    """Per-cube cofactor on the variable at bit, dropping cubes with the opposing literal."""
-    clear = ~bit
-    if val:
-        return [(care & clear, value & clear) for care, value in cubes if not care & ~value & bit]
-    return [(care & clear, value) for care, value in cubes if not value & bit]
+@lru_cache(maxsize=64)
+def _columns(size: int, count: int) -> Tuple[int, int, int]:
+    """Bit 0 of each of count fields of size bytes, the bits under each guard, and the guards."""
+    column = ((1 << 8 * size * count) - 1) // ((1 << 8 * size) - 1)
+    return column, ((1 << 8 * size - 1) - 1) * column, column << 8 * size - 1
 
 
-def _care_index(cubes: Sequence[Packed]) -> Dict[int, Set[int]]:
-    """The cubes grouped by care mask: care -> set of values."""
-    index: Dict[int, Set[int]] = {}
-    for care, value in cubes:
-        if care in index:
-            index[care].add(value)
+def cover_cofactor(cubes: Sequence[Packed], bit: int) -> Tuple[List[Packed], List[Packed]]:
+    """The per-cube cofactors at x' and at x on the variable at bit, in one pass."""
+    h0, h1 = [], []
+    for cube in cubes:
+        care, value = cube
+        if not care & bit:
+            h0.append(cube)
+            h1.append(cube)
+        elif value & bit:
+            h1.append((care ^ bit, value ^ bit))
         else:
-            index[care] = {value}
-    return index
+            h0.append((care ^ bit, value))
+    return h0, h1
 
 
-def _inside(index: Dict[int, Set[int]], care: int, value: int, skip: int = -1) -> bool:
-    """True iff a cube of the care index, outside bucket skip, contains (care, value).
+def _containers(queries: Sequence[Packed], cubes: Sequence[Packed], wide: int) -> List[int]:
+    """For each query cube, how many of cubes contain it; wide ORs every care mask.
 
-    The container's care bits must be the cube's too, and on them the
-    two values agree, so each care bucket is one set lookup.
+    A container's record has no bit (a miss) outside the query's; adding
+    low carries into the guard of each field with one (broadword, Knuth
+    TAOCP 4A 7.1.3).  Past 512 queries and cubes, a query meets only the
+    cubes that can hold it on their top variable, while no part keeps over
+    2/3 of them; at most q/512 parts per level copy cubes, on log(k/512)/log(1.5) levels.
     """
-    free = ~care
-    for oc, values in index.items():
-        if not oc & free and oc != skip and (value & oc) in values:
-            return True
-    return False
+    if not queries:
+        return []
+    if len(queries) > 512 < len(cubes):
+        ones, zeros = polarity(cubes)
+        bit = 1 << (ones | zeros).bit_length() >> 1  # 0 if every cube is universal
+        rest = (ones | zeros) ^ bit  # query literals outside it meet no cube's
+        lits = (0, bit, 2 * bit)  # no literal on bit, x', x
+        sides = [[(c & rest, v & rest) for c, v in cubes if (c & bit) + (v & bit) == lit]
+                 for lit in lits]
+        if 3 * (len(sides[0]) + max(len(sides[1]), len(sides[2]))) <= 2 * len(cubes):
+            parts = {lit: iter(_containers(
+                [(c & rest, v & rest) for c, v in queries if (c & bit) + (v & bit) == lit],
+                side + sides[0] if lit else side, rest)) for lit, side in zip(lits, sides)}
+            return [next(parts[(care & bit) + (value & bit)]) for care, value in queries]
+    size, count, fields = _pack(cubes, wide)
+    half, below = 4 * size, (1 << 8 * size - 1) - 1  # below: a field's bits under its guard
+    column, low, guard = _columns(size, count)
+    return [count - (guard & (fields & (below ^ ((care ^ value) << half | value)) * column) + low)
+            .bit_count() for care, value in queries]
 
 
 def scc(cubes: Sequence[Packed]) -> List[Packed]:
-    """Single-cube containment: drop cubes contained in another cube.
-
-    Duplicates keep the earliest occurrence; survivor order preserved.
-    A distinct container has fewer literals, so a cube's own care
-    bucket is skipped.
-    """
+    """Single-cube containment: drop cubes inside another, keeping order and first duplicates."""
     unique = list(dict.fromkeys(cubes))
-    index = _care_index(unique)
-    return [(care, value) for care, value in unique if not _inside(index, care, value, care)]
+    ones, zeros = polarity(unique)
+    found = _containers(unique, unique, ones | zeros)
+    return [cube for cube, inside in zip(unique, found) if inside == 1]
 
 
 def merge_with_containment(h0: Sequence[Packed], h1: Sequence[Packed], bit: int) -> List[Packed]:
@@ -159,26 +158,29 @@ def merge_with_containment(h0: Sequence[Packed], h1: Sequence[Packed], bit: int)
     the literal back.
 
     Each half must be SCC-minimal (no cube inside another, no
-    duplicates), as every simplify() result is.  The output then is
-    too, so no containment pass follows: a specialized cube could lie
-    only inside a lifted cube of its own half, which would put one cube
-    of the half inside another, or of the other half, which would have
-    lifted it; a lifted cube strictly inside another lifted one would
-    put one cube of a half strictly inside another; and the two
+    duplicates), as every simplify() result is; then so is the output,
+    with no containment pass: a specialized cube could lie only inside a
+    lifted cube of its own half (one cube of the half inside another) or
+    of the other half (which would have lifted it); a lifted cube inside
+    another would put one cube of a half inside another; and the two
     specialized sides differ in the bit.
     """
     if any(care & bit for care, _ in h0) or any(care & bit for care, _ in h1):
         raise ValueError("merge input mentions the splitting variable")
-    lifted = {}  # insertion-ordered set
-    for half, other in ((h0, h1), (h1, h0)):
-        index = _care_index(other)
-        for care, value in half:
-            if _inside(index, care, value):
+    ones, zeros = polarity([*h0, *h1])
+    return _merge(h0, h1, bit, ones | zeros)
+
+
+def _merge(h0: Sequence[Packed], h1: Sequence[Packed], bit: int, wide: int) -> List[Packed]:
+    """merge_with_containment() unchecked; wide is the OR of every care mask."""
+    lifted, rest = {}, []  # lifted: an insertion-ordered set
+    for half, other, lit in ((h0, h1, 0), (h1, h0, bit)):
+        for (care, value), inside in zip(half, _containers(half, other, wide)):
+            if inside:
                 lifted[care, value] = None
-    out = list(lifted)
-    out += [(care | bit, value) for care, value in h0 if (care, value) not in lifted]
-    out += [(care | bit, value | bit) for care, value in h1 if (care, value) not in lifted]
-    return out
+            else:
+                rest.append((care | bit, value | lit))
+    return [*lifted, *rest]
 
 
 def simplify(cover: Cover) -> Cover:
@@ -192,19 +194,32 @@ def _simplify(cubes: List[Packed], done: Dict[Key, List[Packed]]) -> List[Packed
     """simplify() on packed cubes; done maps each binate cover's key to its result."""
     if len(cubes) == 1:
         return cubes
-    if any(not care for care, _ in cubes):
-        return [(0, 0)]  # the universal cube
-    ones, zeros = polarity(cubes)
+    ones = zeros = 0
+    for care, value in cubes:
+        if not care:
+            return [(0, 0)]  # the universal cube
+        ones |= value
+        zeros |= care ^ value
     binate = ones & zeros
     if not binate:
         return scc(cubes)
-    key = _pack(cubes, ones, zeros)
+    if len(cubes) == 2:  # every binate variable splits the pair: all tie in _pick()
+        bit = 1 << binate.bit_length() - 1
+        a, b = cubes if cubes[1][1] & bit else cubes[::-1]  # a has x', b has x
+        cx, cy = a[0] ^ bit, b[0] ^ bit  # the cofactors' care masks
+        # another binate variable splits the cofactors; else one holds the other iff its care does
+        if binate != bit or cx & cy not in (cx, cy):
+            return [a, b]
+        if cx == cy:
+            return [(cx, a[1])]
+        return [(cx, a[1]), b] if cx & cy == cy else [(cy, b[1] ^ bit), a]
+    key = _pack(cubes, ones | zeros)
     out = done.get(key)
     if out is None:
         bit = _pick(key, binate)
-        h0 = _simplify(cover_cofactor(cubes, bit, False), done)
-        h1 = _simplify(cover_cofactor(cubes, bit, True), done)
-        out = merge_with_containment(h0, h1, bit)
+        h0, h1 = cover_cofactor(cubes, bit)
+        h0 = _simplify(h0, done)  # frees the x' cofactor before the x one recurses
+        out = _merge(h0, _simplify(h1, done), bit, ones | zeros)
         if len(out) > len(cubes):
             out = scc(cubes)
         done[key] = out

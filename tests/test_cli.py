@@ -268,7 +268,7 @@ class TestRunPipeline:
 
     def test_dense_n14(self):
         # a uniform random n=14 table: about 5k DSOP cubes, whose URP merges
-        # are only fast with indexed containment
+        # are only fast with word-parallel containment on packed covers
         rng = random.Random("dense/14")
         tt = TruthTable(14, rng.getrandbits(1 << 14))
         start = time.perf_counter()

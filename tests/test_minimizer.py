@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -68,9 +69,9 @@ def bit(var: int, n: int = 4) -> int:
 
 GOLDEN_DSOP = ("1122", "0110", "2001", "0101")
 
-# Variable counts for the seeded kernel checks: small ones, both sides of
-# each byte boundary (select_binate packs each mask into whole bytes), and
-# 20-24, the widest tables the pipeline takes.
+# Variable counts for the seeded kernel checks: small ones, some on both
+# sides of a step in the packed field size (a field takes n // 4 + 1
+# bytes), and 20-24, the widest tables the pipeline takes.
 KERNEL_NS = (1, 2, 3, 5, 7, 8, 9, 12, 15, 16, 17, 20, 21, 22, 23, 24)
 
 
@@ -165,15 +166,19 @@ class TestSelectBinate:
 
 class TestCoverCofactor:
     def test_golden_b1(self):
-        got = cover_cofactor(packed(*GOLDEN_DSOP), bit(1), True)
+        got = cover_cofactor(packed(*GOLDEN_DSOP), bit(1))[1]
         assert unpacked(got) == ["1222", "0210", "0201"]
 
     def test_golden_b0(self):
-        got = cover_cofactor(packed(*GOLDEN_DSOP), bit(1), False)
+        got = cover_cofactor(packed(*GOLDEN_DSOP), bit(1))[0]
         assert unpacked(got) == ["2201"]
 
     def test_empty(self):
-        assert cover_cofactor([], bit(1), True) == []
+        assert cover_cofactor([], bit(1)) == ([], [])
+
+    def test_cube_without_the_literal_goes_to_both(self):
+        h0, h1 = cover_cofactor(packed("2201", "1122", "0022"), bit(1))
+        assert (unpacked(h0), unpacked(h1)) == (["2201", "0222"], ["2201", "1222"])
 
 
 class TestScc:
@@ -283,6 +288,122 @@ class TestMerge:
             assert_antichain(got, n)
 
 
+# Care-mask widths on both sides of every step in the packed field size
+# (width // 4 + 1 bytes), and the widest tables the pipeline takes.
+FIELD_WIDTHS = (1, 3, 4, 7, 8, 9, 11, 12, 15, 16, 19, 20, 23, 24)
+# Cube counts on both sides of _pack's switch from shifting to joining bytes.
+FIELD_COUNTS = (0, 1, 2, 3, 15, 16, 17, 40)
+
+
+def nested_halves(rng, width: int, split: int, count: int):
+    """Two SCC-minimal halves whose cubes often lie inside each other's.
+
+    h0 is random; h1 takes each h0 cube as it is, widened, narrowed or
+    replaced.  Every care mask lies below 1 << width, and h0's first
+    draw cares about bit width-1 unless split is that bit, so the fields
+    are mostly as wide as width asks.
+    """
+    top = 1 << width - 1
+    h0 = random_packed(rng, width, count, free=split)
+    if h0 and not top & split:
+        h0[0] = (h0[0][0] | top, h0[0][1] | top & rng.getrandbits(width))
+    h1 = []
+    for (care, value), (rc, rv) in zip(h0, random_packed(rng, width, count, free=split)):
+        kind = rng.randrange(4)
+        if kind == 1:
+            care &= rc
+        elif kind == 2:
+            value |= rv & ~care
+            care |= rc
+        elif kind == 3:
+            care, value = rc, rv
+        h1.append((care, value & care))
+    rng.shuffle(h1)
+    h1 = h1[:rng.randint(0, len(h1))]
+    return ref_scc(h0), ref_scc(h1)
+
+
+class TestContainmentKernel:
+    """merge and scc share one packed containment kernel: every field size and layout."""
+
+    @pytest.mark.parametrize("width", FIELD_WIDTHS)
+    def test_merge_matches_reference(self, width):
+        rng = random.Random(f"kernel-merge/{width}")
+        for count in FIELD_COUNTS * 4 + (600,):
+            split = 1 << rng.randrange(width)
+            h0, h1 = nested_halves(rng, width, split, count)
+            if rng.random() < 0.5:
+                h0, h1 = h1, h0
+            got = merge_with_containment(h0, h1, split)
+            assert got == ref_merge(h0, h1, split), (width, split, h0, h1)
+            assert got == minimizer._merge(h0, h1, split, (1 << width) - 1)
+
+    @pytest.mark.parametrize("width", FIELD_WIDTHS)
+    def test_scc_matches_reference(self, width):
+        rng = random.Random(f"kernel-scc/{width}")
+        for count in FIELD_COUNTS * 4 + (600,):
+            h0, h1 = nested_halves(rng, width, 0, count)
+            cubes = h0 + h1 + rng.choices(h0, k=min(len(h0), 3))
+            rng.shuffle(cubes)
+            assert scc(cubes) == ref_scc(cubes), (width, cubes)
+
+    @pytest.mark.parametrize("width", FIELD_WIDTHS)
+    def test_containers_counts(self, width, monkeypatch):
+        # each query's count is exactly the number of cubes that contain it,
+        # duplicates included; the last cubes are dense and past 512 with
+        # their queries, so the kernel splits them before it scans
+        rng = random.Random(f"kernel-counts/{width}")
+        wide = (1 << width) - 1
+        dense = [rng.getrandbits(width) | rng.getrandbits(width) for _ in range(700)]
+        for cubes in [random_packed(rng, width, count) for count in FIELD_COUNTS] + [
+                [(care, rng.getrandbits(width) & care) for care in dense]]:
+            queries = random_packed(rng, width, len(cubes) // 2 + 1) + cubes[:len(cubes) // 2]
+            calls = count_calls(monkeypatch, "_containers")
+            found = minimizer._containers(queries, cubes, wide)
+            for (care, value), k in zip(queries, found):
+                want = sum(1 for oc, ov in cubes if not oc & ~care and not (ov ^ value) & oc)
+                assert k == want, (width, (care, value), len(cubes))
+            monkeypatch.undo()
+        assert len(calls) > 1
+
+    def test_few_cubes_mention_the_top_variables(self, monkeypatch):
+        # over 512 dense cubes over the lowest 12 variables in each half and
+        # one cube over 23 in h1: the split takes its variable from the
+        # cubes, leaves a part that would keep nearly all of them to the
+        # flat scan and skips parts with no queries, so this is a few
+        # scans, not one per subset of the wide cube's variables; the merge
+        # is also given a care mask with its own variable on top, and the
+        # wide cube's literals above the low cubes' must stay in their fields
+        rng = random.Random("kernel-top")
+        def dense_half():
+            cares = [rng.getrandbits(12) | rng.getrandbits(12) | rng.getrandbits(12)
+                     for _ in range(650)]
+            return ref_scc([(care, rng.getrandbits(12) & care) for care in cares])
+
+        h0, h1 = dense_half(), dense_half()
+        while True:  # a cube over 23 variables that no low cube holds
+            wide = ((1 << 23) - 1, rng.getrandbits(23))
+            if ref_scc(h1 + [wide])[-1] == wide:
+                break
+        h1.append(wide)
+        high = (1 << 23) - (1 << 12)  # h0's cubes with the wide cube's high literals
+        queries = h1 + [(care | high, value | wide[1] & high) for care, value in h0[:100]]
+        calls = count_calls(monkeypatch, "_containers")
+        start = time.perf_counter()
+        got = (scc(h0 + h1), merge_with_containment(h0, h1, 1 << 23),
+               minimizer._merge(h0, h1, 1 << 23, (1 << 24) - 1),
+               minimizer._containers(queries, h0, (1 << 23) - 1))
+        assert time.perf_counter() - start < 1.0
+        # scc, and h0's queries on h1's cubes, whose top variable only the
+        # wide cube mentions, scan flat; h1's queries on h0's cubes and the
+        # count split once into three flat scans
+        assert len(calls) == 1 + 2 * (1 + 1 + 3) + 1 + 3
+        assert got[0] == ref_scc(h0 + h1)
+        assert got[1] == got[2] == ref_merge(h0, h1, 1 << 23)
+        assert got[3] == [sum(1 for oc, ov in h0 if not oc & ~care and not (ov ^ value) & oc)
+                          for care, value in queries]
+
+
 def _random_tables(rng):
     """Seeded random, sparse and near-full tables, n = 1-11."""
     for n in range(1, 12):
@@ -340,6 +461,14 @@ class TestSimplify:
             c = Cover(n, tuple(cube_from_text(t, n) for t in cubes))
             assert simplify(c) == ref_simplify(c), cubes
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_two_cube_cover(self, n):
+        # every ordered pair of cubes: equal, nested, overlapping, disjoint,
+        # and pairs whose cofactors are universal
+        for a, b in itertools.product(all_cube_texts(n), repeat=2):
+            c = Cover(n, (cube_from_text(a, n), cube_from_text(b, n)))
+            assert simplify(c) == ref_simplify(c), (a, b)
+
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_universal_and_empty(self, n):
         empty = Cover(n, ())
@@ -364,12 +493,15 @@ def count_calls(monkeypatch, name: str):
 
 def decode(key, n: int):
     """The (care, value) list a packed-cover key stands for."""
-    shift, count, records = key
-    field = (1 << shift) - 1
+    size, count, fields = key
+    half = 4 * size
     out = []
     for i in range(count):
-        record = records >> (2 * shift * i)
-        out.append((record >> shift & field, record & field))
+        record = fields >> (8 * size * i) & (1 << 8 * size) - 1
+        value, zeros = record & (1 << half) - 1, record >> half
+        assert zeros < 1 << half - 1  # the guard bit stays clear
+        out.append((zeros | value, value))
+    assert fields < 1 << 8 * size * count
     assert all(care < 1 << n for care, _ in out)
     return out
 
@@ -409,12 +541,13 @@ class TestSimplifyTable:
             if i % 7 == 0:
                 cubes.append((0, 0))  # a zero record, at the end or not
                 rng.shuffle(cubes)
-            assert decode(minimizer._pack(cubes, *polarity(cubes)), n) == cubes, (n, cubes)
+            ones, zeros = polarity(cubes)
+            assert decode(minimizer._pack(cubes, ones | zeros), n) == cubes, (n, cubes)
 
     def test_parity12_merges(self, monkeypatch):
         # each cofactor of parity is parity or its complement over the rest,
         # so each level has two distinct sub-covers, not 2^level
-        merges = count_calls(monkeypatch, "merge_with_containment")
+        merges = count_calls(monkeypatch, "_merge")
         dsop = parity_dsop(12, [5, 11, 0, 7, 2, 9, 4, 1, 10, 3, 8, 6])
         assert set(simplify(dsop).cubes) == set(dsop.cubes)  # nothing merges in parity
         assert 0 < len(merges) <= 12 ** 2
@@ -422,7 +555,7 @@ class TestSimplifyTable:
     def test_table_lives_for_one_call(self, monkeypatch):
         # a second call on the same cover does all the work again: nothing
         # is kept between calls
-        merges = count_calls(monkeypatch, "merge_with_containment")
+        merges = count_calls(monkeypatch, "_merge")
         dsop = parity_dsop(8)
         simplify(dsop)
         first = len(merges)
