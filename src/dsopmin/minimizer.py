@@ -6,13 +6,17 @@ fall to single-cube containment.  Cubes are ``(care, value)`` int
 pairs, so polarity, cofactor and specialization are bitwise operations,
 and the work per recursion node stays near linear in its cover:
 
-* a cover packs into one int, a field per cube; each binate count is
-  one popcount on it and each containment query of the merge or scc()
-  a few operations; a two-cube node is closed form;
+* a cover of 16 cubes or more packs into one int, a field per cube;
+  each binate count is one popcount on it and each containment query
+  of the merge or scc() a few operations.  Below that, where most
+  nodes are, packing costs more than it saves: a node counts its
+  binate columns cube by cube (closed form for three cubes), the merge
+  scans a small half pairwise, and a two-cube node is closed form;
 * every simplify() result is an antichain (no cube inside another, no
   duplicates), and the merge of two antichains is one again, so the
   merge needs no containment pass of its own;
-* one call keeps a table from each binate sub-cover to its result, the
+* one call keeps a table from each binate sub-cover of 16 cubes or
+  more to its result (smaller ones seldom repeat on random inputs), the
   computed table of BDD packages (Brace, Rudell and Bryant, DAC 1990)
   applied to URP: cofactors of symmetric functions repeat (F|x=0,y=1 =
   F|x=1,y=0).  Its key is the packed int with its field size and cube
@@ -36,6 +40,11 @@ from .boolfn import Cover, Cube, TruthTable, cube_mask, format_cube, full_mask
 
 # A cube's (care, value) pair; variable v is bit n-1-v, as in boolfn.Cube.
 Packed = Tuple[int, int]
+
+# Under this many cubes packing costs more than it saves: a binate node
+# picks its variable by counting cubes and stays out of the table, and the
+# merge scans such a half cube by cube instead of packing it.
+_SMALL = 16
 
 
 def polarity(cubes: Sequence[Packed]) -> Tuple[int, int]:
@@ -66,15 +75,31 @@ Key = Tuple[int, int, int]
 def _pack(cubes: Sequence[Packed], wide: int) -> Key:
     """The cover packed into one int; wide is the OR of every care mask."""
     size = wide.bit_length() // 4 + 1  # two masks and the guard bit
-    half, period = 4 * size, 8 * size
-    if len(cubes) < 16:  # shifting is quadratic in the count, joining slower on few cubes
-        fields = 0
-        for care, value in reversed(cubes):
-            fields = fields << period | (care ^ value) << half | value
-    else:
-        fields = int.from_bytes(b"".join([((care ^ value) << half | value).to_bytes(size, "little")
-                                          for care, value in cubes]), "little")
+    half = 4 * size
+    fields = int.from_bytes(b"".join([((care ^ value) << half | value).to_bytes(size, "little")
+                                      for care, value in cubes]), "little")
     return size, len(cubes), fields
+
+
+def _count_pick(cubes: Sequence[Packed], binate: int) -> int:
+    """_pick on a cover of fewer than _SMALL cubes, counted cube by cube."""
+    if len(cubes) == 3:  # a variable all three cubes care about has the most rows; else all tie
+        (a, _), (b, _), (c, _) = cubes
+        return 1 << (binate & a & b & c or binate).bit_length() - 1
+    best, pick = (0, 0), 0
+    while binate:  # top bit first, so a tie keeps the lowest index
+        bit = 1 << binate.bit_length() - 1
+        binate ^= bit
+        rows = ones = 0
+        for care, value in cubes:
+            if care & bit:
+                rows += 1
+                if value & bit:
+                    ones += 1
+        score = rows, -abs(rows - 2 * ones)
+        if score > best:
+            best, pick = score, bit
+    return pick
 
 
 def _pick(key: Key, binate: int) -> int:
@@ -175,12 +200,26 @@ def _merge(h0: Sequence[Packed], h1: Sequence[Packed], bit: int, wide: int) -> L
     """merge_with_containment() unchecked; wide is the OR of every care mask."""
     lifted, rest = {}, []  # lifted: an insertion-ordered set
     for half, other, lit in ((h0, h1, 0), (h1, h0, bit)):
-        for (care, value), inside in zip(half, _containers(half, other, wide)):
+        found = _held(half, other) if len(other) < _SMALL else _containers(half, other, wide)
+        for (care, value), inside in zip(half, found):
             if inside:
                 lifted[care, value] = None
             else:
                 rest.append((care | bit, value | lit))
     return [*lifted, *rest]
+
+
+def _held(queries: Sequence[Packed], cubes: Sequence[Packed]) -> List[bool]:
+    """For each query cube, whether some cube of cubes contains it; stops at the first."""
+    found = []
+    for care, value in queries:
+        for oc, ov in cubes:
+            if oc & care == oc and value & oc == ov:
+                found.append(True)
+                break
+        else:
+            found.append(False)
+    return found
 
 
 def simplify(cover: Cover) -> Cover:
@@ -213,17 +252,24 @@ def _simplify(cubes: List[Packed], done: Dict[Key, List[Packed]]) -> List[Packed
         if cx == cy:
             return [(cx, a[1])]
         return [(cx, a[1]), b] if cx & cy == cy else [(cy, b[1] ^ bit), a]
+    if len(cubes) < _SMALL:
+        return _split(cubes, _count_pick(cubes, binate), ones | zeros, done)
     key = _pack(cubes, ones | zeros)
     out = done.get(key)
     if out is None:
-        bit = _pick(key, binate)
-        h0, h1 = cover_cofactor(cubes, bit)
-        h0 = _simplify(h0, done)  # frees the x' cofactor before the x one recurses
-        out = _merge(h0, _simplify(h1, done), bit, ones | zeros)
-        if len(out) > len(cubes):
-            out = scc(cubes)
-        done[key] = out
+        out = done[key] = _split(cubes, _pick(key, binate), ones | zeros, done)
     return out
+
+
+def _split(cubes: List[Packed], bit: int, wide: int, done: Dict[Key, List[Packed]]) -> List[Packed]:
+    """A binate node: simplify the cofactors on the variable at bit and merge them."""
+    h0, h1 = cover_cofactor(cubes, bit)
+    if len(h0) > 1:  # a cover of one cube is its own result
+        h0 = _simplify(h0, done)  # frees the x' cofactor before the x one recurses
+    if len(h1) > 1:
+        h1 = _simplify(h1, done)
+    out = _merge(h0, h1, bit, wide)
+    return out if len(out) <= len(cubes) else scc(cubes)
 
 
 Function = Union[TruthTable, FunctionHandle]

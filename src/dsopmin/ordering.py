@@ -31,7 +31,7 @@ def cofactor_entropy(tt: TruthTable, var: int, val: bool) -> float:
     """I(var, val): entropy of the ON fraction of the cofactor.
 
     The paper's I(x, v) on one table, kept as documented API; the
-    ordering itself scores from ON counts with _split_entropy.
+    ordering itself scores from ON counts.
     """
     if not 0 <= var < tt.n:
         raise ValueError(f"variable index {var} out of range for n={tt.n}")
@@ -57,23 +57,36 @@ def variable_entropy(tt: TruthTable, var: int) -> float:
     return _split_entropy(tt.bits.bit_count(), on1, 1 << (tt.n - 1))
 
 
+class _Entropies(dict):
+    """_h(k / half) by ON count k, each computed once."""
+
+    def __init__(self, half: int) -> None:
+        self.half = half
+
+    def __missing__(self, k: int) -> float:
+        self[k] = p = _h(k / self.half)
+        return p
+
+
 def _entropy_place(level: int, remaining: List[int], tables: Dict[int, int]) -> int:
     """The place in remaining of the minimum-average-entropy variable.
 
     A distinct subtable is scored once, its score weighted by its count;
     constant subtables score 0 and are not in tables, but the divisor
-    still counts all 2^level subtables.
+    still counts all 2^level subtables.  A cofactor's entropy depends
+    only on its ON count, so each count's is computed once per call.
     """
     width = len(remaining)
     masks = var_masks(width)
-    half = 1 << (width - 1)
+    h = _Entropies(1 << (width - 1))
     rows = [(st, st.bit_count(), count) for st, count in tables.items()]
     best_j, best_score = 0, math.inf
     for j in range(width):
         pos = masks[j]
         total = 0.0
         for st, on, count in rows:
-            total += count * _split_entropy(on, (st & pos).bit_count(), half)
+            on1 = (st & pos).bit_count()
+            total += count * (0.5 * (h[on - on1] + h[on1]))  # _split_entropy's float, exactly
         score = total / (1 << level)
         if score < best_score - _EPS:
             best_j, best_score = j, score

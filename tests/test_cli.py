@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -277,6 +278,22 @@ class TestRunPipeline:
         assert report.check() == []
         sop = [format_cube(c) for c in outputs["sop"]]
         assert oracle_cover_minterms(sop) == set(tt.minterms())
+
+    def test_dense_n16(self):
+        # a uniform random n=16 table: 20,683 DSOP cubes, whose URP halves
+        # pass 512 cubes, so the containment kernel's split runs; the covers
+        # are pinned by digest, and the time at about 3x that of a shared
+        # 2-vCPU host (2.2-2.9 s)
+        rng = random.Random("dense/16")
+        tt = TruthTable(16, rng.getrandbits(1 << 16))
+        start = time.perf_counter()
+        report, outputs = run_pipeline(tt, PipelineConfig(ordering="entropy"))
+        assert time.perf_counter() - start < 8.0
+        assert report.check() == []
+        digests = {name: hashlib.sha256(" ".join(map(format_cube, outputs[name])).encode())
+                   .hexdigest()[:16] for name in ("dsop", "sop")}
+        assert digests == {"dsop": "6bf3c0f3b1385b05", "sop": "85dc21a7bc9b9136"}
+        assert (report.dsop_cubes, report.sop_cubes, report.sop_literals) == (20683, 10634, 145356)
 
 
 class TestReports:

@@ -291,7 +291,8 @@ class TestMerge:
 # Care-mask widths on both sides of every step in the packed field size
 # (width // 4 + 1 bytes), and the widest tables the pipeline takes.
 FIELD_WIDTHS = (1, 3, 4, 7, 8, 9, 11, 12, 15, 16, 19, 20, 23, 24)
-# Cube counts on both sides of _pack's switch from shifting to joining bytes.
+# Cube counts on both sides of minimizer._SMALL, where a merge half switches
+# from the pairwise scan to the packed kernel.
 FIELD_COUNTS = (0, 1, 2, 3, 15, 16, 17, 40)
 
 
@@ -324,7 +325,7 @@ def nested_halves(rng, width: int, split: int, count: int):
 
 
 class TestContainmentKernel:
-    """merge and scc share one packed containment kernel: every field size and layout."""
+    """scc, and merges of halves of 16 cubes or more, share one packed kernel: each field size."""
 
     @pytest.mark.parametrize("width", FIELD_WIDTHS)
     def test_merge_matches_reference(self, width):
@@ -546,7 +547,8 @@ class TestSimplifyTable:
 
     def test_parity12_merges(self, monkeypatch):
         # each cofactor of parity is parity or its complement over the rest,
-        # so each level has two distinct sub-covers, not 2^level
+        # so each level has two distinct sub-covers, not 2^level; nodes under
+        # 16 cubes stay out of the table and are redone: 27 merges, not 1,023
         merges = count_calls(monkeypatch, "_merge")
         dsop = parity_dsop(12, [5, 11, 0, 7, 2, 9, 4, 1, 10, 3, 8, 6])
         assert set(simplify(dsop).cubes) == set(dsop.cubes)  # nothing merges in parity
@@ -561,6 +563,119 @@ class TestSimplifyTable:
         first = len(merges)
         simplify(dsop)
         assert first > 0 and len(merges) == 2 * first
+
+
+def tied_cover(rng, n: int, count: int):
+    """count random cubes; half the time one variable copies or mirrors another's literals.
+
+    A copied or mirrored column has the same rows and the same balance as
+    its source, so the most-binate choice can fall to the index tie-break.
+    """
+    cubes = random_packed(rng, n, count)
+    if n < 2 or rng.random() < 0.5:
+        return cubes
+    src, dst = (1 << s for s in rng.sample(range(n), 2))
+    mirror = rng.random() < 0.5
+    out = []
+    for care, value in cubes:
+        care, value = care & ~dst, value & ~dst
+        if care & src:
+            care |= dst
+            value |= dst if bool(value & src) != mirror else 0
+        out.append((care, value))
+    return out
+
+
+class TestSmallNodes:
+    """Binate nodes under minimizer._SMALL cubes count, scan and skip the table.
+
+    Each check holds the small path against the packed one and against
+    the references in conftest.
+    """
+
+    def test_count_pick_matches_packed_pick(self):
+        rng = random.Random("small-pick")
+        checked = tied = 0
+        for _ in range(3000):
+            n = rng.choice(KERNEL_NS)
+            cubes = tied_cover(rng, n, rng.randint(3, minimizer._SMALL - 1))
+            ones, zeros = polarity(cubes)
+            if not ones & zeros:
+                continue
+            want = ref_select_binate(cubes)
+            assert minimizer._count_pick(cubes, ones & zeros) == select_binate(cubes) == want, cubes
+            checked += 1
+            counts = sorted((-sum(1 for care, _ in cubes if care & b),
+                             abs(sum(1 if value & b else -1 for care, value in cubes if care & b)))
+                            for b in (1 << s for s in range(n)) if ones & zeros & b)
+            tied += len(counts) > 1 and counts[0] == counts[1]
+        assert checked > 2000 and tied > 500
+
+    @pytest.mark.parametrize("width", FIELD_WIDTHS)
+    def test_scan_merge_matches_kernel(self, width, monkeypatch):
+        # SCC-minimal halves of 0-15 cubes: the merge scans them pairwise;
+        # with the line at 0 the same merge answers through the kernel
+        rng = random.Random(f"small-merge/{width}")
+        wide = (1 << width) - 1
+        cases = []
+        for _ in range(150):
+            split = 1 << rng.randrange(width)
+            h0, h1 = nested_halves(rng, width, split, rng.randint(0, minimizer._SMALL - 1))
+            cases.append((h1, h0, split) if rng.random() < 0.5 else (h0, h1, split))
+        kernel = count_calls(monkeypatch, "_containers")
+        scanned = [minimizer._merge(h0, h1, split, wide) for h0, h1, split in cases]
+        assert not kernel
+        monkeypatch.setattr(minimizer, "_SMALL", 0)
+        for (h0, h1, split), got in zip(cases, scanned):
+            assert got == ref_merge(h0, h1, split) == minimizer._merge(h0, h1, split, wide), \
+                (width, split, h0, h1)
+        assert kernel
+
+    @pytest.mark.parametrize("small", [0, 16, 1 << 30])
+    def test_simplify_on_both_sides_of_the_line(self, small, monkeypatch):
+        # covers of 14-18 cubes, so nodes fall on both sides of the line;
+        # at 0 every node packs, and at 2^30 none does
+        monkeypatch.setattr(minimizer, "_SMALL", small)
+        rng = random.Random("small-simplify")
+        for _ in range(120):
+            n = rng.randint(3, 9)
+            cubes = ["".join(rng.choice("0122") for _ in range(n)) for _ in range(rng.randint(14, 18))]
+            c = Cover(n, tuple(cube_from_text(t, n) for t in cubes))
+            assert simplify(c) == ref_simplify(c), cubes
+        checked = 0
+        for _ in range(400):
+            n = rng.randint(5, 7)
+            on = rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+            dsop = enumerate_one_paths(build_from_truthtable(TruthTable(n, on)))
+            if 14 <= len(dsop.cubes) <= 18:
+                assert simplify(dsop) == ref_simplify(dsop), (n, on)
+                checked += 1
+        assert checked > 40
+
+    def test_small_node_packs_nothing(self, monkeypatch):
+        # a binate DSOP of 3-15 cubes: no pack, no packed pick, no table entry
+        packs = count_calls(monkeypatch, "_pack")
+        picks = count_calls(monkeypatch, "_pick")
+        rng = random.Random("small-count")
+        checked = 0
+        for n, on in _random_tables(rng):
+            dsop = enumerate_one_paths(build_from_truthtable(TruthTable(n, on)))
+            if 3 <= len(dsop.cubes) < minimizer._SMALL:
+                done = {}
+                out = minimizer._simplify([(c.care, c.value) for c in dsop], done)
+                assert [(c.care, c.value) for c in ref_simplify(dsop)] == out
+                assert not done and not packs and not picks
+                checked += 1
+        assert checked > 20
+
+    def test_table_keys_have_16_cubes_or_more(self):
+        rng = random.Random("small-keys")
+        for n in (8, 10, 12):
+            dsop = enumerate_one_paths(build_from_truthtable(TruthTable(n, rng.getrandbits(1 << n))))
+            done = {}
+            out = minimizer._simplify([(c.care, c.value) for c in dsop], done)
+            assert [(c.care, c.value) for c in simplify(dsop)] == out
+            assert done and min(count for _, count, _ in done) >= minimizer._SMALL == 16
 
 
 class TestExpand:
