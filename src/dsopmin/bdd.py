@@ -14,12 +14,7 @@ a time, each distinct subtable cofactored once.  A rule picks each
 level's variable; the entropy ordering passes its greedy rule, and a
 fixed order is the rule "the place of perm[level]".  build_levels makes
 the nodes from those splits, so the pipeline's entropy mode orders and
-builds from one descent.
-
-Path sifting reorders by in-place adjacent swaps that touch only the
-two levels they exchange: every node keeps its id and its function,
-and a node a swap orphans is dropped at once.  After sift_paths the
-manager holds only the sifted function's diagram.
+builds from one descent.  Path sifting swaps adjacent levels in place.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .boolfn import (
     Cover,
-    Cube,
     TruthTable,
     MAX_TABLE_VARS,
     cofactor_bits,
@@ -125,19 +119,15 @@ class BddManager:
 
     def reachable(self, root: int) -> List[int]:
         """Internal nodes reachable from root, discovery order."""
-        seen: set[int] = set()
-        out: List[int] = []
+        seen: Dict[int, None] = {}  # an insertion-ordered set
         stack = [root]
         while stack:
             u = stack.pop()
-            if u < 2 or u in seen:
-                continue
-            seen.add(u)
-            out.append(u)
-            lo, hi = self.children(u)
-            stack.append(hi)
-            stack.append(lo)
-        return out
+            if u > ONE and u not in seen:
+                seen[u] = None
+                _, lo, hi = self._nodes[u]
+                stack += (hi, lo)
+        return list(seen)
 
 
 @dataclass
@@ -216,68 +206,60 @@ def node_count(h: FunctionHandle) -> int:
 
 def one_path_count(h: FunctionHandle) -> int:
     """P1: paths from the root to terminal 1, counted bottom-up."""
-    mgr = h.manager
-    memo: Dict[int, int] = {ZERO: 0, ONE: 1}
+    nodes, count = h.manager._nodes, {ZERO: 0, ONE: 1}
 
-    def count(u: int) -> int:
-        if u in memo:
-            return memo[u]
-        lo, hi = mgr.children(u)
-        memo[u] = count(lo) + count(hi)
-        return memo[u]
+    def paths(u: int) -> int:
+        if u not in count:
+            _, lo, hi = nodes[u]
+            count[u] = paths(lo) + paths(hi)
+        return count[u]
 
-    return count(h.root)
+    return paths(h.root)
+
+
+def one_paths(h: FunctionHandle) -> List[Tuple[int, int]]:
+    """One (care, value) pair per one-path, depth first with the lo branch first.
+
+    Each edge ORs its variable's bit into the care mask, and the hi edge
+    (the positive literal) into the value mask too; variables skipped by
+    long edges stay don't-care.  Lo edges are followed, hi edges stacked.
+    """
+    nodes, n = h.manager._nodes, h.manager.n
+    bits = [1 << (n - 1 - var) for var in h.manager.order.perm]  # a level's variable bit
+    paths: List[Tuple[int, int]] = []
+    stack = [(h.root, 0, 0)]
+    while stack:
+        u, care, value = stack.pop()
+        while u > ONE:
+            level, u, hi = nodes[u]
+            bit = bits[level]
+            care |= bit
+            if hi:
+                stack.append((hi, care, value | bit))
+        if u:
+            paths.append((care, value))
+    return paths
 
 
 def enumerate_one_paths(h: FunctionHandle) -> Cover:
-    """One cube per one-path, depth first with the lo branch first.
-
-    Each edge ORs its variable's bit into the cube's care mask, and the
-    hi edge (the positive literal) into its value mask too; variables
-    skipped by long edges stay don't-care.
-    """
-    mgr = h.manager
-    n = mgr.n
-    bits = [1 << (n - 1 - var) for var in mgr.order.perm]  # a level's variable bit
-    cubes: List[Cube] = []
-
-    def walk(u: int, care: int, value: int) -> None:
-        if u == ZERO:
-            return
-        if u == ONE:
-            cubes.append(Cube(n, care, value))
-            return
-        bit = bits[mgr.level(u)]
-        lo, hi = mgr.children(u)
-        walk(lo, care | bit, value)
-        walk(hi, care | bit, value | bit)
-
-    walk(h.root, 0, 0)
-    return Cover(n, tuple(cubes))
+    """The DSOP: one cube per one-path, in one_paths() order."""
+    return Cover.of_pairs(h.manager.n, one_paths(h))
 
 
 def to_truthtable(h: FunctionHandle) -> TruthTable:
     """The function's truth table, combined bottom-up from literal masks."""
-    mgr = h.manager
-    n = mgr.n
+    n = h.manager.n
     if n > MAX_TABLE_VARS:
         raise ValueError(f"variable count {n} exceeds table limit {MAX_TABLE_VARS}")
-    masks = var_masks(n)
-    perm = mgr.order.perm
-    memo: Dict[int, int] = {ZERO: 0, ONE: full_mask(n)}
-
-    def table(u: int) -> int:
-        if u in memo:
-            return memo[u]
-        pos = masks[perm[mgr.level(u)]]
-        lo, hi = mgr.children(u)
-        lo_table = table(lo)
-        # lo_table & ~pos, kept non-negative: CPython ANDs with a negative
-        # int several times slower, which shows on wide tables
-        memo[u] = (table(hi) & pos) | (lo_table ^ (lo_table & pos))
-        return memo[u]
-
-    return TruthTable(n, table(h.root))
+    masks, perm, nodes = var_masks(n), h.manager.order.perm, h.manager._nodes
+    table = {ZERO: 0, ONE: full_mask(n)}
+    for u in sorted(h.manager.reachable(h.root), key=lambda u: -nodes[u][0]):  # children first
+        level, lo, hi = nodes[u]
+        pos, low = masks[perm[level]], table[lo]
+        # low & ~pos, kept non-negative: CPython ANDs with a negative int
+        # several times slower, which shows on wide tables
+        table[u] = (table[hi] & pos) | (low ^ (low & pos))
+    return TruthTable(n, table[h.root])
 
 
 class _LevelSets:
@@ -415,8 +397,10 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> VariableOrder:
 
     No position is scored by a walk over the whole diagram.  Swaps are
     in place and touch only the two levels they exchange (Rudell, ICCAD
-    1993).  P1 is kept as a running total that a swap changes by the
-    rewritten nodes' share, and the node count as per-level widths.
+    1993): every node keeps its id and its function, and a node a swap
+    orphans is dropped at once.  P1 is kept as a running total that a
+    swap changes by the rewritten nodes' share, and the node count as
+    per-level widths.
     """
     n = mgr.n
     if n < 2 or h.root < 2:
@@ -455,9 +439,8 @@ def to_dot(h: FunctionHandle, names: Optional[Sequence[str]] = None) -> str:
     lines.append('  node0 [label="0", shape=box];')
     lines.append('  node1 [label="1", shape=box];')
     for u in mgr.reachable(h.root):
-        var = mgr.order.perm[mgr.level(u)]
-        lo, hi = mgr.children(u)
-        lines.append(f'  node{u} [label="{names[var]}"];')
+        level, lo, hi = mgr._nodes[u]
+        lines.append(f'  node{u} [label="{names[mgr.order.perm[level]]}"];')
         lines.append(f"  node{u} -> node{lo} [style=dashed];")
         lines.append(f"  node{u} -> node{hi} [style=solid];")
     lines.append("}")

@@ -8,8 +8,8 @@ Conventions used throughout the package:
   cofactor and merge are each a few bitwise operations.
 * Cube text is positional, one character per variable: 0 means the
   complemented literal, 1 the positive literal, 2 (or "-" on input) an
-  absent variable.  It exists only at I/O, in ``cube_from_text`` and
-  ``format_cube``.
+  absent variable.  It exists only at I/O, in ``decode_cube`` (which
+  ``cube_from_text`` wraps) and ``format_cube``.
 * Minterm index bit order: variable 0 is the MOST significant bit.  For
   n=4 with names a,b,c,d, minterm 5 = 0b0101 = a'bc'd.  So a cube's
   ``value`` is its smallest minterm, and a don't-care variable's bit is
@@ -69,6 +69,11 @@ class Cover:
     def __iter__(self) -> Iterator[Cube]:
         return iter(self.cubes)
 
+    @classmethod
+    def of_pairs(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "Cover":
+        """The cover of (care, value) pairs, each checked by Cube's constructor."""
+        return cls(n, tuple(Cube(n, care, value) for care, value in pairs))
+
 
 @dataclass(frozen=True)
 class TruthTable:
@@ -87,9 +92,7 @@ class TruthTable:
         return bool((self.bits >> minterm) & 1)
 
     def minterms(self) -> Iterator[int]:
-        for i in range(1 << self.n):
-            if (self.bits >> i) & 1:
-                yield i
+        return (i for i in range(1 << self.n) if self.bits >> i & 1)
 
     @property
     def is_constant(self) -> bool:
@@ -105,14 +108,18 @@ _VALUE_CHARS = str.maketrans("012-", "0100")
 _CUBE_CHARS = str.maketrans("", "", "012-")
 
 
-def cube_from_text(text: str, n: int) -> Cube:
-    """Parse a positional cube string over {0,1,2,-}."""
+def decode_cube(text: str, n: int) -> Tuple[int, int]:
+    """The (care, value) pair of a positional cube string over {0,1,2,-}."""
     if len(text) != n:
         raise ValueError(f"cube text {text!r} has length {len(text)}, expected {n}")
     illegal = text.translate(_CUBE_CHARS)
     if illegal:
         raise ValueError(f"illegal cube character {illegal[0]!r} in {text!r}")
-    return Cube(n, int(text.translate(_CARE_CHARS), 2), int(text.translate(_VALUE_CHARS), 2))
+    return int(text.translate(_CARE_CHARS), 2), int(text.translate(_VALUE_CHARS), 2)
+
+
+def cube_from_text(text: str, n: int) -> Cube:
+    return Cube(n, *decode_cube(text, n))
 
 
 # One string per distinct cube, so a caller that keeps the text of many covers
@@ -156,15 +163,20 @@ def full_mask(n: int) -> int:
 
 
 def cube_mask(cube: Cube) -> int:
-    """Truth-table bit mask of the cube's minterms.
+    """pair_mask() of a Cube."""
+    return pair_mask(cube.n, cube.care, cube.value)
+
+
+def pair_mask(n: int, care: int, value: int) -> int:
+    """Truth-table bit mask of the minterms of the cube (care, value) over n variables.
 
     Starting from the cube's smallest minterm, each don't-care variable
     doubles the mask by a shift of that variable's bit.
     """
-    if cube.n > MAX_TABLE_VARS:
-        raise ValueError(f"variable count {cube.n} exceeds table limit {MAX_TABLE_VARS}")
-    mask = 1 << cube.value
-    free = ~cube.care & ((1 << cube.n) - 1)
+    if n > MAX_TABLE_VARS:
+        raise ValueError(f"variable count {n} exceeds table limit {MAX_TABLE_VARS}")
+    mask = 1 << value
+    free = ~care & ((1 << n) - 1)
     while free:
         bit = free & -free
         mask |= mask << bit
@@ -173,8 +185,6 @@ def cube_mask(cube: Cube) -> int:
 
 
 def cover_to_truthtable(cover: Cover) -> TruthTable:
-    if cover.n > MAX_TABLE_VARS:
-        raise ValueError(f"variable count {cover.n} exceeds table limit {MAX_TABLE_VARS}")
     bits = 0
     for cube in cover:
         bits |= cube_mask(cube)

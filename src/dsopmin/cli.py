@@ -23,9 +23,9 @@ from .boolfn import (
     MAX_TABLE_VARS,
     Cover,
     TruthTable,
-    cube_from_text,
-    cube_mask,
+    decode_cube,
     literal_count,
+    pair_mask,
     truthtable_from_minterms,
 )
 from .minimizer import default_names, format_expression
@@ -143,9 +143,9 @@ def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
             raise PlaError("don't-care outputs not supported (completely specified only)")
         if out_part not in ("0", "1"):
             raise PlaError(f"malformed output field {out_part!r}")
-        cube = cube_from_text(in_part, n)
+        care, value = decode_cube(in_part, n)
         if out_part == "1":
-            bits |= cube_mask(cube)
+            bits |= pair_mask(n, care, value)
     return TruthTable(n, bits), names
 
 
@@ -185,15 +185,16 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
     nodes = bdd.node_count(h)
     clock("build", t)
 
+    # (care, value) pairs from the walk to the SOP; Cubes only in the covers returned
     t = time.perf_counter()
-    dsop = bdd.enumerate_one_paths(h)
+    paths = bdd.one_paths(h)
+    dsop = Cover.of_pairs(tt.n, paths)
     p1 = bdd.one_path_count(h)
     clock("dsop", t)
 
     t = time.perf_counter()
-    sop = minimizer.simplify(dsop)
-    sop = minimizer.expand(sop, tt)
-    sop = minimizer.irredundant(sop, tt)
+    pairs = minimizer.minimize(paths, tt.n, tt.bits)
+    sop = Cover.of_pairs(tt.n, pairs)
     clock("minimize", t)
 
     oracle_cubes = oracle_literals = None
@@ -211,7 +212,7 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
         one_paths=p1,
         dsop_cubes=len(dsop.cubes),
         sop_cubes=len(sop.cubes),
-        sop_literals=literal_count(sop),
+        sop_literals=sum(care.bit_count() for care, _ in pairs),
         oracle_cubes=oracle_cubes,
         oracle_literals=oracle_literals,
         timings_ms=timings,

@@ -12,31 +12,31 @@ and the work per recursion node stays near linear in its cover:
   nodes are, packing costs more than it saves: a node counts its
   binate columns cube by cube (closed form for three cubes), the merge
   scans a small half pairwise, and a two-cube node is closed form;
-* every simplify() result is an antichain (no cube inside another, no
-  duplicates), and the merge of two antichains is one again, so the
-  merge needs no containment pass of its own;
+* the merge of two simplify() results needs no containment pass;
 * one call keeps a table from each binate sub-cover of 16 cubes or
   more to its result (smaller ones seldom repeat on random inputs), the
   computed table of BDD packages (Brace, Rudell and Bryant, DAC 1990)
   applied to URP: cofactors of symmetric functions repeat (F|x=0,y=1 =
-  F|x=1,y=0).  Its key is the packed int with its field size and cube
-  count, which give back the cube list exactly and, unlike a tuple of
-  cubes, hold no references for the garbage collector to traverse.
+  F|x=1,y=0).  Its key is the packed int, which holds no references
+  for the garbage collector to traverse.
 
 expand() raises literals toward primeness and irredundant() drops cubes
-the rest of the cover covers, both on truth-table bit masks of the
-function, given as its truth table or as a BDD handle.
+the rest of the cover covers, both on pairs and truth-table bit masks.
+minimize() runs the three passes for the pipeline; simplify(), expand()
+and irredundant() wrap the same kernels for a Cover.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import or_
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import bdd
 from .bdd import FunctionHandle
-from .boolfn import Cover, Cube, TruthTable, cube_mask, format_cube, full_mask
+from .boolfn import Cover, Cube, TruthTable, format_cube, full_mask, pair_mask
 
 # A cube's (care, value) pair; variable v is bit n-1-v, as in boolfn.Cube.
 Packed = Tuple[int, int]
@@ -222,13 +222,6 @@ def _held(queries: Sequence[Packed], cubes: Sequence[Packed]) -> List[bool]:
     return found
 
 
-def simplify(cover: Cover) -> Cover:
-    """Unate recursive simplification; never grows the cube count."""
-    n = cover.n
-    out = _simplify([(c.care, c.value) for c in cover], {})
-    return Cover(n, tuple(Cube(n, care, value) for care, value in out))
-
-
 def _simplify(cubes: List[Packed], done: Dict[Key, List[Packed]]) -> List[Packed]:
     """simplify() on packed cubes; done maps each binate cover's key to its result."""
     if len(cubes) == 1:
@@ -272,35 +265,56 @@ def _split(cubes: List[Packed], bit: int, wide: int, done: Dict[Key, List[Packed
     return out if len(out) <= len(cubes) else scc(cubes)
 
 
-Function = Union[TruthTable, FunctionHandle]
+def minimize(cubes: List[Packed], n: int, onset: int) -> List[Packed]:
+    """simplify, expand and irredundant on pairs; expand's masks go to a one-pass irredundant."""
+    cubes = _simplify(cubes, {})
+    masks: Optional[List[int]] = [] if _one_pass(len(cubes), n) else None
+    return _irredundant(_expand(cubes, onset, n, masks), onset, n, masks)
 
 
-def _onset(cover: Cover, f: Function) -> int:
-    """f's table bits; a BDD handle's table is rebuilt from the BDD."""
+def _unpack(cover: Cover, f: Union[TruthTable, FunctionHandle]) -> Tuple[List[Packed], int]:
+    """The cover's pairs and f's table bits; a BDD handle's table is rebuilt from the BDD."""
     if not isinstance(f, TruthTable):
         f = bdd.to_truthtable(f)
     if cover.n != f.n:
         raise ValueError("cover variable count does not match the function")
-    return f.bits
+    return [(c.care, c.value) for c in cover], f.bits
 
 
-def expand(cover: Cover, f: Function) -> Cover:
-    """Raise literals to don't-care wherever the enlarged cube stays in f.
+def simplify(cover: Cover) -> Cover:
+    """Unate recursive simplification; never grows the cube count."""
+    return Cover.of_pairs(cover.n, _simplify([(c.care, c.value) for c in cover], {}))
+
+
+def expand(cover: Cover, f: Union[TruthTable, FunctionHandle]) -> Cover:
+    """Raise literals to don't-care wherever the enlarged cube stays in f."""
+    return Cover.of_pairs(cover.n, _expand(*_unpack(cover, f), cover.n))
+
+
+def irredundant(cover: Cover, f: Union[TruthTable, FunctionHandle]) -> Cover:
+    """Drop duplicates, then greedily drop cubes the rest still cover; keeps the cover's Cubes."""
+    cubes, onset = _unpack(cover, f)
+    by_pair = dict(zip(cubes, cover.cubes))  # equal pairs are equal Cubes
+    return Cover(cover.n, tuple(by_pair[pair] for pair in _irredundant(cubes, onset, cover.n)))
+
+
+def _expand(cubes: List[Packed], onset: int, n: int,
+            masks: Optional[List[int]] = None) -> List[Packed]:
+    """expand() on pairs; appends each output cube's mask to masks when given.
 
     Cubes are processed in cover order, variables by ascending index
     (descending bit).  Raising the variable at bit b adds the cube's
     minterms shifted by b across it.
     """
-    n = cover.n
     # every minterm where f is 0, kept non-negative: CPython ANDs with a
     # negative int several times slower, which shows on wide tables
-    outside = full_mask(n) ^ _onset(cover, f)
+    outside = full_mask(n) ^ onset
     out = []
-    for c in cover:
-        mask = cube_mask(c)
+    for care, value in cubes:
+        mask = pair_mask(n, care, value)
         if mask & outside:
-            raise ValueError(f"cube {format_cube(c)} is not contained in the function")
-        care, value = c.care, c.value
+            text = format_cube(Cube(n, care, value))
+            raise ValueError(f"cube {text} is not contained in the function")
         lits = care
         while lits:
             bit = 1 << (lits.bit_length() - 1)
@@ -310,8 +324,10 @@ def expand(cover: Cover, f: Function) -> Cover:
                 mask |= other_half
                 care ^= bit
                 value &= ~bit
-        out.append(Cube(n, care, value))
-    return Cover(n, tuple(out))
+        out.append((care, value))
+        if masks is not None:
+            masks.append(mask)
+    return out
 
 
 # irredundant() holds every cube mask and suffix OR at once while the k
@@ -320,47 +336,42 @@ def expand(cover: Cover, f: Function) -> Cover:
 _ONE_PASS_BITS = 1 << 27
 
 
-def irredundant(cover: Cover, f: Function) -> Cover:
-    """Drop duplicates, then greedily drop cubes the rest still cover.
+def _one_pass(k: int, n: int) -> bool:
+    return k << n < _ONE_PASS_BITS
+
+
+def _irredundant(cubes: List[Packed], onset: int, n: int, masks: Optional[List[int]] = None,
+                 block: int = 0) -> List[Packed]:
+    """irredundant() on pairs; masks, when given, are the cubes' masks.
 
     Cube i goes iff its mask lies inside the cubes kept before it plus
     every cube after it.  Each mask can take 2^n bits, so a large cover
-    runs in blocks of about sqrt(k) cubes, which bounds what it holds
-    at once by O(sqrt(k) 2^n) bits for the same result.
+    runs in blocks of about sqrt(k) cubes (or block cubes), keeping only
+    the suffix OR at each block start: O(sqrt(k) 2^n) bits at once.
     """
-    onset = _onset(cover, f)
-    cubes = list(dict.fromkeys(cover.cubes))
+    if masks is None:
+        cubes = list(dict.fromkeys(cubes))
+    else:  # equal cubes have equal masks
+        unique = dict(zip(cubes, masks))
+        cubes, masks = list(unique), list(unique.values())
     k = len(cubes)
-    block = max(k, 1) if k << cover.n < _ONE_PASS_BITS else math.isqrt(k - 1) + 1
-    return Cover(cover.n, tuple(_irredundant(cubes, onset, block)))
-
-
-def _irredundant(cubes: List[Cube], onset: int, block: int) -> List[Cube]:
-    """irredundant()'s greedy pass over cubes, block cubes at a time.
-
-    Only the suffix OR at each block start is kept across the pass.  A
-    block's masks and the suffix ORs inside it are rebuilt when the
-    pass reaches it; one block is the plain single pass.
-    """
-    starts = range(0, len(cubes) or 1, block)
+    block = block or (max(k, 1) if _one_pass(k, n) else math.isqrt(k - 1) + 1)
+    starts = range(0, k or 1, block)
     tails = [0] * (len(starts) + 1)  # tails[j]: every mask from block j on
     for j in range(len(starts) - 1, 0, -1):
-        tail = tails[j + 1]
-        for c in cubes[starts[j]:starts[j] + block]:
-            tail |= cube_mask(c)
-        tails[j] = tail
-    kept: List[Cube] = []
+        tails[j] = reduce(or_, (pair_mask(n, c, v) for c, v in cubes[starts[j]:starts[j] + block]),
+                          tails[j + 1])
+    kept: List[Packed] = []
     prefix = 0
     for j, start in enumerate(starts):
-        masks = [cube_mask(c) for c in cubes[start:start + block]]
-        suffix = [0] * len(masks) + [tails[j + 1]]
-        for i in range(len(masks) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | masks[i]
+        part = (masks[start:start + block] if masks is not None
+                else [pair_mask(n, care, value) for care, value in cubes[start:start + block]])
+        suffix = [*accumulate(reversed(part), or_, initial=tails[j + 1])][::-1]
         if j == 0 and suffix[0] != onset:
             raise ValueError("cover does not represent the given function")
-        for i, mask in enumerate(masks):
+        for i, mask in enumerate(part):
             rest = prefix | suffix[i + 1]
-            if (mask | rest) != rest:  # not mask & ~rest: see expand()
+            if (mask | rest) != rest:  # not mask & ~rest: see _expand()
                 kept.append(cubes[start + i])
                 prefix |= mask
     return kept

@@ -40,11 +40,6 @@ def cofactor_entropy(tt: TruthTable, var: int, val: bool) -> float:
     return _h(on / (1 << (tt.n - 1)))
 
 
-def _split_entropy(on: int, on1: int, half: int) -> float:
-    """(I(var,0) + I(var,1)) / 2 from the ON counts of a table and its var=1 half."""
-    return 0.5 * (_h((on - on1) / half) + _h(on1 / half))
-
-
 def variable_entropy(tt: TruthTable, var: int) -> float:
     """E(var) = (I(var,0) + I(var,1)) / 2.
 
@@ -53,8 +48,8 @@ def variable_entropy(tt: TruthTable, var: int) -> float:
     """
     if not 0 <= var < tt.n:
         raise ValueError(f"variable index {var} out of range for n={tt.n}")
-    on1 = (tt.bits & var_masks(tt.n)[var]).bit_count()
-    return _split_entropy(tt.bits.bit_count(), on1, 1 << (tt.n - 1))
+    on1, half = (tt.bits & var_masks(tt.n)[var]).bit_count(), 1 << (tt.n - 1)
+    return 0.5 * (_h((tt.bits.bit_count() - on1) / half) + _h(on1 / half))
 
 
 class _Entropies(dict):
@@ -86,7 +81,7 @@ def _entropy_place(level: int, remaining: List[int], tables: Dict[int, int]) -> 
         total = 0.0
         for st, on, count in rows:
             on1 = (st & pos).bit_count()
-            total += count * (0.5 * (h[on - on1] + h[on1]))  # _split_entropy's float, exactly
+            total += count * (0.5 * (h[on - on1] + h[on1]))  # variable_entropy's float, exactly
         score = total / (1 << level)
         if score < best_score - _EPS:
             best_j, best_score = j, score

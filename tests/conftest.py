@@ -18,6 +18,7 @@ import pytest
 
 from dsopmin.bdd import FunctionHandle, VariableOrder, build_from_truthtable, enumerate_one_paths
 from dsopmin.boolfn import (
+    MAX_TABLE_VARS,
     Cover,
     Cube,
     TruthTable,
@@ -28,7 +29,7 @@ from dsopmin.boolfn import (
     truthtable_from_minterms,
     var_masks,
 )
-from dsopmin.cli import PipelineConfig, run_pipeline
+from dsopmin.cli import PipelineConfig, PlaError, run_pipeline
 from dsopmin.qm import prime_implicants
 
 # The worked four-variable example used throughout: f = sum(1,5,6,9,12,13,14,15)
@@ -767,6 +768,96 @@ def ref_irredundant(cover: Cover, tt: TruthTable) -> Cover:
             kept.append(c)
             prefix |= masks[i]
     return Cover(cover.n, tuple(kept))
+
+
+# Reference DSOP walk and PLA reader: the package's former recursive
+# enumerate_one_paths, which builds a Cube at each one-path through the
+# manager's level/children, and the former parse_pla, which builds a Cube
+# and its cube_mask for every cube line.
+
+def ref_enumerate_one_paths(h) -> Cover:
+    """One cube per one-path, depth first with the lo branch first."""
+    mgr = h.manager
+    n = mgr.n
+    bits = [1 << (n - 1 - var) for var in mgr.order.perm]
+    cubes: List[Cube] = []
+
+    def walk(u: int, care: int, value: int) -> None:
+        if u == 0:
+            return
+        if u == 1:
+            cubes.append(Cube(n, care, value))
+            return
+        bit = bits[mgr.level(u)]
+        lo, hi = mgr.children(u)
+        walk(lo, care | bit, value)
+        walk(hi, care | bit, value | bit)
+
+    walk(h.root, 0, 0)
+    return Cover(n, tuple(cubes))
+
+
+def _ref_directive_int(parts: List[str]) -> int:
+    if len(parts) < 2:
+        raise PlaError(f"{parts[0]} needs an integer argument")
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise PlaError(f"{parts[0]} argument {parts[1]!r} is not an integer") from None
+
+
+def ref_parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
+    """Parse the single-output PLA subset; listed cubes define the ON-set."""
+    n: Optional[int] = None
+    out_count: Optional[int] = None
+    names: Optional[List[str]] = None
+    cubes: List[Tuple[str, str]] = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("."):
+            parts = line.split()
+            key = parts[0]
+            if key == ".i":
+                n = _ref_directive_int(parts)
+                if not 1 <= n <= MAX_TABLE_VARS:
+                    raise PlaError(f".i {n} outside [1, {MAX_TABLE_VARS}]")
+            elif key == ".o":
+                out_count = _ref_directive_int(parts)
+                if out_count != 1:
+                    raise PlaError("only single-output functions are supported (.o 1)")
+            elif key == ".ilb":
+                names = parts[1:]
+            elif key in (".ob", ".p"):
+                pass
+            elif key == ".e":
+                break
+            else:
+                raise PlaError(f"unsupported PLA directive {key}")
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise PlaError(f"malformed cube line {line!r}")
+        cubes.append((parts[0], parts[1]))
+
+    if n is None:
+        raise PlaError("missing .i directive")
+    if out_count is None:
+        raise PlaError("missing .o directive")
+    if names is not None and len(names) != n:
+        raise PlaError(".ilb name count does not match .i")
+
+    bits = 0
+    for in_part, out_part in cubes:
+        if out_part == "-" or out_part == "~":
+            raise PlaError("don't-care outputs not supported (completely specified only)")
+        if out_part not in ("0", "1"):
+            raise PlaError(f"malformed output field {out_part!r}")
+        cube = cube_from_text(in_part, n)
+        if out_part == "1":
+            bits |= cube_mask(cube)
+    return TruthTable(n, bits), names
 
 
 # Symmetric and structured tables: their diagrams repeat subfunctions at

@@ -10,6 +10,7 @@ from dsopmin.bdd import (
     enumerate_one_paths,
     node_count,
     one_path_count,
+    one_paths,
     sift_paths,
     to_dot,
     to_truthtable,
@@ -26,7 +27,14 @@ from dsopmin.boolfn import (
 )
 from dsopmin.ordering import entropy_levels, entropy_order
 
-from conftest import oracle_disjoint, random_cube, ref_build, ref_sift_summary, symmetric_tables
+from conftest import (
+    oracle_disjoint,
+    random_cube,
+    ref_build,
+    ref_enumerate_one_paths,
+    ref_sift_summary,
+    symmetric_tables,
+)
 
 ORDER_ABCD = VariableOrder((0, 1, 2, 3))
 ORDER_BACD = VariableOrder((1, 0, 2, 3))
@@ -194,6 +202,65 @@ class TestOnePaths:
             assert len(dsop.cubes) == one_path_count(h)
             assert oracle_disjoint(format_cube(c) for c in dsop)
             assert cover_to_truthtable(dsop).bits == tt.bits
+
+
+class TestOnePathWalk:
+    """one_paths' iterative walk against the former recursive one
+    (conftest.ref_enumerate_one_paths): same cubes in the same order."""
+
+    @staticmethod
+    def handles(tt, rng):
+        """tt's diagram under entropy, given (identity and shuffled) and sift orders."""
+        levels = entropy_levels(tt)
+        yield BddManager(tt.n, levels.order).build_levels(levels)
+        yield build_from_truthtable(tt)
+        perm = list(range(tt.n))
+        rng.shuffle(perm)
+        yield build_from_truthtable(tt, VariableOrder(tuple(perm)))
+        h = build_from_truthtable(tt)
+        sift_paths(h.manager, h)
+        yield h
+
+    def assert_matches_reference(self, h):
+        want = ref_enumerate_one_paths(h)
+        assert one_paths(h) == [(c.care, c.value) for c in want]
+        assert enumerate_one_paths(h) == want
+        assert len(want.cubes) == one_path_count(h)
+
+    def test_random_tables_every_ordering(self):
+        rng = random.Random("one-path-walk")
+        for tt in random_tables(80, (1, 10), seed=19):
+            if rng.random() < 0.5:  # thin the on-set, so some diagrams are sparse
+                tt = TruthTable(tt.n, tt.bits & rng.getrandbits(1 << tt.n))
+            for h in self.handles(tt, rng):
+                self.assert_matches_reference(h)
+
+    def test_constant_roots(self):
+        rng = random.Random("one-path-walk/constants")
+        for n in (1, 3, 6):
+            for bits in (0, full_mask(n)):
+                for h in self.handles(TruthTable(n, bits), rng):
+                    assert h.root == (1 if bits else 0)
+                    self.assert_matches_reference(h)
+                    assert one_paths(h) == ([(0, 0)] if bits else [])
+
+    def test_long_edges(self):
+        # sparse PLAs and symmetric functions: edges that skip levels
+        # leave their variables don't-care in the cubes
+        rng = random.Random("one-path-walk/long-edges")
+        tables = [truthtable_from_minterms(5, [0b10010, 0b10011, 0b11010, 0b11011])]  # a d' only
+        for n in (6, 9, 12):
+            bits = 0
+            for k in (2, 3, 3, 4):
+                bits |= cube_mask(cube_from_text(random_cube(rng, n, k), n))
+            tables.append(TruthTable(n, bits))
+        tables += [tt for _name, tt in symmetric_tables(8)]
+        skipped = 0
+        for tt in tables:
+            for h in self.handles(tt, rng):
+                self.assert_matches_reference(h)
+                skipped += sum(tt.n - care.bit_count() for care, _ in one_paths(h))
+        assert skipped > 0
 
 
 class TestTautologyAndContainment:

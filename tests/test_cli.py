@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsopmin import cli
-from dsopmin.boolfn import TruthTable, cofactor_bits, truthtable_from_minterms
+from dsopmin.boolfn import Cube, TruthTable, cofactor_bits, literal_count, truthtable_from_minterms
 from dsopmin.cli import (
     PipelineConfig,
     PlaError,
@@ -29,7 +30,12 @@ from dsopmin.cli import (
 )
 from dsopmin.boolfn import format_cube
 
-from conftest import oracle_cover_minterms, oracle_same_function, random_cube
+from conftest import (
+    oracle_cover_minterms,
+    oracle_same_function,
+    random_cube,
+    ref_parse_pla,
+)
 
 GOLDEN_PLA = "\n".join(
     [".i 4", ".o 1", ".ilb a b c d"]
@@ -138,6 +144,122 @@ class TestParsePla:
     def test_input_count_out_of_range(self, n):
         with pytest.raises(PlaError):
             parse_pla(f".i {n}\n.o 1\n{'-' * n} 1\n.e\n")
+
+
+def parse_outcome(parse, text):
+    """parse(text), or the type and message of the ValueError it raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def seeded_pla(rng, n):
+    """Valid PLA text that uses every accepted form: comments, blank lines,
+    "-" and "2", 0-output lines, .ilb, .p, .ob, and text after .e."""
+    lines = ["# seeded", f".i {n}", "", ".o 1  # one output", f".p {rng.randint(0, 40)}"]
+    if rng.random() < 0.5:
+        lines.append(".ilb " + " ".join(f"x{v}" for v in range(n)))
+    if rng.random() < 0.3:
+        lines.append(".ob f")
+    for _ in range(rng.randint(0, 30)):
+        text = "".join(rng.choice("01-2") for _ in range(n))
+        line = f"{text} {rng.choice('0111')}"
+        lines.append(rng.choice([line, line, f"  {line}  ", f"{line} # note", ""]))
+    lines.append(".e")
+    lines += rng.choice([[], ["11 1", ".i x", "garbage"]])
+    return "\n".join(lines)
+
+
+# One bad line of each kind that the reader rejects, for a four-input PLA.
+# Lines are read (directives, two fields per cube line) before any cube's
+# fields are decoded, so an error of the first group comes before one of
+# the second wherever they stand, as in the former reader.
+BAD_READ_LINES = [".type fr", ".i", ".i x", ".i 0", ".i 25", ".o 2", ".o 1.5", "1 1 1", "1011"]
+BAD_CUBE_LINES = ["101 1", "10110 0", "1x01 1", "10_1 0", "1011 -", "1011 ~", "1011 2",
+                  "1011 10"]
+
+
+class TestParsePlaReference:
+    """parse_pla against the former reader (conftest.ref_parse_pla): equal
+    tables and names, and the same error for every kind of bad line."""
+
+    def test_seeded_plas(self):
+        rng = random.Random("parse-pla-reference")
+        for _ in range(300):
+            text = seeded_pla(rng, rng.randint(1, 12))
+            got = parse_pla(text)
+            assert got == ref_parse_pla(text)
+
+    @pytest.mark.parametrize("bad", BAD_READ_LINES + BAD_CUBE_LINES)
+    def test_each_bad_line(self, bad):
+        base = [".i 4", ".o 1", "1-01 1", "0000 0", "22-1 1", ".e"]
+        for at in range(2, 6):
+            text = "\n".join(base[:at] + [bad] + base[at:])
+            got = parse_outcome(parse_pla, text)
+            assert isinstance(got[0], type) and issubclass(got[0], ValueError)
+            assert got == parse_outcome(ref_parse_pla, text)
+
+    def test_missing_headers_and_names(self):
+        for text in ["1-01 1\n.e", ".i 4\n1-01 1", ".o 1\n.i 4\n.ilb a b\n1-01 1",
+                     "", ".e\n.i 4\n.o 1"]:
+            got = parse_outcome(parse_pla, text)
+            assert issubclass(got[0], PlaError)
+            assert got == parse_outcome(ref_parse_pla, text)
+
+    def test_first_bad_line_wins(self):
+        # two bad lines of one group: the one first in file order decides
+        for bad_lines in (BAD_READ_LINES, BAD_CUBE_LINES):
+            for first, second in itertools.permutations(bad_lines, 2):
+                text = "\n".join([".i 4", ".o 1", "1-01 1", first, "0000 0", second, ".e"])
+                alone = "\n".join([".i 4", ".o 1", "1-01 1", first, "0000 0", ".e"])
+                got = parse_outcome(parse_pla, text)
+                assert got == parse_outcome(parse_pla, alone) == parse_outcome(ref_parse_pla, text)
+
+    def test_read_errors_come_first(self):
+        for cube_line, read_line in itertools.product(BAD_CUBE_LINES, BAD_READ_LINES):
+            for pair in ((cube_line, read_line), (read_line, cube_line)):
+                text = "\n".join([".i 4", ".o 1", *pair, ".e"])
+                alone = "\n".join([".i 4", ".o 1", read_line, ".e"])
+                got = parse_outcome(parse_pla, text)
+                assert got == parse_outcome(parse_pla, alone) == parse_outcome(ref_parse_pla, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=pla_texts())
+    def test_fuzz_matches_reference(self, text):
+        assert parse_outcome(parse_pla, text) == parse_outcome(ref_parse_pla, text)
+
+
+class TestCubeConstructions:
+    """Cubes are built only for the covers a caller receives: run_pipeline
+    makes exactly len(dsop) + len(sop) of them, and parse_pla none."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        check = Cube.__post_init__
+
+        def counting(cube):
+            count[0] += 1
+            check(cube)
+
+        monkeypatch.setattr(Cube, "__post_init__", counting)
+        return count
+
+    def test_run_pipeline(self, built, golden_tt):
+        tables = [golden_tt, TruthTable(10, random.Random("constructions/10").getrandbits(1 << 10))]
+        for tt in tables:
+            for ordering in ("entropy", "given", "sift"):
+                built[0] = 0
+                report, covers = run_pipeline(tt, PipelineConfig(ordering=ordering))
+                assert built[0] == len(covers["dsop"]) + len(covers["sop"]) > 0
+                assert report.sop_literals == literal_count(covers["sop"])
+
+    def test_parse_pla(self, built):
+        rng = random.Random("constructions/pla")
+        for text in [GOLDEN_PLA] + [seeded_pla(rng, 10) for _ in range(5)]:
+            parse_pla(text)
+        assert built[0] == 0
 
 
 class TestParseMinterms:

@@ -6,13 +6,14 @@ import tracemalloc
 import pytest
 
 from dsopmin import minimizer
-from dsopmin.bdd import VariableOrder, build_from_truthtable, enumerate_one_paths
+from dsopmin.bdd import VariableOrder, build_from_truthtable, enumerate_one_paths, one_paths
 from dsopmin.boolfn import (
     Cover,
     Cube,
     TruthTable,
     cover_to_truthtable,
     cube_from_text,
+    cube_mask,
     format_cube,
     literal_count,
     truthtable_from_minterms,
@@ -766,11 +767,52 @@ class TestIrredundantBlocks:
             src = Cover(n, tuple(cubes))
             want = ref_irredundant(src, tt)
             assert irredundant(src, tt) == want
-            unique = list(dict.fromkeys(cubes))
+            unique = [(c.care, c.value) for c in dict.fromkeys(cubes)]
+            masks = [cube_mask(c) for c in dict.fromkeys(cubes)]
+            want_pairs = [(c.care, c.value) for c in want.cubes]
             for block in range(1, len(unique) + 2):
-                assert minimizer._irredundant(unique, tt.bits, block) == list(want.cubes)
-                with pytest.raises(ValueError, match="does not represent"):
-                    minimizer._irredundant(unique, tt.bits | 1 << (1 << n), block)
+                for given in (None, masks):
+                    assert minimizer._irredundant(unique, tt.bits, n, given, block) == want_pairs
+                    with pytest.raises(ValueError, match="does not represent"):
+                        minimizer._irredundant(unique, tt.bits | 1 << (1 << n), n, given, block)
+
+
+class TestMaskHandOff:
+    """minimize() hands expand's masks to irredundant only in one-pass mode."""
+
+    def test_one_pass_and_blocks(self, monkeypatch):
+        rng = random.Random("mask-hand-off")
+        one_pass = minimizer._ONE_PASS_BITS
+        for _ in range(20):
+            n = rng.randint(3, 9)
+            tt = TruthTable(n, rng.getrandbits(1 << n))
+            h = build_from_truthtable(tt)
+            paths = one_paths(h)
+            simplified = simplify(enumerate_one_paths(h))
+            want = irredundant(expand(simplified, tt), tt)
+            # under a bound of 2^n bits, every cover of one cube or more runs in blocks
+            for one_pass_bits, handed in ((one_pass, True), (1 << n, False)):
+                monkeypatch.setattr(minimizer, "_ONE_PASS_BITS", one_pass_bits)
+                masks_given, masks_made = [], [0]
+                kernel, mask = minimizer._irredundant, minimizer.pair_mask
+
+                def spy_irredundant(cubes, onset, n, masks=None, block=0):
+                    masks_given.append(masks is not None)
+                    return kernel(cubes, onset, n, masks, block)
+
+                def counting_mask(*args):
+                    masks_made[0] += 1
+                    return mask(*args)
+
+                with monkeypatch.context() as m:
+                    m.setattr(minimizer, "_irredundant", spy_irredundant)
+                    m.setattr(minimizer, "pair_mask", counting_mask)
+                    got = minimizer.minimize(paths, n, tt.bits)
+                assert got == [(c.care, c.value) for c in want]
+                if simplified.cubes:  # an empty cover runs in one pass anyway
+                    assert masks_given == [handed]
+                if handed:  # expand makes each mask once, and irredundant none
+                    assert masks_made[0] == len(simplified)
 
 
 class TestTableHandOff:
