@@ -1,13 +1,15 @@
 """Reduced ordered BDD manager, one-path DSOP extraction, and path sifting.
 
 Nodes are integers: 0 and 1 are the terminals, everything else indexes
-an arena of (level, lo, hi) triples.  A single unique table keyed by
+an arena of (var, lo, hi) triples.  A single unique table keyed by
 that triple keeps the store canonical; equal functions built under the
-same order always come back as the same node id.
+same order always come back as the same node id.  A key names the
+node's variable, not its level, so a node keeps its key when a swap
+only moves it to another level.
 
-Terminals live at level n so that "children strictly deeper" holds
-uniformly; long edges simply skip levels, and the skipped variables
-stay don't-care in the extracted cubes.
+Children lie strictly deeper under the manager's order; long edges
+simply skip levels, and the skipped variables stay don't-care in the
+extracted cubes.
 
 split_levels is the one top-down split of a truth table: one level at
 a time, each distinct subtable cofactored once.  A rule picks each
@@ -66,25 +68,16 @@ class BddManager:
             raise ValueError("order length does not match variable count")
         self.n = n
         self.order = order
-        # node id -> (level, lo, hi); ids 0 and 1 are the terminals
+        # node id -> (var, lo, hi); ids 0 and 1 are the terminals
         self._nodes: Dict[int, Tuple[int, int, int]] = {}
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._next_id = 2
 
-    def level(self, u: int) -> int:
-        if u < 2:
-            return self.n
-        return self._nodes[u][0]
-
-    def children(self, u: int) -> Tuple[int, int]:
-        _, lo, hi = self._nodes[u]
-        return lo, hi
-
-    def make(self, level: int, lo: int, hi: int) -> int:
+    def make(self, var: int, lo: int, hi: int) -> int:
         """Canonical node constructor; applies the redundant-test reduction."""
         if lo == hi:
             return lo
-        key = (level, lo, hi)
+        key = (var, lo, hi)
         u = self._unique.get(key)
         if u is None:
             u = self._next_id
@@ -105,6 +98,7 @@ class BddManager:
         if levels.order != self.order:
             raise ValueError("split order does not match manager")
         ids: List[List[Optional[int]]] = [[None] * len(kids) for kids in levels.kids]
+        perm = self.order.perm
 
         def node(level: int, ref: int) -> int:
             if ref < 2:
@@ -112,7 +106,8 @@ class BddManager:
             u = ids[level][ref - 2]
             if u is None:
                 lo, hi = levels.kids[level][ref - 2]
-                u = ids[level][ref - 2] = self.make(level, node(level + 1, lo), node(level + 1, hi))
+                u = self.make(perm[level], node(level + 1, lo), node(level + 1, hi))
+                ids[level][ref - 2] = u
             return u
 
         return FunctionHandle(self, node(0, levels.root))
@@ -225,14 +220,14 @@ def one_paths(h: FunctionHandle) -> List[Tuple[int, int]]:
     long edges stay don't-care.  Lo edges are followed, hi edges stacked.
     """
     nodes, n = h.manager._nodes, h.manager.n
-    bits = [1 << (n - 1 - var) for var in h.manager.order.perm]  # a level's variable bit
+    bits = [1 << (n - 1 - var) for var in range(n)]
     paths: List[Tuple[int, int]] = []
     stack = [(h.root, 0, 0)]
     while stack:
         u, care, value = stack.pop()
         while u > ONE:
-            level, u, hi = nodes[u]
-            bit = bits[level]
+            var, u, hi = nodes[u]
+            bit = bits[var]
             care |= bit
             if hi:
                 stack.append((hi, care, value | bit))
@@ -253,9 +248,10 @@ def to_truthtable(h: FunctionHandle) -> TruthTable:
         raise ValueError(f"variable count {n} exceeds table limit {MAX_TABLE_VARS}")
     masks, perm, nodes = var_masks(n), h.manager.order.perm, h.manager._nodes
     table = {ZERO: 0, ONE: full_mask(n)}
-    for u in sorted(h.manager.reachable(h.root), key=lambda u: -nodes[u][0]):  # children first
-        level, lo, hi = nodes[u]
-        pos, low = masks[perm[level]], table[lo]
+    # children first: deepest variable first
+    for u in sorted(h.manager.reachable(h.root), key=lambda u: -perm.index(nodes[u][0])):
+        var, lo, hi = nodes[u]
+        pos, low = masks[var], table[lo]
         # low & ~pos, kept non-negative: CPython ANDs with a negative int
         # several times slower, which shows on wide tables
         table[u] = (table[hi] & pos) | (low ^ (low & pos))
@@ -285,8 +281,8 @@ class _LevelSets:
         self.ref = dict.fromkeys([ZERO, ONE, *live], 0)
         self.ref[root] += 1
         for u in live:
-            level, lo, hi = nodes[u]
-            self.levels[level].add(u)
+            var, lo, hi = nodes[u]
+            self.levels[self.perm.index(var)].add(u)
             self.ref[lo] += 1
             self.ref[hi] += 1
         self.paths = dict.fromkeys(self.ref, 0)
@@ -317,38 +313,24 @@ class _LevelSets:
     def swap(self, k: int) -> None:
         """Rudell's swap of levels k and k+1 (ICCAD 1993).
 
-        Level-(k+1) nodes move up.  Level-k nodes without a level-(k+1)
-        child move down; the others keep their id and get new level-(k+1)
-        children.  P1 changes by paths times the change of down over
-        those rewritten nodes, the only ones whose down changes.
+        Keys name variables, so only rewritten nodes are re-keyed.
+        Level-(k+1) nodes move up and level-k nodes without a
+        level-(k+1) child move down, keys unchanged.  The other level-k
+        nodes keep their id, take the level-(k+1) variable and get
+        children on the level-k variable, made by mgr.make.  P1 changes
+        by paths times the change of down over the rewritten nodes, the
+        only ones whose down changes.
         """
         self.move_cut(k)
         mgr, nodes, unique = self.mgr, self.mgr._nodes, self.mgr._unique
         ref, down, paths = self.ref, self.down, self.paths
         upper, lower = self.levels[k], self.levels[k + 1]
-        # every old level-(k+1) key goes first: a node moving down takes
-        # the key of one of them with the same children
-        for v in lower:
-            del unique[nodes[v]]
+        x, y = self.perm[k], self.perm[k + 1]  # x moves down, y up
         below: set[int] = set()
-        rewrite = []
-        for u in upper:
-            key = nodes[u]
-            del unique[key]
-            _, lo, hi = key
-            if lo in lower or hi in lower:
-                rewrite.append(u)
-            else:
-                key = nodes[u] = (k + 1, lo, hi)
-                unique[key] = u
-                below.add(u)
-        for v in lower:
-            _, lo, hi = nodes[v]
-            key = nodes[v] = (k, lo, hi)
-            unique[key] = v
+        top: set[int] = set()
 
         def make(lo: int, hi: int) -> int:
-            v = mgr.make(k + 1, lo, hi)
+            v = mgr.make(x, lo, hi)
             if v not in ref:  # every live node has a ref entry, so v is new
                 ref[v], paths[v], down[v] = 0, 0, down[lo] + down[hi]
                 ref[lo] += 1
@@ -356,13 +338,21 @@ class _LevelSets:
                 below.add(v)
             return v
 
+        # the nodes moving down keep their keys, so make finds them whether
+        # or not the loop has reached them; it never finds a rewritten
+        # node, whose old key has a child at level k+1 and new key var y
         delta = 0
-        for u in rewrite:
-            _, lo, hi = nodes[u]
+        for u in upper:
+            _, lo, hi = key = nodes[u]
+            if lo not in lower and hi not in lower:
+                below.add(u)
+                continue
+            top.add(u)
+            del unique[key]
             f00, f01 = nodes[lo][1:] if lo in lower else (lo, lo)
             f10, f11 = nodes[hi][1:] if hi in lower else (hi, hi)
             r0, r1 = make(f00, f10), make(f01, f11)
-            key = nodes[u] = (k, r0, r1)
+            key = nodes[u] = (y, r0, r1)
             unique[key] = u
             ref[r0] += 1
             ref[r1] += 1
@@ -371,7 +361,6 @@ class _LevelSets:
             count = down[r0] + down[r1]
             delta += paths[u] * (count - down[u])
             down[u] = count
-        top = set(rewrite)
         for v in lower:
             if ref[v]:
                 top.add(v)
@@ -384,7 +373,7 @@ class _LevelSets:
         self.size += len(top) + len(below) - len(upper) - len(lower)
         self.levels[k], self.levels[k + 1] = top, below
         self.p1 += delta
-        self.perm[k], self.perm[k + 1] = self.perm[k + 1], self.perm[k]
+        self.perm[k], self.perm[k + 1] = y, x
 
 
 def sift_paths(mgr: BddManager, h: FunctionHandle) -> VariableOrder:
@@ -397,10 +386,10 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> VariableOrder:
 
     No position is scored by a walk over the whole diagram.  Swaps are
     in place and touch only the two levels they exchange (Rudell, ICCAD
-    1993): every node keeps its id and its function, and a node a swap
-    orphans is dropped at once.  P1 is kept as a running total that a
-    swap changes by the rewritten nodes' share, and the node count as
-    per-level widths.
+    1993): every node keeps its id and its function, only the nodes a
+    swap rewrites change key, and a node a swap orphans is dropped at
+    once.  P1 is kept as a running total that a swap changes by the
+    rewritten nodes' share, and the node count as per-level widths.
     """
     n = mgr.n
     if n < 2 or h.root < 2:
@@ -439,8 +428,8 @@ def to_dot(h: FunctionHandle, names: Optional[Sequence[str]] = None) -> str:
     lines.append('  node0 [label="0", shape=box];')
     lines.append('  node1 [label="1", shape=box];')
     for u in mgr.reachable(h.root):
-        level, lo, hi = mgr._nodes[u]
-        lines.append(f'  node{u} [label="{names[mgr.order.perm[level]]}"];')
+        var, lo, hi = mgr._nodes[u]
+        lines.append(f'  node{u} [label="{names[var]}"];')
         lines.append(f"  node{u} -> node{lo} [style=dashed];")
         lines.append(f"  node{u} -> node{hi} [style=solid];")
     lines.append("}")

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import bdd, minimizer, qm
 from .bdd import VariableOrder
 from .boolfn import (
+    MAX_ONE_PATHS,
     MAX_TABLE_VARS,
     Cover,
     TruthTable,
@@ -183,13 +184,15 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
     if cfg.ordering == "sift":
         order = bdd.sift_paths(h.manager, h)
     nodes = bdd.node_count(h)
+    p1 = bdd.one_path_count(h)
     clock("build", t)
+    if p1 > MAX_ONE_PATHS:
+        raise ValueError(f"one-path count {p1} exceeds the budget of {MAX_ONE_PATHS}")
 
     # (care, value) pairs from the walk to the SOP; Cubes only in the covers returned
     t = time.perf_counter()
     paths = bdd.one_paths(h)
     dsop = Cover.of_pairs(tt.n, paths)
-    p1 = bdd.one_path_count(h)
     clock("dsop", t)
 
     t = time.perf_counter()

@@ -612,8 +612,26 @@ def ref_exact_cover(tt: TruthTable) -> Cover:
 # Reference path sifting: the package's former swap_adjacent and
 # sift_paths, which rescore every candidate position by counting one-paths
 # and reachable nodes over the whole diagram and leave the nodes that
-# sifting made unreachable in the arena.  They work through the manager's
-# level/children/make, so they run on the package's BddManager.
+# sifting made unreachable in the arena.  They read the manager's arena
+# through ref_level and ref_children and make nodes through its make, so
+# they run on the package's BddManager.
+
+def ref_level(mgr, u: int) -> int:
+    """u's level: its variable's position in mgr.order; terminals lie at level n."""
+    if u < 2:
+        return mgr.n
+    return mgr.order.position(mgr._nodes[u][0])
+
+
+def ref_children(mgr, u: int) -> Tuple[int, int]:
+    _, lo, hi = mgr._nodes[u]
+    return lo, hi
+
+
+def ref_level_nodes(mgr) -> Dict[int, Tuple[int, int, int]]:
+    """The arena as id -> (level, lo, hi) under mgr.order, ref_build's form."""
+    return {u: (ref_level(mgr, u), *ref_children(mgr, u)) for u in mgr._nodes}
+
 
 def _ref_reachable(mgr, root: int) -> List[int]:
     """Internal nodes reachable from root, discovery order."""
@@ -626,7 +644,7 @@ def _ref_reachable(mgr, root: int) -> List[int]:
             continue
         seen.add(u)
         out.append(u)
-        lo, hi = mgr.children(u)
+        lo, hi = ref_children(mgr, u)
         stack.append(hi)
         stack.append(lo)
     return out
@@ -645,7 +663,7 @@ def _ref_one_path_count(h) -> int:
     def count(u: int) -> int:
         if u in memo:
             return memo[u]
-        lo, hi = mgr.children(u)
+        lo, hi = ref_children(mgr, u)
         memo[u] = count(lo) + count(hi)
         return memo[u]
 
@@ -662,29 +680,30 @@ def ref_swap_adjacent(mgr, root: int, k: int) -> int:
     if not 0 <= k < n - 1:
         raise ValueError(f"level {k} has no successor to swap with")
     memo: Dict[int, int] = {}
+    perm = mgr.order.perm  # the order before the swap, until the end
 
     def split(u: int) -> Tuple[int, int]:
         # cofactors w.r.t. the (old) level-k+1 variable
-        if mgr.level(u) == k + 1:
-            return mgr.children(u)
+        if ref_level(mgr, u) == k + 1:
+            return ref_children(mgr, u)
         return u, u
 
     def rebuild(u: int) -> int:
-        lvl = mgr.level(u)
+        lvl = ref_level(mgr, u)
         if u < 2 or lvl > k + 1:
             return u
         if u in memo:
             return memo[u]
-        lo, hi = mgr.children(u)
+        lo, hi = ref_children(mgr, u)
         if lvl < k:
-            r = mgr.make(lvl, rebuild(lo), rebuild(hi))
+            r = mgr.make(perm[lvl], rebuild(lo), rebuild(hi))
         elif lvl == k:
             f00, f01 = split(lo)
             f10, f11 = split(hi)
-            r = mgr.make(k, mgr.make(k + 1, f00, f10), mgr.make(k + 1, f01, f11))
+            r = mgr.make(perm[k + 1], mgr.make(perm[k], f00, f10), mgr.make(perm[k], f01, f11))
         else:
             # reached by a long edge: the old level-k variable is absent here
-            r = mgr.make(k, lo, hi)
+            r = mgr.make(perm[k + 1], lo, hi)
         memo[u] = r
         return r
 
@@ -709,7 +728,7 @@ def ref_sift_paths(mgr, h) -> VariableOrder:
 
     pops = [0] * n
     for u in _ref_reachable(mgr, h.root):
-        pops[mgr.level(u)] += 1
+        pops[ref_level(mgr, u)] += 1
     schedule = sorted(range(n), key=lambda v: (-pops[mgr.order.position(v)], v))
 
     root = h.root
@@ -771,8 +790,8 @@ def ref_irredundant(cover: Cover, tt: TruthTable) -> Cover:
 
 
 # Reference DSOP walk and PLA reader: the package's former recursive
-# enumerate_one_paths, which builds a Cube at each one-path through the
-# manager's level/children, and the former parse_pla, which builds a Cube
+# enumerate_one_paths, which builds a Cube at each one-path through
+# ref_level and ref_children, and the former parse_pla, which builds a Cube
 # and its cube_mask for every cube line.
 
 def ref_enumerate_one_paths(h) -> Cover:
@@ -788,8 +807,8 @@ def ref_enumerate_one_paths(h) -> Cover:
         if u == 1:
             cubes.append(Cube(n, care, value))
             return
-        bit = bits[mgr.level(u)]
-        lo, hi = mgr.children(u)
+        bit = bits[ref_level(mgr, u)]
+        lo, hi = ref_children(mgr, u)
         walk(lo, care | bit, value)
         walk(hi, care | bit, value | bit)
 

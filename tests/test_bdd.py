@@ -28,16 +28,30 @@ from dsopmin.boolfn import (
 from dsopmin.ordering import entropy_levels, entropy_order
 
 from conftest import (
+    _ref_reachable,
     oracle_disjoint,
     random_cube,
     ref_build,
     ref_enumerate_one_paths,
+    ref_level,
+    ref_level_nodes,
     ref_sift_summary,
     symmetric_tables,
 )
 
 ORDER_ABCD = VariableOrder((0, 1, 2, 3))
 ORDER_BACD = VariableOrder((1, 0, 2, 3))
+
+
+def assert_arena_invariants(mgr, root):
+    """The arena is a reduced ordered BDD rooted at root, under mgr.order."""
+    nodes = mgr._nodes
+    assert mgr._unique == {key: u for u, key in nodes.items()}
+    assert len(set(nodes.values())) == len(nodes)  # no key twice
+    for u, (_, lo, hi) in nodes.items():
+        assert lo != hi
+        assert min(ref_level(mgr, lo), ref_level(mgr, hi)) > ref_level(mgr, u)
+    assert set(_ref_reachable(mgr, root)) == set(nodes)
 
 
 def random_tables(count, n_range, seed):
@@ -92,13 +106,20 @@ class TestBuild:
 
     def test_reduction_invariants(self, golden_tt):
         mgr = BddManager(4, ORDER_BACD)
-        mgr.build(golden_tt)
-        seen = set()
-        for u, (level, lo, hi) in mgr._nodes.items():
-            assert lo != hi
-            assert (level, lo, hi) not in seen
-            seen.add((level, lo, hi))
-            assert mgr.level(lo) > level and mgr.level(hi) > level
+        assert_arena_invariants(mgr, mgr.build(golden_tt).root)
+
+    def test_reduction_invariants_after_sift(self):
+        # the same checks on the structured tables, under the order that
+        # sifting leaves, from the identity and a shuffled start
+        rng = random.Random("sift-invariants")
+        for name, tt in symmetric_tables():
+            perm = list(range(tt.n))
+            rng.shuffle(perm)
+            for start in (None, VariableOrder(tuple(perm))):
+                h = build_from_truthtable(tt, start)
+                sift_paths(h.manager, h)
+                assert_arena_invariants(h.manager, h.root)
+                assert to_truthtable(h).bits == tt.bits, name
 
     def test_matches_reference_builder(self):
         rng = random.Random(23)
@@ -120,7 +141,7 @@ class TestBuild:
             mgr = BddManager(n, VariableOrder(tuple(perm)))
             root = mgr.build(TruthTable(n, bits)).root
             nodes, ref_root = ref_build(bits, n, perm)
-            assert mgr._nodes == nodes
+            assert ref_level_nodes(mgr) == nodes
             assert root == ref_root
 
     def test_levels_match_build(self):
@@ -151,7 +172,7 @@ class TestBuild:
             h = mgr.build_levels(levels)
             want = build_from_truthtable(tt, entropy_order(tt))
             assert (mgr._nodes, h.root) == (want.manager._nodes, want.root), (n, hex(bits))
-            assert (mgr._nodes, h.root) == ref_build(bits, n, levels.order.perm)
+            assert (ref_level_nodes(mgr), h.root) == ref_build(bits, n, levels.order.perm)
 
     def test_levels_under_another_order(self, golden_tt):
         levels = entropy_levels(golden_tt)
@@ -430,10 +451,11 @@ class TestSiftAgainstReference:
             levels = bdd._LevelSets(mgr, root)
             for k in list(range(tt.n - 1)) + list(range(tt.n - 2, -1, -1)):
                 levels.swap(k)
+                mgr.order = VariableOrder(tuple(levels.perm))
                 top, below = len(levels.levels[k]), len(levels.levels[k + 1])
                 widths = [0] * tt.n
                 for u in mgr.reachable(root):
-                    widths[mgr.level(u)] += 1
+                    widths[ref_level(mgr, u)] += 1
                 assert (top, below) == (widths[k], widths[k + 1])
 
     def test_reachable_walked_once(self, monkeypatch):

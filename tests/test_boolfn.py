@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -112,6 +114,49 @@ class TestCubeBits:
             Cube(2, 0b100, 0)  # a care bit beyond n variables
         with pytest.raises(ValueError):
             Cube(2, -1, 0)  # negative masks set bits beyond n
+
+    def test_equal_only_to_cubes(self):
+        c = Cube(3, 0b101, 0b001)
+        assert c == Cube(3, 0b101, 0b001) and hash(c) == hash((3, 0b101, 0b001))
+        assert c != (3, 0b101, 0b001) and (3, 0b101, 0b001) != c
+        assert c != Cube(4, 0b101, 0b001)
+        assert repr(c) == "Cube('021')"
+
+    def test_immutable(self):
+        c = Cube(3, 0b101, 0b001)
+        for name in ("n", "care", "value", "other"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(c, name)
+        assert (c.n, c.care, c.value) == (3, 0b101, 0b001)
+        assert pickle.loads(pickle.dumps(c)) == c == copy.copy(c)
+
+
+class TestOfPairs:
+    """Cover.of_pairs checks every pair, then fills Cubes without a
+    constructor call each; its Cubes equal constructed ones."""
+
+    def test_equals_constructed(self):
+        rng = random.Random("of-pairs")
+        for n in (1, 4, 10):
+            pairs = []
+            for _ in range(50):
+                care = rng.getrandbits(n)
+                pairs.append((care, rng.getrandbits(n) & care))
+            got = Cover.of_pairs(n, iter(pairs))  # any iterable, read once
+            assert got == Cover(n, tuple(Cube(n, c, v) for c, v in pairs))
+            assert [hash(c) for c in got] == [hash(Cube(n, c, v)) for c, v in pairs]
+        assert Cover.of_pairs(3, []) == Cover(3, ())
+
+    @pytest.mark.parametrize("bad", [(0b01, 0b10), (0b100, 0), (-1, 0), (0b11, -1)])
+    def test_refuses_bad_pair_with_constructor_text(self, bad):
+        with pytest.raises(ValueError) as want:
+            Cube(2, *bad)
+        assert str(want.value) == f"({bad[0]:#x}, {bad[1]:#x}) is not a cube over 2 variables"
+        with pytest.raises(ValueError) as got:
+            Cover.of_pairs(2, [(0b11, 0b01), bad, (0b01, 0b10)])
+        assert str(got.value) == str(want.value)  # the first bad pair's message
 
 
 class TestCoverEval:

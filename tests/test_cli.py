@@ -14,8 +14,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsopmin import cli
-from dsopmin.boolfn import Cube, TruthTable, cofactor_bits, literal_count, truthtable_from_minterms
+from dsopmin import boolfn, cli
+from dsopmin.bdd import BddManager, one_path_count
+from dsopmin.boolfn import (
+    MAX_ONE_PATHS,
+    TruthTable,
+    cofactor_bits,
+    literal_count,
+    truthtable_from_minterms,
+)
 from dsopmin.cli import (
     PipelineConfig,
     PlaError,
@@ -29,6 +36,7 @@ from dsopmin.cli import (
     run_pipeline,
 )
 from dsopmin.boolfn import format_cube
+from dsopmin.ordering import entropy_levels
 
 from conftest import (
     oracle_cover_minterms,
@@ -232,18 +240,20 @@ class TestParsePlaReference:
 
 class TestCubeConstructions:
     """Cubes are built only for the covers a caller receives: run_pipeline
-    makes exactly len(dsop) + len(sop) of them, and parse_pla none."""
+    makes exactly len(dsop) + len(sop) of them, and parse_pla none.  Every
+    Cube, whether constructed or filled in by Cover.of_pairs, gets its n
+    through boolfn._set_n once, so that is where they are counted."""
 
     @pytest.fixture
     def built(self, monkeypatch):
         count = [0]
-        check = Cube.__post_init__
+        set_n = boolfn._set_n
 
-        def counting(cube):
+        def counting(cube, n):
             count[0] += 1
-            check(cube)
+            set_n(cube, n)
 
-        monkeypatch.setattr(Cube, "__post_init__", counting)
+        monkeypatch.setattr(boolfn, "_set_n", counting)
         return count
 
     def test_run_pipeline(self, built, golden_tt):
@@ -472,6 +482,38 @@ class TestBenchmark:
             emit_report(reports, str(p))
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestOnePathBudget:
+    """run_pipeline counts P1 before it makes any cube, and refuses a BDD
+    with more than MAX_ONE_PATHS one-paths."""
+
+    @staticmethod
+    def dense(n):
+        return TruthTable(n, random.Random(f"dense/{n}").getrandbits(1 << n))
+
+    def test_dense_20_refused_before_any_path(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("one-paths walked past the budget")
+
+        monkeypatch.setattr(cli.bdd, "one_paths", never)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="one-path count 332509 exceeds the budget"):
+            run_pipeline(self.dense(20), PipelineConfig())
+        assert time.perf_counter() - start < 5
+
+    def test_dense_18_within_budget(self):
+        # the largest dense size the pipeline still takes; its full run is
+        # too long for the suite, so only its P1 is counted here
+        levels = entropy_levels(self.dense(18))
+        h = BddManager(18, levels.order).build_levels(levels)
+        assert one_path_count(h) == 83_367 <= MAX_ONE_PATHS
+
+    def test_cli_exits_2_with_one_line(self, capsys):
+        assert main(["--benchmark", "1", "--bench-vars", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dsopmin: error: one-path count")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestMain:
