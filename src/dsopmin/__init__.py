@@ -15,7 +15,6 @@ from .boolfn import (
     format_cube,
     literal_count,
     truthtable_from_minterms,
-    universal_cube,
 )
 from .bdd import (
     BddManager,
@@ -56,5 +55,4 @@ __all__ = [
     "sift_paths",
     "simplify",
     "truthtable_from_minterms",
-    "universal_cube",
 ]

@@ -54,9 +54,6 @@ class VariableOrder:
     def identity(cls, n: int) -> "VariableOrder":
         return cls(tuple(range(n)))
 
-    def position(self, var: int) -> int:
-        return self.perm.index(var)
-
 
 class BddManager:
     """Canonicalizing node store for one function and its cofactors."""

@@ -36,6 +36,8 @@ class Cube:
     """A conjunction of literals: variable v is bit n-1-v of care and value.
 
     Immutable, and equal only to a Cube with the same three fields.
+    Not a dataclass: a frozen, slotted one takes 0.6 ms to create at
+    import against 0.01 ms, and constructs Cubes about 1.5x slower.
     """
 
     __slots__ = ("n", "care", "value")
@@ -134,19 +136,8 @@ class TruthTable:
         if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise ValueError("onset bit vector longer than 2^n")
 
-    def value(self, minterm: int) -> bool:
-        return bool((self.bits >> minterm) & 1)
-
     def minterms(self) -> Iterator[int]:
         return (i for i in range(1 << self.n) if self.bits >> i & 1)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.bits == 0 or self.bits.bit_count() == 1 << self.n
-
-
-def universal_cube(n: int) -> Cube:
-    return Cube(n, 0, 0)
 
 
 _CARE_CHARS = str.maketrans("012-", "1100")

@@ -59,14 +59,6 @@ def polarity(cubes: Sequence[Packed]) -> Tuple[int, int]:
     return ones, zeros
 
 
-def select_binate(cubes: Sequence[Packed]) -> int:
-    """Bit of the most-binate variable: most rows, most balanced, then lowest index (top bit)."""
-    ones, zeros = polarity(cubes)
-    if not ones & zeros:
-        raise ValueError("cover is unate; no binate variable to select")
-    return _pick(_pack(cubes, ones | zeros), ones & zeros)
-
-
 # A packed cover: (size, cube count, fields).  Cube i's record (care ^ value) << 4 size | value,
 # complemented literals above positive ones, fills bytes [i size, (i+1) size) under a guard bit.
 Key = Tuple[int, int, int]
@@ -103,7 +95,11 @@ def _count_pick(cubes: Sequence[Packed], binate: int) -> int:
 
 
 def _pick(key: Key, binate: int) -> int:
-    """select_binate on a packed cover; each count is one popcount under a periodic mask."""
+    """Bit of the packed cover's most-binate variable, as _count_pick picks it.
+
+    Most rows, most balanced, then lowest index (top bit); each count is
+    one popcount under a periodic mask.
+    """
     size, count, fields = key
     column = _columns(size, count)[0]
     keys = []
@@ -175,29 +171,22 @@ def scc(cubes: Sequence[Packed]) -> List[Packed]:
     return [cube for cube, inside in zip(unique, found) if inside == 1]
 
 
-def merge_with_containment(h0: Sequence[Packed], h1: Sequence[Packed], bit: int) -> List[Packed]:
+def _merge(h0: Sequence[Packed], h1: Sequence[Packed], bit: int, wide: int) -> List[Packed]:
     """Recombine cofactor covers: x'*h0 + x*h1 with the containment lift.
 
     Cubes shared between the halves (up to single-cube containment)
     are lifted with the variable at bit left don't-care; the rest get
-    the literal back.
+    the literal back.  wide is the OR of every care mask.
 
-    Each half must be SCC-minimal (no cube inside another, no
-    duplicates), as every simplify() result is; then so is the output,
-    with no containment pass: a specialized cube could lie only inside a
-    lifted cube of its own half (one cube of the half inside another) or
-    of the other half (which would have lifted it); a lifted cube inside
-    another would put one cube of a half inside another; and the two
-    specialized sides differ in the bit.
+    Neither half may mention the variable at bit, and each must be
+    SCC-minimal (no cube inside another, no duplicates), as every
+    simplify() result is; then so is the output, with no containment
+    pass: a specialized cube could lie only inside a lifted cube of its
+    own half (one cube of the half inside another) or of the other half
+    (which would have lifted it); a lifted cube inside another would put
+    one cube of a half inside another; and the two specialized sides
+    differ in the bit.
     """
-    if any(care & bit for care, _ in h0) or any(care & bit for care, _ in h1):
-        raise ValueError("merge input mentions the splitting variable")
-    ones, zeros = polarity([*h0, *h1])
-    return _merge(h0, h1, bit, ones | zeros)
-
-
-def _merge(h0: Sequence[Packed], h1: Sequence[Packed], bit: int, wide: int) -> List[Packed]:
-    """merge_with_containment() unchecked; wide is the OR of every care mask."""
     lifted, rest = {}, []  # lifted: an insertion-ordered set
     for half, other, lit in ((h0, h1, 0), (h1, h0, bit)):
         found = _held(half, other) if len(other) < _SMALL else _containers(half, other, wide)

@@ -16,6 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
+from dsopmin import minimizer
 from dsopmin.bdd import FunctionHandle, VariableOrder, build_from_truthtable, enumerate_one_paths
 from dsopmin.boolfn import (
     MAX_TABLE_VARS,
@@ -206,7 +207,7 @@ def _ref_split_entropy(on: int, on1: int, half: int) -> float:
 def ref_entropy_order(tt: TruthTable) -> Tuple[int, ...]:
     """The greedy entropy order of tt, as a permutation tuple."""
     n = tt.n
-    subtables: List[int] = [] if tt.is_constant else [tt.bits]
+    subtables: List[int] = [tt.bits] if 0 < tt.bits.bit_count() < 1 << n else []
     remaining = list(range(n))  # the subtables' variables, ascending
     chosen: List[int] = []
     level = 0
@@ -449,6 +450,15 @@ def ref_merge(h0, h1, bit: int) -> list:
     return ref_scc(out)
 
 
+def kernel_merge(h0, h1, bit: int) -> list:
+    """minimizer._merge on halves that must not mention bit; wide ORs their care masks."""
+    wide = 0
+    for care, _ in [*h0, *h1]:
+        wide |= care
+    assert not wide & bit, "merge input mentions the splitting variable"
+    return minimizer._merge(h0, h1, bit, wide)
+
+
 # Reference exact cover: the package's former chart phase on frozensets
 # of minterms, kept as it was (two solvers, exhaustive subset search on
 # small cores) so the bit-mask chart can be compared against it.  Primes
@@ -620,7 +630,7 @@ def ref_level(mgr, u: int) -> int:
     """u's level: its variable's position in mgr.order; terminals lie at level n."""
     if u < 2:
         return mgr.n
-    return mgr.order.position(mgr._nodes[u][0])
+    return mgr.order.perm.index(mgr._nodes[u][0])
 
 
 def ref_children(mgr, u: int) -> Tuple[int, int]:
@@ -729,11 +739,11 @@ def ref_sift_paths(mgr, h) -> VariableOrder:
     pops = [0] * n
     for u in _ref_reachable(mgr, h.root):
         pops[ref_level(mgr, u)] += 1
-    schedule = sorted(range(n), key=lambda v: (-pops[mgr.order.position(v)], v))
+    schedule = sorted(range(n), key=lambda v: (-pops[mgr.order.perm.index(v)], v))
 
     root = h.root
     for var in schedule:
-        pos = mgr.order.position(var)
+        pos = mgr.order.perm.index(var)
         scores = {pos: (_ref_one_path_count(FunctionHandle(mgr, root)),
                         _ref_node_count(FunctionHandle(mgr, root)))}
         while pos < n - 1:

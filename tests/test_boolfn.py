@@ -16,7 +16,6 @@ from dsopmin.boolfn import (
     literal_count,
     truthtable_cofactor,
     truthtable_from_minterms,
-    universal_cube,
 )
 
 from conftest import (
@@ -42,8 +41,8 @@ class TestCubeCodec:
         assert (c.n, c.care, c.value) == (4, 0b1100, 0b1100)
 
     def test_universal(self):
-        assert cube_from_text("2222", 4) == universal_cube(4)
-        assert universal_cube(4).is_universal
+        assert cube_from_text("2222", 4) == Cube(4, 0, 0)
+        assert Cube(4, 0, 0).is_universal
 
     def test_minterm_cube(self):
         assert format_cube(cube_from_text("0101", 4)) == "0101"
@@ -105,7 +104,7 @@ class TestCubeBits:
     def test_golden_cubes(self):
         assert (cube("1122").care, cube("1122").value) == (0b1100, 0b1100)
         assert (cube("2001").care, cube("2001").value) == (0b0111, 0b0001)
-        assert universal_cube(5) == Cube(5, 0, 0)
+        assert cube_from_text("22222", 5) == Cube(5, 0, 0)
 
     def test_rejects_non_cube(self):
         with pytest.raises(ValueError):
@@ -162,14 +161,14 @@ class TestOfPairs:
 class TestCoverEval:
     def test_minterm_13_covered(self):
         c = cover("1122", "2201", "2110")
-        assert cover_to_truthtable(c).value(0b1101)
+        assert cover_to_truthtable(c).bits >> 0b1101 & 1
 
     def test_minterm_0_uncovered(self):
         c = cover("1122", "2201", "2110")
-        assert not cover_to_truthtable(c).value(0b0000)
+        assert not cover_to_truthtable(c).bits >> 0b0000 & 1
 
     def test_empty_cover(self):
-        assert not cover_to_truthtable(Cover(4, ())).value(0b1010)
+        assert not cover_to_truthtable(Cover(4, ())).bits >> 0b1010 & 1
 
 
 class TestCoverToTruthTable:
@@ -182,7 +181,7 @@ class TestCoverToTruthTable:
         assert cover_to_truthtable(Cover(3, ())).bits == 0
 
     def test_universal(self):
-        tt = cover_to_truthtable(Cover(3, (universal_cube(3),)))
+        tt = cover_to_truthtable(Cover(3, (Cube(3, 0, 0),)))
         assert tt.bits == (1 << 8) - 1
 
     @given(st.integers(1, 10), st.randoms(use_true_random=False))
@@ -196,8 +195,8 @@ class TestCoverToTruthTable:
 
 class TestTruthTable:
     def test_golden_table(self, golden_tt):
-        assert golden_tt.value(1) and golden_tt.value(13)
-        assert not golden_tt.value(0) and not golden_tt.value(2)
+        assert golden_tt.bits >> 1 & 1 and golden_tt.bits >> 13 & 1
+        assert not golden_tt.bits >> 0 & 1 and not golden_tt.bits >> 2 & 1
         assert golden_tt.bits.bit_count() == 8
 
     def test_msb_convention(self):
@@ -248,17 +247,11 @@ class TestTruthTable:
     def test_bits_bound(self, n):
         size = 1 << n
         assert TruthTable(n, (1 << size) - 1).bits.bit_count() == size
-        assert TruthTable(n, 1 << (size - 1)).value(size - 1)
+        assert TruthTable(n, 1 << (size - 1)).bits >> (size - 1) & 1
         with pytest.raises(ValueError):
             TruthTable(n, 1 << size)
         with pytest.raises(ValueError):
             TruthTable(n, -1)
-
-    def test_is_constant(self):
-        assert TruthTable(3, 0).is_constant
-        assert TruthTable(3, 0xFF).is_constant
-        assert not TruthTable(3, 0x7F).is_constant
-        assert not TruthTable(3, 0x01).is_constant
 
 
 class TestLiteralCount:
@@ -270,7 +263,7 @@ class TestLiteralCount:
         assert literal_count(cover(*texts)) == expected
 
     def test_universal(self):
-        assert literal_count(Cover(4, (universal_cube(4),))) == 0
+        assert literal_count(Cover(4, (Cube(4, 0, 0),))) == 0
 
     def test_golden_dsop(self):
         texts = ["1122", "0110", "2001", "0101"]

@@ -485,8 +485,8 @@ class TestBenchmark:
 
 
 class TestOnePathBudget:
-    """run_pipeline counts P1 before it makes any cube, and refuses a BDD
-    with more than MAX_ONE_PATHS one-paths."""
+    """run_pipeline counts P1 before it sifts or makes any cube, and refuses
+    a BDD with more than MAX_ONE_PATHS one-paths."""
 
     @staticmethod
     def dense(n):
@@ -502,6 +502,18 @@ class TestOnePathBudget:
             run_pipeline(self.dense(20), PipelineConfig())
         assert time.perf_counter() - start < 5
 
+    def test_dense_20_refused_before_sifting(self, monkeypatch):
+        # sifting never raises P1, so the count under the input order bounds
+        # the sifted DSOP too, and a refused table is never sifted
+        def never(*args):
+            raise AssertionError("sifted past the budget")
+
+        monkeypatch.setattr(cli.bdd, "sift_paths", never)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="one-path count 333140 exceeds the budget"):
+            run_pipeline(self.dense(20), PipelineConfig(ordering="sift"))
+        assert time.perf_counter() - start < 5
+
     def test_dense_18_within_budget(self):
         # the largest dense size the pipeline still takes; its full run is
         # too long for the suite, so only its P1 is counted here
@@ -510,10 +522,13 @@ class TestOnePathBudget:
         assert one_path_count(h) == 83_367 <= MAX_ONE_PATHS
 
     def test_cli_exits_2_with_one_line(self, capsys):
-        assert main(["--benchmark", "1", "--bench-vars", "20"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("dsopmin: error: one-path count")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        for order in ("entropy", "sift"):
+            start = time.perf_counter()
+            assert main(["--benchmark", "1", "--bench-vars", "20", "--order", order]) == 2
+            assert time.perf_counter() - start < 5, order
+            err = capsys.readouterr().err
+            assert err.startswith("dsopmin: error: one-path count")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestMain:

@@ -17,22 +17,20 @@ from dsopmin.boolfn import (
     format_cube,
     literal_count,
     truthtable_from_minterms,
-    universal_cube,
 )
 from dsopmin.minimizer import (
     cover_cofactor,
     expand,
     format_expression,
     irredundant,
-    merge_with_containment,
     polarity,
     scc,
-    select_binate,
     simplify,
 )
 
 from conftest import (
     all_cube_texts,
+    kernel_merge,
     oracle_cover_minterms,
     oracle_minterms,
     pipeline_sop,
@@ -66,6 +64,14 @@ def unpacked(cubes, n: int = 4):
 
 def bit(var: int, n: int = 4) -> int:
     return 1 << (n - 1 - var)
+
+
+def pick(cubes) -> int:
+    """The binate variable _simplify picks: counted below _SMALL cubes, packed from there."""
+    ones, zeros = polarity(cubes)
+    if len(cubes) < minimizer._SMALL:
+        return minimizer._count_pick(cubes, ones & zeros)
+    return minimizer._pick(minimizer._pack(cubes, ones | zeros), ones & zeros)
 
 
 GOLDEN_DSOP = ("1122", "0110", "2001", "0101")
@@ -127,17 +133,13 @@ class TestClassify:
 class TestSelectBinate:
     def test_golden_selects_b(self):
         # b touches all 4 rows; a, c, d touch 3 each
-        assert select_binate(packed(*GOLDEN_DSOP)) == bit(1)
+        assert pick(packed(*GOLDEN_DSOP)) == bit(1)
 
     def test_symmetric_tie_breaks_by_index(self):
-        assert select_binate(packed("10", "01")) == bit(0, 2)
+        assert pick(packed("10", "01")) == bit(0, 2)
 
     def test_single_column(self):
-        assert select_binate(packed("1", "0")) == bit(0, 1)
-
-    def test_unate_rejected(self):
-        with pytest.raises(ValueError):
-            select_binate(packed("1122", "2110"))
+        assert pick(packed("1", "0")) == bit(0, 1)
 
     def test_matches_reference_random(self):
         # seeded covers up to n=24 and 700 cubes, some with many repeats so
@@ -148,13 +150,9 @@ class TestSelectBinate:
             cubes = random_packed(rng, n, cover_size(rng) + 2)
             if rng.random() < 0.3:
                 cubes += rng.choices(cubes, k=rng.randint(1, 300))
-            try:
-                want = ref_select_binate(cubes)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    select_binate(cubes)
-                continue
-            assert select_binate(cubes) == want, (n, cubes)
+            ones, zeros = polarity(cubes)
+            if ones & zeros:  # _simplify picks only on binate covers
+                assert pick(cubes) == ref_select_binate(cubes), (n, cubes)
 
     def test_full_columns_at_n24(self):
         # 600 cubes carrying every variable: each count is 600 or near it
@@ -162,7 +160,8 @@ class TestSelectBinate:
         full = (1 << 24) - 1
         cubes = [(full, rng.getrandbits(24)) for _ in range(600)]
         cubes += [(full, 0)] * 7 + [(full, full)] * 3
-        assert select_binate(cubes) == ref_select_binate(cubes)
+        assert len(cubes) >= minimizer._SMALL
+        assert pick(cubes) == ref_select_binate(cubes)
 
 
 class TestCoverCofactor:
@@ -238,7 +237,7 @@ class TestMerge:
     def test_derived_example(self):
         h0 = packed("2201")
         h1 = packed("1222", "0210", "0201")
-        got = unpacked(merge_with_containment(h0, h1, bit(1)))
+        got = unpacked(kernel_merge(h0, h1, bit(1)))
         assert got == ["0201", "2001", "1122", "0110"]
         # function equality with x1'*h0 + x1*h1, by minterm enumeration
         expected = oracle_cover_minterms(["0201", "2001", "1122", "0110"])
@@ -247,18 +246,12 @@ class TestMerge:
         assert oracle_cover_minterms(got) == expected == shifted
 
     def test_identical_cube_lifted(self):
-        got = merge_with_containment(packed("1222"), packed("1222"), bit(1))
+        got = kernel_merge(packed("1222"), packed("1222"), bit(1))
         assert unpacked(got) == ["1222"]
 
     def test_one_sided(self):
-        got = merge_with_containment([], packed("2222"), bit(1))
+        got = kernel_merge([], packed("2222"), bit(1))
         assert unpacked(got) == ["2122"]
-
-    def test_rejects_mentioned_variable(self):
-        with pytest.raises(ValueError):
-            merge_with_containment(packed("0122"), packed("2222"), bit(1))
-        with pytest.raises(ValueError):
-            merge_with_containment(packed("2222"), packed("0022"), bit(1))
 
     def test_matches_reference_on_antichains(self):
         # SCC-minimal halves, as simplify hands over: h1 is drawn from h0 by
@@ -284,7 +277,7 @@ class TestMerge:
             h0, h1 = ref_scc(base), ref_scc(derived)
             if rng.random() < 0.5:
                 h0, h1 = h1, h0
-            got = merge_with_containment(h0, h1, split)
+            got = kernel_merge(h0, h1, split)
             assert got == ref_merge(h0, h1, split), (n, split, h0, h1)
             assert_antichain(got, n)
 
@@ -336,7 +329,7 @@ class TestContainmentKernel:
             h0, h1 = nested_halves(rng, width, split, count)
             if rng.random() < 0.5:
                 h0, h1 = h1, h0
-            got = merge_with_containment(h0, h1, split)
+            got = kernel_merge(h0, h1, split)
             assert got == ref_merge(h0, h1, split), (width, split, h0, h1)
             assert got == minimizer._merge(h0, h1, split, (1 << width) - 1)
 
@@ -392,7 +385,7 @@ class TestContainmentKernel:
         queries = h1 + [(care | high, value | wide[1] & high) for care, value in h0[:100]]
         calls = count_calls(monkeypatch, "_containers")
         start = time.perf_counter()
-        got = (scc(h0 + h1), merge_with_containment(h0, h1, 1 << 23),
+        got = (scc(h0 + h1), kernel_merge(h0, h1, 1 << 23),
                minimizer._merge(h0, h1, 1 << 23, (1 << 24) - 1),
                minimizer._containers(queries, h0, (1 << 23) - 1))
         assert time.perf_counter() - start < 1.0
@@ -475,9 +468,9 @@ class TestSimplify:
     def test_universal_and_empty(self, n):
         empty = Cover(n, ())
         assert simplify(empty) == ref_simplify(empty) == empty
-        some = Cover(n, (cube_from_text("0" * n, n), universal_cube(n),
+        some = Cover(n, (cube_from_text("0" * n, n), Cube(n, 0, 0),
                          cube_from_text("1" * n, n)))
-        assert simplify(some) == ref_simplify(some) == Cover(n, (universal_cube(n),))
+        assert simplify(some) == ref_simplify(some) == Cover(n, (Cube(n, 0, 0),))
 
 
 def count_calls(monkeypatch, name: str):
@@ -604,7 +597,8 @@ class TestSmallNodes:
             if not ones & zeros:
                 continue
             want = ref_select_binate(cubes)
-            assert minimizer._count_pick(cubes, ones & zeros) == select_binate(cubes) == want, cubes
+            packed_pick = minimizer._pick(minimizer._pack(cubes, ones | zeros), ones & zeros)
+            assert minimizer._count_pick(cubes, ones & zeros) == packed_pick == want, cubes
             checked += 1
             counts = sorted((-sum(1 for care, _ in cubes if care & b),
                              abs(sum(1 if value & b else -1 for care, value in cubes if care & b)))
@@ -687,7 +681,7 @@ class TestExpand:
 
     def test_nothing_raisable(self, golden_tt):
         h = build_from_truthtable(golden_tt)
-        assert not golden_tt.value(4) and not golden_tt.value(8)
+        assert not golden_tt.bits >> 4 & 1 and not golden_tt.bits >> 8 & 1
         assert texts(expand(cover("1122"), h)) == ["1122"]
 
     def test_raises_lowest_index_first(self):
@@ -910,7 +904,7 @@ class TestExpression:
         assert format_expression(Cover(3, ())) == "0"
 
     def test_universal(self):
-        assert format_expression(Cover(3, (universal_cube(3),))) == "1"
+        assert format_expression(Cover(3, (Cube(3, 0, 0),))) == "1"
 
     def test_custom_names(self):
         assert format_expression(cover("10"), ["x", "y"]) == "xy'"
