@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .boolfn import (
     Cover,
     TruthTable,
-    MAX_TABLE_VARS,
     cofactor_bits,
     full_mask,
     var_masks,
@@ -241,18 +240,19 @@ def enumerate_one_paths(h: FunctionHandle) -> Cover:
 def to_truthtable(h: FunctionHandle) -> TruthTable:
     """The function's truth table, combined bottom-up from literal masks."""
     n = h.manager.n
-    if n > MAX_TABLE_VARS:
-        raise ValueError(f"variable count {n} exceeds table limit {MAX_TABLE_VARS}")
-    masks, perm, nodes = var_masks(n), h.manager.order.perm, h.manager._nodes
+    masks, nodes = var_masks(n), h.manager._nodes
     table = {ZERO: 0, ONE: full_mask(n)}
-    # children first: deepest variable first
-    for u in sorted(h.manager.reachable(h.root), key=lambda u: -perm.index(nodes[u][0])):
-        var, lo, hi = nodes[u]
-        pos, low = masks[var], table[lo]
-        # low & ~pos, kept non-negative: CPython ANDs with a negative int
-        # several times slower, which shows on wide tables
-        table[u] = (table[hi] & pos) | (low ^ (low & pos))
-    return TruthTable(n, table[h.root])
+
+    def bits(u: int) -> int:
+        if u not in table:
+            var, lo, hi = nodes[u]
+            pos, low = masks[var], bits(lo)
+            # low & ~pos, kept non-negative: CPython ANDs with a negative int
+            # several times slower, which shows on wide tables
+            table[u] = (bits(hi) & pos) | (low ^ (low & pos))
+        return table[u]
+
+    return TruthTable(n, bits(h.root))
 
 
 class _LevelSets:

@@ -170,14 +170,16 @@ def format_cube(cube: Cube) -> str:
                    for s in range(cube.n - 1, -1, -1))
 
 
-@lru_cache(maxsize=None)
+# A descent uses widths n, n-1, ..., 1 in turn, so after one the cache holds
+# widths up to 16 only: about 240 KiB, where keeping every width up to 24
+# would hold about 92 MiB for the life of the process.
+@lru_cache(maxsize=16)
 def var_masks(n: int) -> Tuple[int, ...]:
     """Truth-table masks of the positive literals over n variables.
 
     Bit m of ``var_masks(n)[v]`` is set iff variable v is 1 in minterm m;
     the complemented literal's mask is ``full_mask(n) ^ var_masks(n)[v]``.
-    Only the n positive masks are kept, so the cache holds at most
-    n * 2^n bits per n.
+    Only the n positive masks are kept: n * 2^n bits per n.
     """
     if not 1 <= n <= MAX_TABLE_VARS:
         raise ValueError(f"variable count {n} outside [1, {MAX_TABLE_VARS}]")

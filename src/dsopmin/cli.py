@@ -14,11 +14,10 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bdd, minimizer, qm
-from .bdd import VariableOrder
 from .boolfn import (
     MAX_ONE_PATHS,
     MAX_TABLE_VARS,
@@ -35,11 +34,6 @@ from .ordering import entropy_levels
 REPORT_SCHEMA = "dsopmin-report/1"
 
 STAGES = ("order", "build", "dsop", "minimize", "oracle")
-
-# a record's keys in column order; the last len(STAGES) are the stage times
-RECORD_FIELDS = ("schema", "n", "order", "bdd_nodes", "one_paths", "dsop_cubes",
-                 "sop_cubes", "sop_literals", "oracle_cubes", "oracle_literals",
-                 *(f"time_{stage}_ms" for stage in STAGES))
 
 ORDERINGS = ("entropy", "given", "sift")
 
@@ -61,7 +55,6 @@ def _directive_int(parts: List[str]) -> int:
 class PipelineConfig:
     ordering: str = "entropy"  # one of ORDERINGS
     oracle: bool = False
-    record_timings: bool = True
 
 
 @dataclass
@@ -94,6 +87,12 @@ class StatsReport:
         values.update(zip(RECORD_FIELDS[-len(STAGES):],
                           (self.timings_ms.get(stage, 0.0) for stage in STAGES)))
         return {key: values[key] for key in RECORD_FIELDS}
+
+
+# a record's keys in column order: the schema, StatsReport's counts, then
+# timings_ms spread into one column per stage
+RECORD_FIELDS = ("schema", *(f.name for f in fields(StatsReport) if f.name != "timings_ms"),
+                 *(f"time_{stage}_ms" for stage in STAGES))
 
 
 def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
@@ -166,8 +165,7 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
     timings: Dict[str, float] = {}
 
     def clock(stage: str, start: float) -> None:
-        if cfg.record_timings:
-            timings[stage] = (time.perf_counter() - start) * 1000.0
+        timings[stage] = (time.perf_counter() - start) * 1000.0
 
     # in entropy mode the ordering's descent is the BDD's: its nodes are
     # made from the ordering's splits instead of cofactoring the table again
@@ -175,11 +173,10 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
         raise ValueError(f"unknown ordering mode {cfg.ordering!r}")
     t = time.perf_counter()
     levels = entropy_levels(tt) if cfg.ordering == "entropy" else None
-    order = VariableOrder.identity(tt.n) if levels is None else levels.order
     clock("order", t)
 
     t = time.perf_counter()
-    mgr = bdd.BddManager(tt.n, order)
+    mgr = bdd.BddManager(tt.n, None if levels is None else levels.order)
     h = mgr.build(tt) if levels is None else mgr.build_levels(levels)
     # read before sifting, which costs most on large diagrams; sifting
     # never raises P1 (each variable ends at its best position, its start
@@ -188,7 +185,7 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
     if p1 > MAX_ONE_PATHS:
         raise ValueError(f"one-path count {p1} exceeds the budget of {MAX_ONE_PATHS}")
     if cfg.ordering == "sift":
-        order = bdd.sift_paths(h.manager, h)
+        bdd.sift_paths(mgr, h)
         p1 = bdd.one_path_count(h)
     nodes = bdd.node_count(h)
     clock("build", t)
@@ -214,7 +211,7 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
 
     report = StatsReport(
         n=tt.n,
-        order=order.perm,
+        order=mgr.order.perm,
         bdd_nodes=nodes,
         one_paths=p1,
         dsop_cubes=len(dsop.cubes),
@@ -246,17 +243,12 @@ def emit_csv(reports: Sequence[StatsReport], path: str) -> None:
             writer.writerow(rec)
 
 
-def random_table(n: int, rng: random.Random) -> TruthTable:
-    return TruthTable(n, rng.getrandbits(1 << n))
-
-
 def run_benchmark(cfg: PipelineConfig, n: int, count: int, seed: int) -> List[StatsReport]:
     """Run count seeded random n-variable functions through the pipeline."""
     rng = random.Random(seed)
     reports = []
     for _ in range(count):
-        tt = random_table(n, rng)
-        report, _covers = run_pipeline(tt, cfg)
+        report, _covers = run_pipeline(TruthTable(n, rng.getrandbits(1 << n)), cfg)
         reports.append(report)
     return reports
 
@@ -280,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="benchmark RNG seed")
     parser.add_argument("--bench-vars", type=int, default=4, help="benchmark variable count")
     parser.add_argument("--no-timing", action="store_true",
-                        help="zero the timing fields (byte-stable reports)")
+                        help="write the stage times as 0.0 (byte-stable reports)")
     return parser
 
 
@@ -324,11 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.benchmark is None and not (args.input or args.minterms):
         parser.error("one of --input, --minterms, --benchmark is required")
-    cfg = PipelineConfig(
-        ordering=args.order,
-        oracle=args.oracle == "qm",
-        record_timings=not args.no_timing,
-    )
+    cfg = PipelineConfig(ordering=args.order, oracle=args.oracle == "qm")
 
     try:
         if args.benchmark is not None:
@@ -336,6 +324,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"benchmark: {len(reports)} runs, n={args.bench_vars}, seed={args.seed}")
         else:
             reports = [_run_one(args, cfg, emit)]
+        if args.no_timing:
+            for r in reports:
+                r.timings_ms.clear()
         if args.report:
             emit_report(reports, args.report)
         if args.csv:

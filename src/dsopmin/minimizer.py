@@ -281,10 +281,8 @@ def expand(cover: Cover, f: Union[TruthTable, FunctionHandle]) -> Cover:
 
 
 def irredundant(cover: Cover, f: Union[TruthTable, FunctionHandle]) -> Cover:
-    """Drop duplicates, then greedily drop cubes the rest still cover; keeps the cover's Cubes."""
-    cubes, onset = _unpack(cover, f)
-    by_pair = dict(zip(cubes, cover.cubes))  # equal pairs are equal Cubes
-    return Cover(cover.n, tuple(by_pair[pair] for pair in _irredundant(cubes, onset, cover.n)))
+    """Drop duplicates, then greedily drop cubes the rest still cover."""
+    return Cover.of_pairs(cover.n, _irredundant(*_unpack(cover, f), cover.n))
 
 
 def _expand(cubes: List[Packed], onset: int, n: int,

@@ -21,11 +21,6 @@ MAX_QM_VARS = 16
 RowKey = Tuple[int, str]
 
 
-def _check_n(n: int) -> None:
-    if n > MAX_QM_VARS:
-        raise ValueError(f"variable count {n} exceeds QM limit {MAX_QM_VARS}")
-
-
 def prime_implicants(tt: TruthTable) -> List[Cube]:
     """All prime implicants by classic tabulation, ordered by cube text.
 
@@ -33,8 +28,9 @@ def prime_implicants(tt: TruthTable) -> List[Cube]:
     and differ in one value bit, so each implicant looks up only its
     neighbour across each of its 0-literals.
     """
-    _check_n(tt.n)
     n = tt.n
+    if n > MAX_QM_VARS:
+        raise ValueError(f"variable count {n} exceeds QM limit {MAX_QM_VARS}")
     current: Set[Tuple[int, int]] = {((1 << n) - 1, m) for m in tt.minterms()}
 
     primes: Set[Tuple[int, int]] = set()
@@ -186,9 +182,6 @@ def _branch_and_bound(
 
 def exact_cover(tt: TruthTable) -> Cover:
     """Minimum-cardinality prime cover; ties by literals, then cube text."""
-    _check_n(tt.n)
-    if tt.bits == 0:
-        return Cover(tt.n, ())
     primes = prime_implicants(tt)
     masks = [cube_mask(p) for p in primes]
     keys = [_row_key(p) for p in primes]

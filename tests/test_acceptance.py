@@ -27,7 +27,7 @@ from dsopmin.boolfn import (
     truthtable_cofactor,
     truthtable_from_minterms,
 )
-from dsopmin.cli import PipelineConfig, emit_report, run_benchmark
+from dsopmin.cli import PipelineConfig, emit_report, main, run_benchmark
 from dsopmin.ordering import cofactor_entropy, entropy_order, variable_entropy
 
 from conftest import (
@@ -169,7 +169,7 @@ def test_criterion_6_sifting_monotonicity():
 
 
 def test_criterion_7_benchmark_harness(tmp_path):
-    cfg = PipelineConfig(oracle=True, record_timings=False)
+    cfg = PipelineConfig(oracle=True)
     reports = run_benchmark(cfg, 4, count=100, seed=777)
     assert len(reports) == 100
     for r in reports:
@@ -177,10 +177,11 @@ def test_criterion_7_benchmark_harness(tmp_path):
         assert r.sop_cubes <= r.dsop_cubes
         assert r.oracle_cubes is not None and r.oracle_cubes <= r.sop_cubes
         assert r.check() == []
+    for r in reports:
+        r.timings_ms.clear()
     emit_report(reports, str(tmp_path / "bench.json"))
-    # seeded rerun is byte-for-byte identical
-    rerun = run_benchmark(PipelineConfig(oracle=True, record_timings=False), 4,
-                          count=100, seed=777)
-    emit_report(rerun, str(tmp_path / "bench2.json"))
+    # a seeded rerun through the CLI, timings written as 0.0, is byte-for-byte identical
+    assert main(["--benchmark", "100", "--bench-vars", "4", "--seed", "777", "--oracle", "qm",
+                 "--no-timing", "--report", str(tmp_path / "bench2.json")]) == 0
     assert (tmp_path / "bench.json").read_bytes() == (tmp_path / "bench2.json").read_bytes()
     report(7, True)

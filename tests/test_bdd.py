@@ -73,6 +73,10 @@ class TestVariableOrder:
         assert ORDER_BACD.perm.index(0) == 1
         assert ORDER_BACD.perm.index(1) == 0
 
+    def test_manager_refuses_order_of_other_length(self):
+        with pytest.raises(ValueError, match="order length does not match variable count"):
+            BddManager(4, VariableOrder.identity(3))
+
 
 class TestBuild:
     def test_golden_node_count_given_order(self, golden_tt):
@@ -90,6 +94,14 @@ class TestBuild:
         h = build_from_truthtable(TruthTable(3, (1 << 8) - 1))
         assert h.root == bdd.ONE
         assert node_count(h) == 0
+
+    def test_build_refuses_table_over_other_n(self, golden_tt):
+        with pytest.raises(ValueError, match="table variable count does not match manager"):
+            BddManager(5).build(golden_tt)
+
+    def test_to_truthtable_refuses_25_variables(self):
+        with pytest.raises(ValueError, match="variable count 25 outside"):
+            to_truthtable(bdd.FunctionHandle(BddManager(25), bdd.ONE))
 
     def test_repeat_build_identical_root(self, golden_tt):
         mgr = BddManager(4, ORDER_BACD)
@@ -507,3 +519,9 @@ class TestDot:
         assert dot.count("style=dashed") == 6
         assert dot.count("style=solid") == 6
         assert '"b"' in dot and '"1"' in dot
+
+    def test_default_names(self, golden_tt):
+        h = build_from_truthtable(golden_tt, ORDER_BACD)
+        dot = to_dot(h)
+        assert dot == to_dot(h, ["x0", "x1", "x2", "x3"])
+        assert 'label="x1"' in dot

@@ -16,6 +16,7 @@ from dsopmin.boolfn import (
     literal_count,
     truthtable_cofactor,
     truthtable_from_minterms,
+    var_masks,
 )
 
 from conftest import (
@@ -83,6 +84,24 @@ class TestCubeMask:
             mask = cube_mask(cube_from_text(text, n))
             assert {m for m in range(1 << n) if (mask >> m) & 1} == oracle_minterms(text)
 
+    def test_refuses_25_variables(self):
+        with pytest.raises(ValueError, match="variable count 25 exceeds table limit 24"):
+            cube_mask(Cube(25, 1, 1))
+        with pytest.raises(ValueError, match=r"variable count 25 outside \[1, 24\]"):
+            var_masks(25)
+
+    def test_mask_cache_keeps_the_last_16_widths(self):
+        # a descent uses widths n, n-1, ..., 1: afterwards only widths up to 16 stay
+        var_masks.cache_clear()
+        for n in range(17, 0, -1):
+            var_masks(n)
+        misses = var_masks.cache_info().misses
+        for n in range(16, 0, -1):
+            var_masks(n)
+        assert var_masks.cache_info().misses == misses
+        var_masks(17)
+        assert var_masks.cache_info().misses == misses + 1
+
 
 class TestCubeBits:
     """The Cube constructor: variable v is bit n-1-v of care and value."""
@@ -147,6 +166,10 @@ class TestOfPairs:
             assert got == Cover(n, tuple(Cube(n, c, v) for c, v in pairs))
             assert [hash(c) for c in got] == [hash(Cube(n, c, v)) for c, v in pairs]
         assert Cover.of_pairs(3, []) == Cover(3, ())
+
+    def test_cover_refuses_cube_of_other_length(self):
+        with pytest.raises(ValueError, match="cube 12 has length 2, expected 3"):
+            Cover(3, (Cube(3, 0b100, 0), Cube(2, 0b10, 0b10)))
 
     @pytest.mark.parametrize("bad", [(0b01, 0b10), (0b100, 0), (-1, 0), (0b11, -1)])
     def test_refuses_bad_pair_with_constructor_text(self, bad):

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -464,10 +465,22 @@ class TestReports:
                           dsop_cubes=3, sop_cubes=4, sop_literals=5)
         assert len(bad.check()) == 2
 
+    def test_oracle_above_heuristic_is_a_violation(self):
+        bad = StatsReport(n=2, order=(0, 1), bdd_nodes=1, one_paths=2, dsop_cubes=2,
+                          sop_cubes=1, sop_literals=1, oracle_cubes=2, oracle_literals=2)
+        assert bad.check() == ["oracle_cubes 2 > sop_cubes 1"]
+
+    def test_record_fields(self):
+        # the record's columns, in the order reports and CSV headers carry them
+        assert cli.RECORD_FIELDS == (
+            "schema", "n", "order", "bdd_nodes", "one_paths", "dsop_cubes", "sop_cubes",
+            "sop_literals", "oracle_cubes", "oracle_literals", "time_order_ms",
+            "time_build_ms", "time_dsop_ms", "time_minimize_ms", "time_oracle_ms")
+
 
 class TestBenchmark:
     def test_records_satisfy_invariants(self):
-        cfg = PipelineConfig(oracle=True, record_timings=False)
+        cfg = PipelineConfig(oracle=True)
         reports = run_benchmark(cfg, 4, count=30, seed=42)
         assert len(reports) == 30
         for r in reports:
@@ -476,12 +489,23 @@ class TestBenchmark:
     def test_fixed_seed_byte_stable(self, tmp_path):
         paths = []
         for name in ("a.json", "b.json"):
-            cfg = PipelineConfig(record_timings=False)
-            reports = run_benchmark(cfg, 4, count=10, seed=7)
             p = tmp_path / name
-            emit_report(reports, str(p))
+            assert main(["--benchmark", "10", "--bench-vars", "4", "--seed", "7",
+                         "--no-timing", "--report", str(p)]) == 0
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_stages_always_timed(self, tmp_path):
+        # run_pipeline times every stage it runs; --no-timing writes them as 0.0
+        report, _ = run_pipeline(truthtable_from_minterms(4, [1, 5, 6, 9]),
+                                 PipelineConfig(oracle=True))
+        assert set(report.timings_ms) == set(cli.STAGES)
+        assert all(t >= 0.0 for t in report.timings_ms.values())
+        path = tmp_path / "r.json"
+        assert main(["--minterms", "4:1,5,6,9", "--oracle", "qm", "--no-timing",
+                     "--report", str(path)]) == 0
+        [rec] = json.loads(path.read_text())
+        assert [rec[f"time_{stage}_ms"] for stage in cli.STAGES] == [0.0] * len(cli.STAGES)
 
 
 class TestOnePathBudget:
@@ -578,6 +602,39 @@ class TestMain:
         assert exc.value.code == 2
         assert "--bench-vars" in capsys.readouterr().err
 
+    def test_unknown_emit_kind(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--minterms", "2:1", "--emit", "sop,pos"])
+        assert exc.value.code == 2
+        assert "unknown emit kind 'pos'" in capsys.readouterr().err
+
+    def test_no_input_source(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--emit", "sop"])
+        assert exc.value.code == 2
+        assert "one of --input, --minterms, --benchmark is required" in capsys.readouterr().err
+
+    def test_csv_equals_emit_csv(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        assert main(["--minterms", "4:1,5,6,9,12,13,14,15", "--oracle", "qm", "--no-timing",
+                     "--csv", str(path)]) == 0
+        report, _ = run_pipeline(truthtable_from_minterms(4, [1, 5, 6, 9, 12, 13, 14, 15]),
+                                 PipelineConfig(oracle=True))
+        report.timings_ms.clear()
+        emit_csv([report], str(tmp_path / "want.csv"))
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_invariant_violation_exits_1(self, monkeypatch, capsys):
+        problems = ["dsop_cubes 5 != one_paths 4", "sop_cubes 6 > dsop_cubes 5"]
+        monkeypatch.setattr(StatsReport, "check", lambda self: problems)
+        assert main(["--minterms", "4:1,5,6,9,12,13,14,15"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"dsopmin: invariant violation: {p}" for p in problems]
+
+    def test_unknown_ordering(self, golden_tt):
+        with pytest.raises(ValueError, match="unknown ordering mode 'random'"):
+            run_pipeline(golden_tt, PipelineConfig(ordering="random"))
+
     def test_negative_benchmark_count(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--benchmark", "-1"])
@@ -650,4 +707,13 @@ class TestMain:
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0
         assert proc.stderr == ""
+        assert proc.stdout.startswith("sop (3 cubes, 7 literals): ")
         assert "order: b a c d" in proc.stdout
+
+    def test_dsopmin_module_main(self, monkeypatch, capsys):
+        # __main__ run in this process, the way python -m runs it
+        monkeypatch.setattr(sys, "argv", ["dsopmin", "--minterms", "4:1,5,6,9,12,13,14,15"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("dsopmin", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("sop (3 cubes, 7 literals): ")

@@ -908,3 +908,7 @@ class TestExpression:
 
     def test_custom_names(self):
         assert format_expression(cover("10"), ["x", "y"]) == "xy'"
+
+    def test_default_names(self):
+        assert minimizer.default_names(26)[-1] == "z"
+        assert minimizer.default_names(27) == [f"x{i}" for i in range(27)]

@@ -176,6 +176,11 @@ class TestVariableEntropy:
         sub = truthtable_cofactor(golden_tt, 1, False)
         assert variable_entropy(sub, 1) == pytest.approx(0.5, abs=TOL)
 
+    @pytest.mark.parametrize("var", [-1, 4])
+    def test_refuses_index_out_of_range(self, golden_tt, var):
+        with pytest.raises(ValueError, match=f"variable index {var} out of range for n=4"):
+            variable_entropy(golden_tt, var)
+
     def test_xor_is_maximally_ambiguous(self):
         xor = truthtable_from_minterms(2, [1, 2])
         assert variable_entropy(xor, 0) == pytest.approx(1.0, abs=TOL)
