@@ -15,8 +15,8 @@ split_levels is the one top-down split of a truth table: one level at
 a time, each distinct subtable cofactored once.  A rule picks each
 level's variable; the entropy ordering passes its greedy rule, and a
 fixed order is the rule "the place of perm[level]".  build_levels makes
-the nodes from those splits, so the pipeline's entropy mode orders and
-builds from one descent.  Path sifting swaps adjacent levels in place.
+the nodes from those splits, so the pipeline orders and builds from one
+descent in every mode.  Path sifting swaps adjacent levels in place.
 """
 
 from __future__ import annotations

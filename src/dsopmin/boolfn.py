@@ -101,26 +101,11 @@ class Cover:
 
     @classmethod
     def of_pairs(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "Cover":
-        """The cover of (care, value) pairs, all checked before any Cube is made.
+        """The cover of (care, value) pairs, one Cube constructed per pair.
 
-        A bad pair raises through Cube's constructor.  The Cubes are then
-        filled in slot by slot, without a constructor call each.
+        A bad pair raises Cube's own error, at the first bad pair.
         """
-        pairs = list(pairs)
-        stray = cares = 0
-        for care, value in pairs:
-            stray |= value & ~care
-            cares |= care
-        if stray or cares >> n:
-            for care, value in pairs:
-                Cube(n, care, value)  # raises at the first bad pair
-        new, set_n, set_care, set_value = Cube.__new__, _set_n, _set_care, _set_value
-        cubes = [new(Cube) for _ in pairs]
-        for cube, (care, value) in zip(cubes, pairs):
-            set_n(cube, n)
-            set_care(cube, care)
-            set_value(cube, value)
-        return cls(n, tuple(cubes))
+        return cls(n, tuple([Cube(n, care, value) for care, value in pairs]))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .boolfn import (
     truthtable_from_minterms,
 )
 from .minimizer import default_names, format_expression
-from .ordering import entropy_levels
+from .ordering import entropy_place
 
 REPORT_SCHEMA = "dsopmin-report/1"
 
@@ -167,17 +167,18 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
     def clock(stage: str, start: float) -> None:
         timings[stage] = (time.perf_counter() - start) * 1000.0
 
-    # in entropy mode the ordering's descent is the BDD's: its nodes are
-    # made from the ordering's splits instead of cofactoring the table again
+    # one descent orders the table and splits it, and the BDD's nodes are
+    # made from its splits; given and sift descend in the input order
     if cfg.ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering mode {cfg.ordering!r}")
     t = time.perf_counter()
-    levels = entropy_levels(tt) if cfg.ordering == "entropy" else None
+    rule = entropy_place if cfg.ordering == "entropy" else lambda level, remaining, tables: 0
+    levels = bdd.split_levels(tt, rule)
     clock("order", t)
 
     t = time.perf_counter()
-    mgr = bdd.BddManager(tt.n, None if levels is None else levels.order)
-    h = mgr.build(tt) if levels is None else mgr.build_levels(levels)
+    mgr = bdd.BddManager(tt.n, levels.order)
+    h = mgr.build_levels(levels)
     # read before sifting, which costs most on large diagrams; sifting
     # never raises P1 (each variable ends at its best position, its start
     # among those scored), so the budget still bounds the DSOP

@@ -246,10 +246,8 @@ def _simplify(cubes: List[Packed], done: Dict[Key, List[Packed]]) -> List[Packed
 def _split(cubes: List[Packed], bit: int, wide: int, done: Dict[Key, List[Packed]]) -> List[Packed]:
     """A binate node: simplify the cofactors on the variable at bit and merge them."""
     h0, h1 = cover_cofactor(cubes, bit)
-    if len(h0) > 1:  # a cover of one cube is its own result
-        h0 = _simplify(h0, done)  # frees the x' cofactor before the x one recurses
-    if len(h1) > 1:
-        h1 = _simplify(h1, done)
+    h0 = _simplify(h0, done)  # frees the x' cofactor before the x one recurses
+    h1 = _simplify(h1, done)
     out = _merge(h0, h1, bit, wide)
     return out if len(out) <= len(cubes) else scc(cubes)
 
@@ -327,14 +325,14 @@ def _one_pass(k: int, n: int) -> bool:
     return k << n < _ONE_PASS_BITS
 
 
-def _irredundant(cubes: List[Packed], onset: int, n: int, masks: Optional[List[int]] = None,
-                 block: int = 0) -> List[Packed]:
+def _irredundant(cubes: List[Packed], onset: int, n: int,
+                 masks: Optional[List[int]] = None) -> List[Packed]:
     """irredundant() on pairs; masks, when given, are the cubes' masks.
 
     Cube i goes iff its mask lies inside the cubes kept before it plus
     every cube after it.  Each mask can take 2^n bits, so a large cover
-    runs in blocks of about sqrt(k) cubes (or block cubes), keeping only
-    the suffix OR at each block start: O(sqrt(k) 2^n) bits at once.
+    runs in blocks of about sqrt(k) cubes, keeping only the suffix OR at
+    each block start: O(sqrt(k) 2^n) bits at once.
     """
     if masks is None:
         cubes = list(dict.fromkeys(cubes))
@@ -342,7 +340,7 @@ def _irredundant(cubes: List[Packed], onset: int, n: int, masks: Optional[List[i
         unique = dict(zip(cubes, masks))
         cubes, masks = list(unique), list(unique.values())
     k = len(cubes)
-    block = block or (max(k, 1) if _one_pass(k, n) else math.isqrt(k - 1) + 1)
+    block = max(k, 1) if _one_pass(k, n) else math.isqrt(k - 1) + 1
     starts = range(0, k or 1, block)
     tails = [0] * (len(starts) + 1)  # tails[j]: every mask from block j on
     for j in range(len(starts) - 1, 0, -1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from .bdd import Levels, VariableOrder, split_levels
+from .bdd import VariableOrder, split_levels
 from .boolfn import TruthTable, var_masks
 
 # Scores are irrational in general; comparisons use this slack.
@@ -63,8 +63,9 @@ class _Entropies(dict):
         return p
 
 
-def _entropy_place(level: int, remaining: List[int], tables: Dict[int, int]) -> int:
-    """The place in remaining of the minimum-average-entropy variable.
+def entropy_place(level: int, remaining: List[int], tables: Dict[int, int]) -> int:
+    """The split_levels rule of the entropy order: the place in remaining
+    of the minimum-average-entropy variable.
 
     A distinct subtable is scored once, its score weighted by its count;
     constant subtables score 0 and are not in tables, but the divisor
@@ -88,11 +89,6 @@ def _entropy_place(level: int, remaining: List[int], tables: Dict[int, int]) -> 
     return best_j
 
 
-def entropy_levels(tt: TruthTable) -> Levels:
-    """The greedy entropy descent of tt: its order and every level's splits."""
-    return split_levels(tt, _entropy_place)
-
-
 def entropy_order(tt: TruthTable) -> VariableOrder:
     """Greedy recursive selection of the minimum-average-entropy variable."""
-    return entropy_levels(tt).order
+    return split_levels(tt, entropy_place).order

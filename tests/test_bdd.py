@@ -12,6 +12,7 @@ from dsopmin.bdd import (
     one_path_count,
     one_paths,
     sift_paths,
+    split_levels,
     to_dot,
     to_truthtable,
 )
@@ -25,7 +26,7 @@ from dsopmin.boolfn import (
     truthtable_from_minterms,
     var_masks,
 )
-from dsopmin.ordering import entropy_levels, entropy_order
+from dsopmin.ordering import entropy_order, entropy_place
 
 from conftest import (
     _ref_reachable,
@@ -179,7 +180,7 @@ class TestBuild:
                 for _ in range(rng.randint(1, 5)):
                     bits &= ~(1 << rng.randrange(1 << n))
             tt = TruthTable(n, bits)
-            levels = entropy_levels(tt)
+            levels = split_levels(tt, entropy_place)
             mgr = BddManager(n, levels.order)
             h = mgr.build_levels(levels)
             want = build_from_truthtable(tt, entropy_order(tt))
@@ -187,7 +188,7 @@ class TestBuild:
             assert (ref_level_nodes(mgr), h.root) == ref_build(bits, n, levels.order.perm)
 
     def test_levels_under_another_order(self, golden_tt):
-        levels = entropy_levels(golden_tt)
+        levels = split_levels(golden_tt, entropy_place)
         with pytest.raises(ValueError):
             BddManager(4, ORDER_ABCD).build_levels(levels)
 
@@ -244,7 +245,7 @@ class TestOnePathWalk:
     @staticmethod
     def handles(tt, rng):
         """tt's diagram under entropy, given (identity and shuffled) and sift orders."""
-        levels = entropy_levels(tt)
+        levels = split_levels(tt, entropy_place)
         yield BddManager(tt.n, levels.order).build_levels(levels)
         yield build_from_truthtable(tt)
         perm = list(range(tt.n))

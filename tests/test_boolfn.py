@@ -152,8 +152,9 @@ class TestCubeBits:
 
 
 class TestOfPairs:
-    """Cover.of_pairs checks every pair, then fills Cubes without a
-    constructor call each; its Cubes equal constructed ones."""
+    """Cover.of_pairs constructs one Cube per pair, so its Cubes equal and
+    hash as constructed ones, and a bad pair raises the constructor's
+    error at the first bad pair."""
 
     def test_equals_constructed(self):
         rng = random.Random("of-pairs")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsopmin import boolfn, cli
-from dsopmin.bdd import BddManager, one_path_count
+from dsopmin.bdd import BddManager, one_path_count, split_levels
 from dsopmin.boolfn import (
     MAX_ONE_PATHS,
     TruthTable,
@@ -37,7 +37,7 @@ from dsopmin.cli import (
     run_pipeline,
 )
 from dsopmin.boolfn import format_cube
-from dsopmin.ordering import entropy_levels
+from dsopmin.ordering import entropy_place
 
 from conftest import (
     oracle_cover_minterms,
@@ -242,8 +242,8 @@ class TestParsePlaReference:
 class TestCubeConstructions:
     """Cubes are built only for the covers a caller receives: run_pipeline
     makes exactly len(dsop) + len(sop) of them, and parse_pla none.  Every
-    Cube, whether constructed or filled in by Cover.of_pairs, gets its n
-    through boolfn._set_n once, so that is where they are counted."""
+    Cube's constructor sets its n through boolfn._set_n once, so that is
+    where they are counted."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -495,6 +495,17 @@ class TestBenchmark:
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("mode, want", [("entropy", "0ab10a9adcd09e72"),
+                                            ("given", "07f20edc9b124701"),
+                                            ("sift", "0f7baa212d299391")])
+    def test_report_bytes_pinned_per_order(self, tmp_path, mode, want):
+        # every --order mode's report, byte for byte; no benchmark workload
+        # runs given, so this is the one pin on its orders and counts
+        path = tmp_path / f"{mode}.json"
+        assert main(["--benchmark", "40", "--bench-vars", "7", "--seed", "3", "--order", mode,
+                     "--no-timing", "--report", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == want
+
     def test_stages_always_timed(self, tmp_path):
         # run_pipeline times every stage it runs; --no-timing writes them as 0.0
         report, _ = run_pipeline(truthtable_from_minterms(4, [1, 5, 6, 9]),
@@ -541,7 +552,7 @@ class TestOnePathBudget:
     def test_dense_18_within_budget(self):
         # the largest dense size the pipeline still takes; its full run is
         # too long for the suite, so only its P1 is counted here
-        levels = entropy_levels(self.dense(18))
+        levels = split_levels(self.dense(18), entropy_place)
         h = BddManager(18, levels.order).build_levels(levels)
         assert one_path_count(h) == 83_367 <= MAX_ONE_PATHS
 

@@ -748,10 +748,13 @@ class TestIrredundantBlocks:
         assert peak < 4 << 20
         assert got == ref_irredundant(cover, tt) == cover
 
-    def test_every_block_size_matches_single_pass(self):
+    def test_every_block_size_matches_single_pass(self, monkeypatch):
         # redundant covers of random functions: DSOP cubes next to their
-        # expansions, in shuffled order, under every block size
+        # expansions, in shuffled order, in one pass and then in blocks of
+        # about sqrt(k) cubes, forced by a one-pass bound of 2^n bits; the
+        # cover sizes vary, so the block sizes do too
         rng = random.Random("irredundant-blocks")
+        one_pass = minimizer._ONE_PASS_BITS
         for _ in range(60):
             n = rng.randint(1, 7)
             tt = TruthTable(n, rng.getrandbits(1 << n))
@@ -764,11 +767,12 @@ class TestIrredundantBlocks:
             unique = [(c.care, c.value) for c in dict.fromkeys(cubes)]
             masks = [cube_mask(c) for c in dict.fromkeys(cubes)]
             want_pairs = [(c.care, c.value) for c in want.cubes]
-            for block in range(1, len(unique) + 2):
+            for one_pass_bits in (one_pass, 1 << n):
+                monkeypatch.setattr(minimizer, "_ONE_PASS_BITS", one_pass_bits)
                 for given in (None, masks):
-                    assert minimizer._irredundant(unique, tt.bits, n, given, block) == want_pairs
+                    assert minimizer._irredundant(unique, tt.bits, n, given) == want_pairs
                     with pytest.raises(ValueError, match="does not represent"):
-                        minimizer._irredundant(unique, tt.bits | 1 << (1 << n), n, given, block)
+                        minimizer._irredundant(unique, tt.bits | 1 << (1 << n), n, given)
 
 
 class TestMaskHandOff:
@@ -790,9 +794,9 @@ class TestMaskHandOff:
                 masks_given, masks_made = [], [0]
                 kernel, mask = minimizer._irredundant, minimizer.pair_mask
 
-                def spy_irredundant(cubes, onset, n, masks=None, block=0):
+                def spy_irredundant(cubes, onset, n, masks=None):
                     masks_given.append(masks is not None)
-                    return kernel(cubes, onset, n, masks, block)
+                    return kernel(cubes, onset, n, masks)
 
                 def counting_mask(*args):
                     masks_made[0] += 1
