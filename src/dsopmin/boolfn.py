@@ -9,7 +9,8 @@ Conventions used throughout the package:
 * Cube text is positional, one character per variable: 0 means the
   complemented literal, 1 the positive literal, 2 (or "-" on input) an
   absent variable.  It exists only at I/O, in ``decode_cube`` (which
-  ``cube_from_text`` wraps) and ``format_cube``.
+  ``cube_from_text`` wraps), its bulk form ``decode_cubes``, and
+  ``format_cube``.
 * Minterm index bit order: variable 0 is the MOST significant bit.  For
   n=4 with names a,b,c,d, minterm 5 = 0b0101 = a'bc'd.  So a cube's
   ``value`` is its smallest minterm, and a don't-care variable's bit is
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 # Truth-table-backed operations refuse larger n; 2^24 bits is the ceiling.
 MAX_TABLE_VARS = 24
@@ -122,7 +124,8 @@ class TruthTable:
             raise ValueError("onset bit vector longer than 2^n")
 
     def minterms(self) -> Iterator[int]:
-        return (i for i in range(1 << self.n) if self.bits >> i & 1)
+        """The ON minterms in ascending order, from one scan of bin(bits)."""
+        return (i for i, bit in enumerate(bin(self.bits)[:1:-1]) if bit == "1")
 
 
 _CARE_CHARS = str.maketrans("012-", "1100")
@@ -138,6 +141,22 @@ def decode_cube(text: str, n: int) -> Tuple[int, int]:
     if illegal:
         raise ValueError(f"illegal cube character {illegal[0]!r} in {text!r}")
     return int(text.translate(_CARE_CHARS), 2), int(text.translate(_VALUE_CHARS), 2)
+
+
+def decode_cubes(texts: List[str], n: int) -> Iterator[Tuple[int, int]]:
+    """decode_cube of every text, checked and translated in bulk.
+
+    When a bulk check fails, the texts go through decode_cube in order,
+    so the first bad one raises its own error.
+    """
+    if set(map(len, texts)) - {n} or "".join(texts).translate(_CUBE_CHARS):
+        for text in texts:
+            decode_cube(text, n)
+    joined = " ".join(texts)
+    cares = joined.translate(_CARE_CHARS).split()
+    care_of = {care: int(care, 2) for care in set(cares)}  # texts share few care patterns
+    return zip(map(care_of.__getitem__, cares),
+               map(int, joined.translate(_VALUE_CHARS).split(), repeat(2)))
 
 
 def cube_from_text(text: str, n: int) -> Cube:
@@ -194,13 +213,17 @@ def cube_mask(cube: Cube) -> int:
 def pair_mask(n: int, care: int, value: int) -> int:
     """Truth-table bit mask of the minterms of the cube (care, value) over n variables.
 
-    Starting from the cube's smallest minterm, each don't-care variable
-    doubles the mask by a shift of that variable's bit.
+    The cube's pattern is spread from minterm 0 over its free variables,
+    then shifted by value (its smallest minterm) once.
     """
     if n > MAX_TABLE_VARS:
         raise ValueError(f"variable count {n} exceeds table limit {MAX_TABLE_VARS}")
-    mask = 1 << value
-    free = ~care & ((1 << n) - 1)
+    return _spread(1, ~care & ((1 << n) - 1)) << value
+
+
+def _spread(mask: int, free: int) -> int:
+    """mask ORed with its shifts across every variable bit in free: each
+    free variable doubles it by a shift of that variable's bit."""
     while free:
         bit = free & -free
         mask |= mask << bit
@@ -208,22 +231,38 @@ def pair_mask(n: int, care: int, value: int) -> int:
     return mask
 
 
-def cover_to_truthtable(cover: Cover) -> TruthTable:
+def truthtable_from_pairs(n: int, pairs: Iterable[Tuple[int, int]]) -> TruthTable:
+    """The table of the cubes (care, value) over n variables: one spread per care pattern.
+
+    Each value must lie inside its care.  Cubes of one care pattern
+    differ only in value, so their values are set in one bitmap, which is
+    spread over the free variables and ORed in once; a minterm list is one
+    group that needs no spread.
+    """
+    groups: Dict[int, List[int]] = {}
+    for care, value in pairs:
+        groups.setdefault(care, []).append(value)
     bits = 0
-    for cube in cover:
-        bits |= cube_mask(cube)
-    return TruthTable(cover.n, bits)
+    for care, values in groups.items():
+        base = min(values) >> 3  # the bitmap's first byte: it spans the group's values only
+        bitmap = bytearray((max(values) >> 3) - base + 1)
+        for m in values:
+            bitmap[(m >> 3) - base] |= 1 << (m & 7)
+        bits |= _spread(int.from_bytes(bitmap, "little"), ~care & ((1 << n) - 1)) << 8 * base
+    return TruthTable(n, bits)
+
+
+def cover_to_truthtable(cover: Cover) -> TruthTable:
+    return truthtable_from_pairs(cover.n, [(c.care, c.value) for c in cover])
 
 
 def truthtable_from_minterms(n: int, minterms: Iterable[int]) -> TruthTable:
-    if not 1 <= n <= MAX_TABLE_VARS:
-        raise ValueError(f"variable count {n} outside [1, {MAX_TABLE_VARS}]")
-    bits = 0
+    TruthTable(n, 0)  # refuses a bad n before any minterm is read
+    minterms = list(minterms)
     for m in minterms:
         if not 0 <= m < (1 << n):
             raise ValueError(f"minterm {m} out of range for n={n}")
-        bits |= 1 << m
-    return TruthTable(n, bits)
+    return truthtable_from_pairs(n, zip(repeat((1 << n) - 1), minterms))
 
 
 def cofactor_bits(bits: int, n: int, var: int, val: bool) -> int:

@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bdd, minimizer, qm
@@ -24,9 +25,10 @@ from .boolfn import (
     Cover,
     TruthTable,
     decode_cube,
+    decode_cubes,
     literal_count,
-    pair_mask,
     truthtable_from_minterms,
+    truthtable_from_pairs,
 )
 from .minimizer import default_names, format_expression
 from .ordering import entropy_place
@@ -96,18 +98,23 @@ RECORD_FIELDS = ("schema", *(f.name for f in fields(StatsReport) if f.name != "t
 
 
 def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
-    """Parse the single-output PLA subset; listed cubes define the ON-set."""
+    """Parse the single-output PLA subset; listed cubes define the ON-set.
+
+    Each line is only split and its directive applied; the cube fields
+    are checked in bulk after the last line, and only if a check fails
+    are they walked in file order, so the first bad cube raises its error.
+    """
     n: Optional[int] = None
     out_count: Optional[int] = None
     names: Optional[List[str]] = None
-    cubes: List[Tuple[str, str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    cubes: List[str] = []  # each cube line's two fields, in file order
+    lines = text.splitlines()
+    for line in [raw.partition("#")[0] for raw in lines] if "#" in text else lines:
+        parts = line.split()
+        if not parts:
             continue
-        if line.startswith("."):
-            parts = line.split()
-            key = parts[0]
+        key = parts[0]
+        if key[0] == ".":
             if key == ".i":
                 n = _directive_int(parts)
                 if not 1 <= n <= MAX_TABLE_VARS:
@@ -118,17 +125,14 @@ def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
                     raise PlaError("only single-output functions are supported (.o 1)")
             elif key == ".ilb":
                 names = parts[1:]
-            elif key in (".ob", ".p"):
-                pass
             elif key == ".e":
                 break
-            else:
+            elif key not in (".ob", ".p"):
                 raise PlaError(f"unsupported PLA directive {key}")
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise PlaError(f"malformed cube line {line!r}")
-        cubes.append((parts[0], parts[1]))
+            raise PlaError(f"malformed cube line {line.strip()!r}")
+        cubes += parts
 
     if n is None:
         raise PlaError("missing .i directive")
@@ -137,16 +141,14 @@ def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
     if names is not None and len(names) != n:
         raise PlaError(".ilb name count does not match .i")
 
-    bits = 0
-    for in_part, out_part in cubes:
-        if out_part == "-" or out_part == "~":
-            raise PlaError("don't-care outputs not supported (completely specified only)")
-        if out_part not in ("0", "1"):
-            raise PlaError(f"malformed output field {out_part!r}")
-        care, value = decode_cube(in_part, n)
-        if out_part == "1":
-            bits |= pair_mask(n, care, value)
-    return TruthTable(n, bits), names
+    ins, outs = cubes[::2], cubes[1::2]
+    if set(outs) - {"0", "1"}:
+        for in_part, out_part in zip(ins, outs):
+            if out_part not in ("0", "1"):
+                raise PlaError("don't-care outputs not supported (completely specified only)"
+                               if out_part in ("-", "~") else f"malformed output field {out_part!r}")
+            decode_cube(in_part, n)
+    return truthtable_from_pairs(n, compress(decode_cubes(ins, n), map("1".__eq__, outs))), names
 
 
 def parse_minterms(spec: str) -> TruthTable:

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,8 +13,11 @@ from dsopmin.boolfn import (
     cover_to_truthtable,
     cube_from_text,
     cube_mask,
+    decode_cube,
     format_cube,
+    full_mask,
     literal_count,
+    pair_mask,
     truthtable_cofactor,
     truthtable_from_minterms,
     var_masks,
@@ -23,6 +27,7 @@ from conftest import (
     all_cube_texts,
     oracle_cover_minterms,
     oracle_minterms,
+    random_cube,
     ref_cofactor_bits,
 )
 
@@ -83,6 +88,24 @@ class TestCubeMask:
         for text in all_cube_texts(n):
             mask = cube_mask(cube_from_text(text, n))
             assert {m for m in range(1 << n) if (mask >> m) & 1} == oracle_minterms(text)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_random_cubes_match_references(self, n):
+        # up to n=12 against the cube's minterm list; wider, against the AND
+        # of its literals' masks (var_masks uncached, so no width stays held)
+        rng = random.Random(f"pair-mask/{n}")
+        masks = var_masks.__wrapped__(n) if n > 12 else None
+        for _ in range(20 if n <= 12 else 4):
+            text = random_cube(rng, n, rng.randint(0, n))
+            mask = pair_mask(n, *decode_cube(text, n))
+            if masks is None:
+                assert {m for m in range(1 << n) if mask >> m & 1} == oracle_minterms(text)
+                continue
+            want = full_mask(n)
+            for v, ch in enumerate(text):
+                if ch != "-":
+                    want &= masks[v] if ch == "1" else full_mask(n) ^ masks[v]
+            assert mask == want
 
     def test_refuses_25_variables(self):
         with pytest.raises(ValueError, match="variable count 25 exceeds table limit 24"):
@@ -216,6 +239,16 @@ class TestCoverToTruthTable:
         c = Cover(n, tuple(cube_from_text(t, n) for t in texts))
         assert cover_to_truthtable(c).bits == tt.bits
 
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_cubes_sharing_care_patterns(self, n):
+        # the table is built one care pattern at a time: many cubes share each
+        rng = random.Random(f"cover-table/{n}")
+        cares = [rng.getrandbits(n) for _ in range(3)]
+        cubes = [Cube(n, care, rng.getrandbits(n) & care)
+                 for care in (rng.choice(cares) for _ in range(40))]
+        want = set().union(*(oracle_minterms(format_cube(c)) for c in cubes))
+        assert set(cover_to_truthtable(Cover(n, tuple(cubes))).minterms()) == want
+
 
 class TestTruthTable:
     def test_golden_table(self, golden_tt):
@@ -237,6 +270,32 @@ class TestTruthTable:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             truthtable_from_minterms(3, [8])
+        # the first bad minterm in input order names the error, and n before any
+        with pytest.raises(ValueError, match="minterm 9 out of range for n=3"):
+            truthtable_from_minterms(3, [1, 9, -1])
+        with pytest.raises(ValueError, match="minterm -1 out of range for n=3"):
+            truthtable_from_minterms(3, iter([2, -1, 9]))
+        with pytest.raises(ValueError, match=r"variable count 25 outside \[1, 24\]"):
+            truthtable_from_minterms(25, [1 << 40])
+
+    def test_duplicate_minterms(self):
+        assert truthtable_from_minterms(3, [5, 2, 5, 2]).bits == 1 << 5 | 1 << 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_minterms_ascending(self, n):
+        rng = random.Random(f"minterms/{n}")
+        for bits in (0, full_mask(n), 1, 1 << ((1 << n) - 1), rng.getrandbits(1 << n)):
+            assert list(TruthTable(n, bits).minterms()) == [
+                m for m in range(1 << n) if bits >> m & 1]
+
+    def test_minterms_dense_18_linear(self):
+        # linear in 2^n: a dense n=18 table lists its 131,173 minterms well inside the bound
+        bits = random.Random("dense/18").getrandbits(1 << 18)
+        start = time.perf_counter()
+        got = list(TruthTable(18, bits).minterms())
+        assert time.perf_counter() - start < 0.5
+        assert len(got) == bits.bit_count()
+        assert truthtable_from_minterms(18, got).bits == bits
 
     def test_n_cap(self):
         with pytest.raises(ValueError):

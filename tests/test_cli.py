@@ -112,6 +112,16 @@ def pla_texts(draw):
     return "\n".join(lines)
 
 
+@pytest.fixture(scope="module")
+def dense_20_pla(tmp_path_factory):
+    """A PLA file listing each ON minterm of the dense n=20 table, one
+    line each (about 525,000 lines), and that table."""
+    tt = TruthTable(20, random.Random("dense/20").getrandbits(1 << 20))
+    path = tmp_path_factory.mktemp("dense") / "dense20.pla"
+    path.write_text("\n".join([".i 20", ".o 1", *(f"{m:020b} 1" for m in tt.minterms()), ".e"]))
+    return path, tt
+
+
 class TestParsePla:
     def test_golden_minterms(self):
         tt, names = parse_pla(GOLDEN_PLA)
@@ -149,6 +159,15 @@ class TestParsePla:
         with pytest.raises(PlaError):
             parse_pla(f"{directive}\n.e\n")
 
+    def test_dense_20_reads_in_bounded_time(self, dense_20_pla):
+        # one bitmap for the single care pattern: no 2^n-bit OR per line
+        path, tt = dense_20_pla
+        text = path.read_text()
+        start = time.perf_counter()
+        got, names = parse_pla(text)
+        assert time.perf_counter() - start < 2.5
+        assert got == tt and names is None
+
     @pytest.mark.parametrize("n", [0, 25])
     def test_input_count_out_of_range(self, n):
         with pytest.raises(PlaError):
@@ -163,16 +182,18 @@ def parse_outcome(parse, text):
         return type(exc), str(exc)
 
 
-def seeded_pla(rng, n):
+def seeded_pla(rng, n, cubes=None):
     """Valid PLA text that uses every accepted form: comments, blank lines,
-    "-" and "2", 0-output lines, .ilb, .p, .ob, and text after .e."""
+    "-" and "2", 0-output lines, .ilb, .p, .ob, and text after .e.  Its
+    cube fields are the given texts, else up to 30 random ones."""
     lines = ["# seeded", f".i {n}", "", ".o 1  # one output", f".p {rng.randint(0, 40)}"]
     if rng.random() < 0.5:
         lines.append(".ilb " + " ".join(f"x{v}" for v in range(n)))
     if rng.random() < 0.3:
         lines.append(".ob f")
-    for _ in range(rng.randint(0, 30)):
-        text = "".join(rng.choice("01-2") for _ in range(n))
+    if cubes is None:
+        cubes = ("".join(rng.choice("01-2") for _ in range(n)) for _ in range(rng.randint(0, 30)))
+    for text in cubes:
         line = f"{text} {rng.choice('0111')}"
         lines.append(rng.choice([line, line, f"  {line}  ", f"{line} # note", ""]))
     lines.append(".e")
@@ -195,8 +216,15 @@ class TestParsePlaReference:
 
     def test_seeded_plas(self):
         rng = random.Random("parse-pla-reference")
-        for _ in range(300):
-            text = seeded_pla(rng, rng.randint(1, 12))
+        texts = [seeded_pla(rng, rng.randint(1, 12)) for _ in range(300)]
+        for n in range(12, 17):  # dense minterm lists: one care pattern, many values
+            bits = rng.getrandbits(1 << n)
+            minterms = [format(m, f"0{n}b") for m in range(1 << n) if bits >> m & 1]
+            texts.append(seeded_pla(rng, n, rng.sample(minterms, len(minterms))))
+        for n in range(18, 25):  # wide cubes, nearly each with its own care pattern
+            texts.append(seeded_pla(rng, n, [random_cube(rng, n, rng.randint(1, n))
+                                             for _ in range(30)]))
+        for text in texts:
             got = parse_pla(text)
             assert got == ref_parse_pla(text)
 
@@ -564,6 +592,16 @@ class TestOnePathBudget:
             err = capsys.readouterr().err
             assert err.startswith("dsopmin: error: one-path count")
             assert err.count("\n") == 1 and "Traceback" not in err
+
+
+    def test_cli_pla_exits_2_with_one_line(self, capsys, dense_20_pla):
+        # the dense n=20 PLA is read, then refused by the budget
+        start = time.perf_counter()
+        assert main(["--input", str(dense_20_pla[0])]) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.startswith("dsopmin: error: one-path count 332509 exceeds the budget")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestMain:
