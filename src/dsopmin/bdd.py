@@ -195,17 +195,26 @@ def node_count(h: FunctionHandle) -> int:
     return len(h.manager.reachable(h.root))
 
 
+def _fold(h: FunctionHandle, zero: int, one: int, combine: Callable[[int, int, int], int]) -> int:
+    """The root's value, made bottom up once per reachable node.
+
+    A terminal's value is given; a node's is combine(var, lo's value,
+    hi's value).
+    """
+    nodes, memo = h.manager._nodes, {ZERO: zero, ONE: one}
+
+    def value(u: int) -> int:
+        if u not in memo:
+            var, lo, hi = nodes[u]
+            memo[u] = combine(var, value(lo), value(hi))
+        return memo[u]
+
+    return value(h.root)
+
+
 def one_path_count(h: FunctionHandle) -> int:
     """P1: paths from the root to terminal 1, counted bottom-up."""
-    nodes, count = h.manager._nodes, {ZERO: 0, ONE: 1}
-
-    def paths(u: int) -> int:
-        if u not in count:
-            _, lo, hi = nodes[u]
-            count[u] = paths(lo) + paths(hi)
-        return count[u]
-
-    return paths(h.root)
+    return _fold(h, 0, 1, lambda var, lo, hi: lo + hi)
 
 
 def one_paths(h: FunctionHandle) -> List[Tuple[int, int]]:
@@ -239,20 +248,11 @@ def enumerate_one_paths(h: FunctionHandle) -> Cover:
 
 def to_truthtable(h: FunctionHandle) -> TruthTable:
     """The function's truth table, combined bottom-up from literal masks."""
-    n = h.manager.n
-    masks, nodes = var_masks(n), h.manager._nodes
-    table = {ZERO: 0, ONE: full_mask(n)}
-
-    def bits(u: int) -> int:
-        if u not in table:
-            var, lo, hi = nodes[u]
-            pos, low = masks[var], bits(lo)
-            # low & ~pos, kept non-negative: CPython ANDs with a negative int
-            # several times slower, which shows on wide tables
-            table[u] = (bits(hi) & pos) | (low ^ (low & pos))
-        return table[u]
-
-    return TruthTable(n, bits(h.root))
+    n, masks = h.manager.n, var_masks(h.manager.n)
+    # lo & ~mask, kept non-negative: CPython ANDs with a negative int several
+    # times slower, which shows on wide tables
+    return TruthTable(n, _fold(h, 0, full_mask(n),
+                               lambda var, lo, hi: (hi & masks[var]) | (lo ^ (lo & masks[var]))))
 
 
 class _LevelSets:
@@ -373,13 +373,14 @@ class _LevelSets:
         self.perm[k], self.perm[k + 1] = y, x
 
 
-def sift_paths(mgr: BddManager, h: FunctionHandle) -> VariableOrder:
+def sift_paths(mgr: BddManager, h: FunctionHandle) -> int:
     """Sift every variable once, scoring positions by one-path count.
 
     Variables are processed in decreasing order of node population at
     their starting level; each is fixed where P1 is smallest (ties:
     fewer nodes, then the earliest position).  The manager is left in
     the final order, holding only h's diagram; h's root keeps its id.
+    Returns P1 in that order.
 
     No position is scored by a walk over the whole diagram.  Swaps are
     in place and touch only the two levels they exchange (Rudell, ICCAD
@@ -390,7 +391,7 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> VariableOrder:
     """
     n = mgr.n
     if n < 2 or h.root < 2:
-        return mgr.order
+        return one_path_count(h)
 
     levels = _LevelSets(mgr, h.root)
     perm = levels.perm
@@ -413,7 +414,7 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> VariableOrder:
             pos += 1
 
     mgr.order = VariableOrder(tuple(perm))
-    return mgr.order
+    return levels.p1
 
 
 def to_dot(h: FunctionHandle, names: Optional[Sequence[str]] = None) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 # Truth-table-backed operations refuse larger n; 2^24 bits is the ceiling.
 MAX_TABLE_VARS = 24
@@ -143,15 +143,14 @@ def decode_cube(text: str, n: int) -> Tuple[int, int]:
     return int(text.translate(_CARE_CHARS), 2), int(text.translate(_VALUE_CHARS), 2)
 
 
-def decode_cubes(texts: List[str], n: int) -> Iterator[Tuple[int, int]]:
+def decode_cubes(texts: List[str], n: int) -> Optional[Iterator[Tuple[int, int]]]:
     """decode_cube of every text, checked and translated in bulk.
 
-    When a bulk check fails, the texts go through decode_cube in order,
-    so the first bad one raises its own error.
+    None when a text has the wrong length or an illegal character; the
+    caller walks the texts through decode_cube to raise the first one's error.
     """
     if set(map(len, texts)) - {n} or "".join(texts).translate(_CUBE_CHARS):
-        for text in texts:
-            decode_cube(text, n)
+        return None
     joined = " ".join(texts)
     cares = joined.translate(_CARE_CHARS).split()
     care_of = {care: int(care, 2) for care in set(cares)}  # texts share few care patterns

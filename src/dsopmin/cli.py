@@ -108,8 +108,9 @@ def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
     out_count: Optional[int] = None
     names: Optional[List[str]] = None
     cubes: List[str] = []  # each cube line's two fields, in file order
-    lines = text.splitlines()
-    for line in [raw.partition("#")[0] for raw in lines] if "#" in text else lines:
+    # the line list is a temporary of the loop, freed before the cubes are decoded
+    for line in ([raw.partition("#")[0] for raw in text.splitlines()] if "#" in text
+                 else text.splitlines()):
         parts = line.split()
         if not parts:
             continue
@@ -142,13 +143,14 @@ def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
         raise PlaError(".ilb name count does not match .i")
 
     ins, outs = cubes[::2], cubes[1::2]
-    if set(outs) - {"0", "1"}:
+    pairs = None if set(outs) - {"0", "1"} else decode_cubes(ins, n)
+    if pairs is None:  # a check failed: the first bad cube in file order raises
         for in_part, out_part in zip(ins, outs):
             if out_part not in ("0", "1"):
                 raise PlaError("don't-care outputs not supported (completely specified only)"
                                if out_part in ("-", "~") else f"malformed output field {out_part!r}")
             decode_cube(in_part, n)
-    return truthtable_from_pairs(n, compress(decode_cubes(ins, n), map("1".__eq__, outs))), names
+    return truthtable_from_pairs(n, compress(pairs, map("1".__eq__, outs))), names
 
 
 def parse_minterms(spec: str) -> TruthTable:
@@ -169,10 +171,20 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
     def clock(stage: str, start: float) -> None:
         timings[stage] = (time.perf_counter() - start) * 1000.0
 
-    # one descent orders the table and splits it, and the BDD's nodes are
-    # made from its splits; given and sift descend in the input order
     if cfg.ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering mode {cfg.ordering!r}")
+    # first, so that qm.prime_implicants refuses a table over its limit
+    # before any other stage runs
+    oracle_cubes = oracle_literals = None
+    if cfg.oracle:
+        t = time.perf_counter()
+        oracle = qm.exact_cover(tt)
+        oracle_cubes = len(oracle.cubes)
+        oracle_literals = literal_count(oracle)
+        clock("oracle", t)
+
+    # one descent orders the table and splits it, and the BDD's nodes are
+    # made from its splits; given and sift descend in the input order
     t = time.perf_counter()
     rule = entropy_place if cfg.ordering == "entropy" else lambda level, remaining, tables: 0
     levels = bdd.split_levels(tt, rule)
@@ -188,8 +200,7 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
     if p1 > MAX_ONE_PATHS:
         raise ValueError(f"one-path count {p1} exceeds the budget of {MAX_ONE_PATHS}")
     if cfg.ordering == "sift":
-        bdd.sift_paths(mgr, h)
-        p1 = bdd.one_path_count(h)
+        p1 = bdd.sift_paths(mgr, h)
     nodes = bdd.node_count(h)
     clock("build", t)
 
@@ -203,14 +214,6 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
     pairs = minimizer.minimize(paths, tt.n, tt.bits)
     sop = Cover.of_pairs(tt.n, pairs)
     clock("minimize", t)
-
-    oracle_cubes = oracle_literals = None
-    if cfg.oracle:
-        t = time.perf_counter()
-        oracle = qm.exact_cover(tt)
-        oracle_cubes = len(oracle.cubes)
-        oracle_literals = literal_count(oracle)
-        clock("oracle", t)
 
     report = StatsReport(
         n=tt.n,

@@ -17,8 +17,9 @@ from .boolfn import Cover, Cube, TruthTable, cube_mask, format_cube
 
 MAX_QM_VARS = 16
 
-# A row's tie-break key, _row_key below: (literal count, cube text).
-RowKey = Tuple[int, str]
+# A chart row's tie-break key: (literal count, prime index).  Primes are
+# in cube-text order, so the index ranks equal counts as their text would.
+RowKey = Tuple[int, int]
 
 
 def prime_implicants(tt: TruthTable) -> List[Cube]:
@@ -52,14 +53,9 @@ def prime_implicants(tt: TruthTable) -> List[Cube]:
     return sorted((Cube(n, care, value) for care, value in primes), key=format_cube)
 
 
-def _row_key(cube: Cube) -> RowKey:
-    return (cube.literal_count(), format_cube(cube))
-
-
-def _solution_key(keys: Sequence[RowKey], rows: Sequence[int]) -> Tuple[int, int, Tuple[str, ...]]:
-    """Cubes, then literals, then sorted cube text: the order exact covers minimize."""
-    texts = tuple(sorted(keys[k][1] for k in rows))
-    return (len(rows), sum(keys[k][0] for k in rows), texts)
+def _solution_key(keys: Sequence[RowKey], rows: Sequence[int]) -> Tuple[int, int, Tuple[int, ...]]:
+    """Cubes, then literals, then sorted prime indices: the order exact covers minimize."""
+    return (len(rows), sum(keys[k][0] for k in rows), tuple(sorted(rows)))
 
 
 def _reduce_chart(
@@ -184,8 +180,8 @@ def exact_cover(tt: TruthTable) -> Cover:
     """Minimum-cardinality prime cover; ties by literals, then cube text."""
     primes = prime_implicants(tt)
     masks = [cube_mask(p) for p in primes]
-    keys = [_row_key(p) for p in primes]
+    keys = [(p.literal_count(), k) for k, p in enumerate(primes)]
     chosen, rows, uncovered = _reduce_chart(masks, keys, tt.bits)
     if uncovered:
         chosen += _branch_and_bound(masks, keys, rows, uncovered)
-    return Cover(tt.n, tuple(sorted((primes[k] for k in chosen), key=format_cube)))
+    return Cover(tt.n, tuple(primes[k] for k in sorted(chosen)))

@@ -11,7 +11,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from math import ceil
+from operator import or_
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
@@ -112,6 +114,38 @@ def all_cube_texts(n: int):
     """Every positional cube over n variables (3^n of them)."""
     for trits in itertools.product("012", repeat=n):
         yield "".join(trits)
+
+
+def cube_text_masks(n: int) -> Dict[str, int]:
+    """Every cube text over n variables -> the bit mask of its minterms."""
+    return {t: sum(1 << m for m in oracle_minterms(t)) for t in all_cube_texts(n)}
+
+
+def pipeline_problems(tt: TruthTable, ordering: str, masks: Dict[str, int]):
+    """run_pipeline with the oracle on, and each paper invariant its run breaks.
+
+    masks is cube_text_masks(tt.n): the covers are checked as minterm
+    sets made from their cube text, not by the package's cube masks.
+    Returns (problems, report, covers); no problem means the DSOP is
+    disjoint and equals f, P1 is its cube count, the SOP equals f, lies
+    inside f and is irredundant, and the oracle is no worse than it.
+    """
+    report, covers = run_pipeline(tt, PipelineConfig(ordering=ordering, oracle=True))
+    dsop = [masks[format_cube(c)] for c in covers["dsop"]]
+    sop = [masks[format_cube(c)] for c in covers["sop"]]
+    dsop_union = reduce(or_, dsop, 0)
+    checks = {
+        "DSOP is not disjoint": sum(m.bit_count() for m in dsop) != dsop_union.bit_count(),
+        "DSOP differs from f": dsop_union != tt.bits,
+        "P1 differs from the DSOP cube count": report.one_paths != len(dsop),
+        "SOP differs from f": reduce(or_, sop, 0) != tt.bits,
+        "SOP leaves f": any(m & ~tt.bits for m in sop),
+        "SOP is redundant": any(reduce(or_, sop[:i] + sop[i + 1:], 0) == tt.bits
+                                for i in range(len(sop))),
+        "oracle is worse than the SOP": report.oracle_cubes > report.sop_cubes,
+    }
+    problems = [what for what, broken in checks.items() if broken] + report.check()
+    return problems, report, covers
 
 
 def random_cube(rng, n: int, k: int) -> str:

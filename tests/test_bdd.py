@@ -363,9 +363,8 @@ class TestSifting:
 
     def test_constant_function(self):
         h = build_from_truthtable(TruthTable(3, 0))
-        order = sift_paths(h.manager, h)
-        assert one_path_count(h) == 0
-        assert sorted(order.perm) == [0, 1, 2]
+        assert sift_paths(h.manager, h) == one_path_count(h) == 0
+        assert sorted(h.manager.order.perm) == [0, 1, 2]
 
     def test_single_variable_function(self):
         tt = truthtable_from_minterms(3, [2, 3])  # f = x1
@@ -431,10 +430,11 @@ def sift_tables():
 def sift_summary(tt, start=None):
     """sift_paths's order, P1, node count and DSOP text, with its arena checks."""
     h = build_from_truthtable(tt, start)
-    order = sift_paths(h.manager, h)
+    p1 = sift_paths(h.manager, h)
     assert len(h.manager._nodes) == node_count(h)
     assert to_truthtable(h).bits == tt.bits
-    return (order.perm, one_path_count(h), node_count(h),
+    assert p1 == one_path_count(h)
+    return (h.manager.order.perm, p1, node_count(h),
             [format_cube(c) for c in enumerate_one_paths(h)])
 
 

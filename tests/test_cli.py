@@ -16,7 +16,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsopmin import boolfn, cli
-from dsopmin.bdd import BddManager, one_path_count, split_levels
+from dsopmin.bdd import (
+    BddManager,
+    VariableOrder,
+    build_from_truthtable,
+    enumerate_one_paths,
+    node_count,
+    one_path_count,
+    sift_paths,
+    split_levels,
+)
 from dsopmin.boolfn import (
     MAX_ONE_PATHS,
     TruthTable,
@@ -25,6 +34,7 @@ from dsopmin.boolfn import (
     truthtable_from_minterms,
 )
 from dsopmin.cli import (
+    ORDERINGS,
     PipelineConfig,
     PlaError,
     StatsReport,
@@ -37,11 +47,14 @@ from dsopmin.cli import (
     run_pipeline,
 )
 from dsopmin.boolfn import format_cube
-from dsopmin.ordering import entropy_place
+from dsopmin.minimizer import expand, irredundant, simplify
+from dsopmin.ordering import entropy_order, entropy_place
 
 from conftest import (
+    cube_text_masks,
     oracle_cover_minterms,
     oracle_same_function,
+    pipeline_problems,
     random_cube,
     ref_parse_pla,
 )
@@ -371,6 +384,35 @@ class TestRunPipeline:
         assert report.oracle_literals == 7
         assert report.check() == []
 
+    @pytest.mark.parametrize("mode", ORDERINGS)
+    def test_every_function_up_to_three_variables(self, mode):
+        # all 4 + 16 + 256 functions of one to three variables
+        for n in (1, 2, 3):
+            masks = cube_text_masks(n)
+            for bits in range(1 << (1 << n)):
+                problems, _, _ = pipeline_problems(TruthTable(n, bits), mode, masks)
+                assert problems == [], (n, bits)
+
+    @pytest.mark.parametrize("mode", ORDERINGS)
+    def test_exported_stages_give_its_result(self, mode):
+        # the exported stage functions, called in stage order, give
+        # run_pipeline's order, counts and covers, though it orders, walks
+        # and minimizes through split_levels, one_paths and minimize instead
+        rng = random.Random(f"stages/{mode}")
+        for n in range(1, 11):
+            for tt in (TruthTable(n, rng.getrandbits(1 << n)),  # half the minterms on
+                       TruthTable(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n))):
+                report, covers = run_pipeline(tt, PipelineConfig(ordering=mode))
+                order = entropy_order(tt) if mode == "entropy" else VariableOrder.identity(n)
+                h = build_from_truthtable(tt, order)
+                if mode == "sift":
+                    assert sift_paths(h.manager, h) == one_path_count(h)
+                dsop = enumerate_one_paths(h)
+                sop = irredundant(expand(simplify(dsop), h), h)
+                assert (h.manager.order.perm, node_count(h), one_path_count(h), dsop, sop) == (
+                    report.order, report.bdd_nodes, report.one_paths, covers["dsop"],
+                    covers["sop"]), (n, tt.bits)
+
     def test_sparse_pla_at_n18(self):
         # wide-PLA shape (4 three-literal and 8 four-literal cubes) near
         # the table cap: entropy ordering and BDD construction must not
@@ -602,6 +644,26 @@ class TestOnePathBudget:
         err = capsys.readouterr().err
         assert err.startswith("dsopmin: error: one-path count 332509 exceeds the budget")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestOracleLimit:
+    """With the oracle on, its stage runs first, so qm's variable limit
+    refuses a wider table before any other stage."""
+
+    def test_refused_before_any_stage(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a stage ran before the oracle")
+
+        monkeypatch.setattr(cli.bdd, "split_levels", never)
+        tt = TruthTable(17, random.Random("dense/17").getrandbits(1 << 17))
+        with pytest.raises(ValueError, match="variable count 17 exceeds QM limit 16"):
+            run_pipeline(tt, PipelineConfig(oracle=True))
+
+    def test_cli_exits_2_with_one_line(self, capsys):
+        start = time.perf_counter()
+        assert main(["--benchmark", "1", "--bench-vars", "17", "--oracle", "qm"]) == 2
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err == "dsopmin: error: variable count 17 exceeds QM limit 16\n"
 
 
 class TestMain:

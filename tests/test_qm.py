@@ -10,7 +10,7 @@ from dsopmin.boolfn import (
     format_cube,
     truthtable_from_minterms,
 )
-from dsopmin.qm import _reduce_chart, _row_key, exact_cover, prime_implicants
+from dsopmin.qm import _reduce_chart, exact_cover, prime_implicants
 
 from conftest import (
     brute_force_primes,
@@ -74,7 +74,8 @@ def reduce_chart(tt):
     """_reduce_chart on tt's full chart, rows given as their primes."""
     primes = prime_implicants(tt)
     chosen, rows, uncovered = _reduce_chart(
-        [cube_mask(p) for p in primes], [_row_key(p) for p in primes], tt.bits)
+        [cube_mask(p) for p in primes],
+        [(p.literal_count(), k) for k, p in enumerate(primes)], tt.bits)
     return [primes[k] for k in chosen], [primes[k] for k in rows], uncovered
 
 
