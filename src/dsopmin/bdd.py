@@ -307,6 +307,17 @@ class _LevelSets:
                 paths[hi] -= paths[u]
                 down[u] = down[lo] + down[hi]
 
+    def save(self) -> tuple:
+        """A copy of everything a swap changes, in C-level dict and set copies."""
+        return (dict(self.mgr._nodes), dict(self.mgr._unique), dict(self.ref), dict(self.paths),
+                dict(self.down), [set(level) for level in self.levels], list(self.perm),
+                self.p1, self.size, self.cut)
+
+    def restore(self, state: tuple) -> None:
+        """Go back to a save(); the state is taken over, not copied."""
+        (self.mgr._nodes, self.mgr._unique, self.ref, self.paths, self.down,
+         self.levels, self.perm, self.p1, self.size, self.cut) = state
+
     def swap(self, k: int) -> None:
         """Rudell's swap of levels k and k+1 (ICCAD 1993).
 
@@ -314,9 +325,9 @@ class _LevelSets:
         Level-(k+1) nodes move up and level-k nodes without a
         level-(k+1) child move down, keys unchanged.  The other level-k
         nodes keep their id, take the level-(k+1) variable and get
-        children on the level-k variable, made by mgr.make.  P1 changes
-        by paths times the change of down over the rewritten nodes, the
-        only ones whose down changes.
+        children on the level-k variable, found in or added to the
+        unique table.  P1 changes by paths times the change of down over
+        the rewritten nodes, the only ones whose down changes.
         """
         self.move_cut(k)
         mgr, nodes, unique = self.mgr, self.mgr._nodes, self.mgr._unique
@@ -326,18 +337,9 @@ class _LevelSets:
         below: set[int] = set()
         top: set[int] = set()
 
-        def make(lo: int, hi: int) -> int:
-            v = mgr.make(x, lo, hi)
-            if v not in ref:  # every live node has a ref entry, so v is new
-                ref[v], paths[v], down[v] = 0, 0, down[lo] + down[hi]
-                ref[lo] += 1
-                ref[hi] += 1
-                below.add(v)
-            return v
-
-        # the nodes moving down keep their keys, so make finds them whether
-        # or not the loop has reached them; it never finds a rewritten
-        # node, whose old key has a child at level k+1 and new key var y
+        # the nodes moving down keep their keys, so the unique table finds
+        # them whether or not the loop has reached them; it never finds a
+        # rewritten node, whose old key has a child at level k+1 and new key var y
         delta = 0
         for u in upper:
             _, lo, hi = key = nodes[u]
@@ -346,13 +348,27 @@ class _LevelSets:
                 continue
             top.add(u)
             del unique[key]
-            f00, f01 = nodes[lo][1:] if lo in lower else (lo, lo)
-            f10, f11 = nodes[hi][1:] if hi in lower else (hi, hi)
-            r0, r1 = make(f00, f10), make(f01, f11)
+            _, f00, f01 = nodes[lo] if lo in lower else (y, lo, lo)
+            _, f10, f11 = nodes[hi] if hi in lower else (y, hi, hi)
+            kids = []
+            for c0, c1 in ((f00, f10), (f01, f11)):
+                if c0 != c1:  # else the redundant test reduces to c0
+                    child = (x, c0, c1)
+                    v = unique.get(child)
+                    if v is None:
+                        v = mgr._next_id
+                        mgr._next_id += 1
+                        nodes[v], unique[child] = child, v
+                        ref[v], paths[v], down[v] = 0, 0, down[c0] + down[c1]
+                        ref[c0] += 1
+                        ref[c1] += 1
+                        below.add(v)
+                    c0 = v
+                ref[c0] += 1
+                kids.append(c0)
+            r0, r1 = kids
             key = nodes[u] = (y, r0, r1)
             unique[key] = u
-            ref[r0] += 1
-            ref[r1] += 1
             ref[lo] -= 1
             ref[hi] -= 1
             count = down[r0] + down[r1]
@@ -372,6 +388,36 @@ class _LevelSets:
         self.p1 += delta
         self.perm[k], self.perm[k + 1] = y, x
 
+    def sift(self, var: int) -> None:
+        """Move var to the position of least (P1, node count, position).
+
+        var sweeps down to the last level, then from a copy of its start
+        state up to the root, so it crosses each level once; it goes to
+        its best position from the root or from that copy, whichever
+        takes fewer swaps: at most 2(n-1) swaps.  Each position's diagram
+        is canonical for its order, so a position scores the same
+        whichever way var came to it.
+        """
+        start = self.perm.index(var)
+        saved = self.save()
+        best = (self.p1, self.size, start)
+        for pos in range(start, len(self.perm) - 1):
+            self.swap(pos)
+            best = min(best, (self.p1, self.size, pos + 1))
+        if start < len(self.perm) - 1:
+            self.restore(saved)
+            # a second return to start can beat going from the root only if start > 0
+            saved = self.save() if start else None
+        for pos in range(start, 0, -1):
+            self.swap(pos - 1)
+            best = min(best, (self.p1, self.size, pos - 1))
+        target, pos = best[2], 0
+        if abs(target - start) < target:
+            self.restore(saved)
+            pos = start
+        for k in range(pos, target) if pos < target else range(pos - 1, target - 1, -1):
+            self.swap(k)
+
 
 def sift_paths(mgr: BddManager, h: FunctionHandle) -> int:
     """Sift every variable once, scoring positions by one-path count.
@@ -388,32 +434,17 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> int:
     swap rewrites change key, and a node a swap orphans is dropped at
     once.  P1 is kept as a running total that a swap changes by the
     rewritten nodes' share, and the node count as per-level widths.
+
+    Each variable moves as _LevelSets.sift moves it.
     """
     n = mgr.n
     if n < 2 or h.root < 2:
         return one_path_count(h)
 
     levels = _LevelSets(mgr, h.root)
-    perm = levels.perm
-    schedule = sorted(range(n), key=lambda v: (-len(levels.levels[perm.index(v)]), v))
-    for var in schedule:
-        pos = perm.index(var)
-        scores = {pos: (levels.p1, levels.size)}
-        while pos < n - 1:
-            levels.swap(pos)
-            pos += 1
-            scores[pos] = (levels.p1, levels.size)
-        while pos > 0:
-            levels.swap(pos - 1)
-            pos -= 1
-            if pos not in scores:
-                scores[pos] = (levels.p1, levels.size)
-        best = min(scores, key=lambda p: (scores[p][0], scores[p][1], p))
-        while pos < best:
-            levels.swap(pos)
-            pos += 1
-
-    mgr.order = VariableOrder(tuple(perm))
+    for var in sorted(range(n), key=lambda v: (-len(levels.levels[levels.perm.index(v)]), v)):
+        levels.sift(var)
+    mgr.order = VariableOrder(tuple(levels.perm))
     return levels.p1
 
 

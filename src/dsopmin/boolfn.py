@@ -29,7 +29,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 MAX_TABLE_VARS = 24
 
 # The pipeline refuses a BDD with more one-paths, before it makes a cube.
-# Dense random tables have 83,367 at n=18 (about 21 s and 165 MB through
+# Dense random tables have 83,367 at n=18 (about 6-8 s and 167 MB through
 # the pipeline) and 332,509 at n=20, where minimizing would take minutes.
 MAX_ONE_PATHS = 100_000
 

@@ -11,7 +11,8 @@ and the work per recursion node stays near linear in its cover:
   of the merge or scc() a few operations.  Below that, where most
   nodes are, packing costs more than it saves: a node counts its
   binate columns cube by cube (closed form for three cubes), the merge
-  scans a small half pairwise, and a two-cube node is closed form;
+  files each cube against a small other half in one loop, and a
+  two-cube node is closed form;
 * the merge of two simplify() results needs no containment pass;
 * one call keeps a table from each binate sub-cover of 16 cubes or
   more to its result (smaller ones seldom repeat on random inputs), the
@@ -21,7 +22,8 @@ and the work per recursion node stays near linear in its cover:
   for the garbage collector to traverse.
 
 expand() raises literals toward primeness and irredundant() drops cubes
-the rest of the cover covers, both on pairs and truth-table bit masks.
+the rest of the cover covers, both on pairs and truth-table bit masks,
+or past a size bound, for small cubes, on minterm lists and counts.
 minimize() runs the three passes for the pipeline; simplify(), expand()
 and irredundant() wrap the same kernels for a Cover.
 """
@@ -29,8 +31,9 @@ and irredundant() wrap the same kernels for a Cover.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import or_
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -189,26 +192,21 @@ def _merge(h0: Sequence[Packed], h1: Sequence[Packed], bit: int, wide: int) -> L
     """
     lifted, rest = {}, []  # lifted: an insertion-ordered set
     for half, other, lit in ((h0, h1, 0), (h1, h0, bit)):
-        found = _held(half, other) if len(other) < _SMALL else _containers(half, other, wide)
-        for (care, value), inside in zip(half, found):
+        if len(other) < _SMALL:  # one pass: a cube is lifted at its first container
+            for care, value in half:
+                for oc, ov in other:
+                    if oc & care == oc and value & oc == ov:
+                        lifted[care, value] = None
+                        break
+                else:
+                    rest.append((care | bit, value | lit))
+            continue
+        for (care, value), inside in zip(half, _containers(half, other, wide)):
             if inside:
                 lifted[care, value] = None
             else:
                 rest.append((care | bit, value | lit))
     return [*lifted, *rest]
-
-
-def _held(queries: Sequence[Packed], cubes: Sequence[Packed]) -> List[bool]:
-    """For each query cube, whether some cube of cubes contains it; stops at the first."""
-    found = []
-    for care, value in queries:
-        for oc, ov in cubes:
-            if oc & care == oc and value & oc == ov:
-                found.append(True)
-                break
-        else:
-            found.append(False)
-    return found
 
 
 def _simplify(cubes: List[Packed], done: Dict[Key, List[Packed]]) -> List[Packed]:
@@ -289,13 +287,20 @@ def _expand(cubes: List[Packed], onset: int, n: int,
 
     Cubes are processed in cover order, variables by ascending index
     (descending bit).  Raising the variable at bit b adds the cube's
-    minterms shifted by b across it.
+    minterms shifted by b across it: a mask shift, or past the one-pass
+    bound, for a cube of _MINTERM_LITS literals or more, its minterm list
+    with bit b flipped.
     """
     # every minterm where f is 0, kept non-negative: CPython ANDs with a
     # negative int several times slower, which shows on wide tables
     outside = full_mask(n) ^ onset
+    by_minterm, view = not _one_pass(len(cubes), n), None
     out = []
     for care, value in cubes:
+        if by_minterm and care.bit_count() >= _MINTERM_LITS:
+            view = view or _minterm_view(n, onset)
+            out.append(_expand_by_minterm(care, value, n, view))
+            continue
         mask = pair_mask(n, care, value)
         if mask & outside:
             text = format_cube(Cube(n, care, value))
@@ -315,14 +320,53 @@ def _expand(cubes: List[Packed], onset: int, n: int,
     return out
 
 
+def _expand_by_minterm(care: int, value: int, n: int, view: bytes) -> Packed:
+    """_expand() of one cube on its minterm list, each tested in f's minterm view."""
+    mins = _minterms(n, care, value)
+    if not all(map(view.__getitem__, mins)):
+        raise ValueError(f"cube {format_cube(Cube(n, care, value))} is not contained in the function")
+    lits = care
+    while lits:
+        bit = 1 << (lits.bit_length() - 1)
+        lits ^= bit
+        other_half = [m ^ bit for m in mins]
+        if all(map(view.__getitem__, other_half)):
+            mins += other_half
+            care ^= bit
+            value &= ~bit
+    return care, value
+
+
 # irredundant() holds every cube mask and suffix OR at once while the k
 # masks of 2^n bits each stay below this many bits (16 MiB); above it, it
 # keeps suffix ORs at block starts only.
 _ONE_PASS_BITS = 1 << 27
 
+# Past the one-pass bound, where expand's masks are not handed over, a cube
+# with at least this many literals, so at most 2^n >> 10 minterms, goes
+# through expand and irredundant minterm by minterm: a mask costs 2^n bits
+# whatever the cube's size.  Larger cubes keep the masks and block mode.
+_MINTERM_LITS = 10
+
 
 def _one_pass(k: int, n: int) -> bool:
     return k << n < _ONE_PASS_BITS
+
+
+def _minterm_view(n: int, onset: int) -> bytes:
+    """f minterm by minterm: byte m is 1 where f is 1 and 0 elsewhere."""
+    return format(onset, f"0{1 << n}b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+
+
+def _minterms(n: int, care: int, value: int) -> List[int]:
+    """The cube's minterms: value, doubled across each free variable."""
+    out = [value]
+    free = ~care & ((1 << n) - 1)
+    while free:
+        bit = free & -free
+        free ^= bit
+        out += [m | bit for m in out]
+    return out
 
 
 def _irredundant(cubes: List[Packed], onset: int, n: int,
@@ -332,7 +376,11 @@ def _irredundant(cubes: List[Packed], onset: int, n: int,
     Cube i goes iff its mask lies inside the cubes kept before it plus
     every cube after it.  Each mask can take 2^n bits, so a large cover
     runs in blocks of about sqrt(k) cubes, keeping only the suffix OR at
-    each block start: O(sqrt(k) 2^n) bits at once.
+    each block start: O(sqrt(k) 2^n) bits at once.  Past the one-pass
+    bound, a cover of cubes of _MINTERM_LITS literals or more keeps a
+    count per minterm of the cubes that cover it instead: cube i goes iff
+    every minterm of it has a count of 2 or more, and then takes its
+    minterms' counts down by one.
     """
     if masks is None:
         cubes = list(dict.fromkeys(cubes))
@@ -340,13 +388,27 @@ def _irredundant(cubes: List[Packed], onset: int, n: int,
         unique = dict(zip(cubes, masks))
         cubes, masks = list(unique), list(unique.values())
     k = len(cubes)
+    kept: List[Packed] = []
+    if not _one_pass(k, n) and all(care.bit_count() >= _MINTERM_LITS for care, _ in cubes):
+        counts = array("I", [0]) * (1 << n)
+        for m in chain.from_iterable(_minterms(n, care, value) for care, value in cubes):
+            counts[m] += 1
+        if bytes(map(bool, counts)) != _minterm_view(n, onset):
+            raise ValueError("cover does not represent the given function")
+        for care, value in cubes:
+            mins = _minterms(n, care, value)
+            if 1 in map(counts.__getitem__, mins):  # a minterm no other cube covers
+                kept.append((care, value))
+            else:
+                for m in mins:
+                    counts[m] -= 1
+        return kept
     block = max(k, 1) if _one_pass(k, n) else math.isqrt(k - 1) + 1
     starts = range(0, k or 1, block)
     tails = [0] * (len(starts) + 1)  # tails[j]: every mask from block j on
     for j in range(len(starts) - 1, 0, -1):
         tails[j] = reduce(or_, (pair_mask(n, c, v) for c, v in cubes[starts[j]:starts[j] + block]),
                           tails[j + 1])
-    kept: List[Packed] = []
     prefix = 0
     for j, start in enumerate(starts):
         part = (masks[start:start + block] if masks is not None

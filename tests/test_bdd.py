@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -486,6 +487,40 @@ class TestSiftAgainstReference:
         h = build_from_truthtable(relabel(tt, [3, 6, 0, 5, 1, 7, 2, 4], 0b10110010))
         sift_paths(h.manager, h)
         assert len(calls) == 1
+
+    def test_swaps_per_variable(self, monkeypatch):
+        # each variable sweeps each side once, from a copy of its start
+        # state, then returns from the root or from that copy: at most
+        # 2(n-1) swaps where a walk back from the last level took up to
+        # 3(n-1).  The totals are pinned (the walk back took 15,544 swaps
+        # over sift_tables(), 105 on carry-8 and 44 on mux-6)
+        log = []
+        swap, sift = bdd._LevelSets.swap, bdd._LevelSets.sift
+
+        def counted_swap(levels, k):
+            log[-1][-1] += 1
+            swap(levels, k)
+
+        def counted_sift(levels, var):
+            log[-1].append(0)
+            sift(levels, var)
+
+        monkeypatch.setattr(bdd._LevelSets, "swap", counted_swap)
+        monkeypatch.setattr(bdd._LevelSets, "sift", counted_sift)
+
+        def swaps(tt):
+            log.append([])
+            h = build_from_truthtable(tt)
+            sift_paths(h.manager, h)
+            assert max(log[-1], default=0) <= 2 * (tt.n - 1), (tt.n, tt.bits, log[-1])
+            return sum(log[-1])
+
+        totals = [swaps(tt) for tt in sift_tables()]
+        assert sum(totals) == 10_376
+        assert hashlib.sha256(" ".join(map(str, totals)).encode()).hexdigest()[:16] == "92143981aec23835"
+        tables = dict(symmetric_tables())
+        assert swaps(relabel(tables["carry-8"], [3, 6, 0, 5, 1, 7, 2, 4], 0b10110010)) == 58
+        assert swaps(relabel(tables["mux-6"], [5, 2, 4, 0, 3, 1], 0)) == 36
 
     def test_sparse_pla(self):
         # 12 random cubes of 3-4 literals at n=15, the wide-pla shape: a

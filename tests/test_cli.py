@@ -498,6 +498,24 @@ class TestRunPipeline:
         assert digests == {"dsop": "6bf3c0f3b1385b05", "sop": "85dc21a7bc9b9136"}
         assert (report.dsop_cubes, report.sop_cubes, report.sop_literals) == (20683, 10634, 145356)
 
+    def test_dense_n16_sift(self):
+        # the same table sifted: every variable crosses levels of thousands
+        # of nodes, each sweep side from a copy of its start state; the
+        # order, P1 and covers are pinned, with the time about 3x that of a
+        # shared 2-vCPU host (1.6-1.8 s)
+        rng = random.Random("dense/16")
+        tt = TruthTable(16, rng.getrandbits(1 << 16))
+        start = time.perf_counter()
+        report, outputs = run_pipeline(tt, PipelineConfig(ordering="sift"))
+        assert time.perf_counter() - start < 6.0
+        assert report.check() == []
+        assert report.order == (15, 1, 2, 3, 14, 4, 5, 13, 8, 12, 10, 9, 7, 0, 11, 6)
+        assert (report.one_paths, report.bdd_nodes) == (20621, 8303)
+        digests = {name: hashlib.sha256(" ".join(map(format_cube, outputs[name])).encode())
+                   .hexdigest()[:16] for name in ("dsop", "sop")}
+        assert digests == {"dsop": "f804bf96817231d3", "sop": "09981b74685d8c77"}
+        assert (report.sop_cubes, report.sop_literals) == (10611, 145051)
+
 
 class TestReports:
     def test_emit_record_fields(self, golden_tt, tmp_path):

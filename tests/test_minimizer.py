@@ -732,11 +732,13 @@ class TestIrredundant:
 
 
 class TestIrredundantBlocks:
-    """Past a size bound, irredundant() runs in blocks of about sqrt(k) cubes."""
+    """Past a size bound, irredundant() runs in blocks of about sqrt(k) cubes, or
+    by minterm counts when every cube has _MINTERM_LITS literals or more."""
 
     def test_parity14_memory(self):
-        # 8192 minterm cubes over 2^14-bit masks: the single pass held
-        # about 33 MB of masks and suffix ORs
+        # 8192 minterm cubes at n=14: past the one-pass bound, and each cube
+        # has 14 literals, so irredundant counts per minterm; a single mask
+        # pass held about 33 MB of masks and suffix ORs
         cover = parity_dsop(14)
         tt = parity(14)
         tracemalloc.start()
@@ -747,6 +749,30 @@ class TestIrredundantBlocks:
             tracemalloc.stop()
         assert peak < 4 << 20
         assert got == ref_irredundant(cover, tt) == cover
+
+    def test_wide_cubes_memory(self):
+        # 8192 random 9-literal cubes at n=14 covering the constant 1: past
+        # the one-pass bound with cubes too large to go minterm by minterm,
+        # so irredundant runs in blocks of about 91 cubes
+        rng = random.Random("irredundant-wide")
+        n = 14
+        pairs = set()
+        while len(pairs) < 8192:
+            care = sum(1 << s for s in rng.sample(range(n), 9))
+            pairs.add((care, rng.getrandbits(n) & care))
+        src = Cover.of_pairs(n, sorted(pairs))
+        tt = TruthTable(n, (1 << (1 << n)) - 1)
+        assert not minimizer._one_pass(len(src), n)
+        assert max(c.literal_count() for c in src) < minimizer._MINTERM_LITS
+        want = ref_irredundant(src, tt)
+        tracemalloc.start()
+        try:
+            got = irredundant(src, tt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert got == want
 
     def test_every_block_size_matches_single_pass(self, monkeypatch):
         # redundant covers of random functions: DSOP cubes next to their
@@ -773,6 +799,73 @@ class TestIrredundantBlocks:
                     assert minimizer._irredundant(unique, tt.bits, n, given) == want_pairs
                     with pytest.raises(ValueError, match="does not represent"):
                         minimizer._irredundant(unique, tt.bits | 1 << (1 << n), n, given)
+
+
+class TestMintermPath:
+    """Past the one-pass bound, expand takes a cube of _MINTERM_LITS literals
+    or more minterm by minterm, and irredundant a cover of such cubes by
+    minterm counts.  Forced on, off or mixed by the two switch constants,
+    the paths give the same covers and the same errors."""
+
+    # the module's own settings and minterm lister, before any test patches them
+    DEFAULTS = (minimizer._ONE_PASS_BITS, minimizer._MINTERM_LITS)
+    MINTERMS = staticmethod(minimizer._minterms)
+
+    def outcomes(self, monkeypatch, n, run):
+        """run()'s result or error text under each setting, and whether it
+        listed a cube's minterms."""
+        listed = []
+
+        def counted(*args):
+            listed[-1] = True
+            return self.MINTERMS(*args)
+
+        monkeypatch.setattr(minimizer, "_minterms", counted)
+        out = []
+        settings = [self.DEFAULTS,  # masks in one pass
+                    (0, n + 1),  # masks in blocks
+                    (0, 0),  # every cube by minterm
+                    (0, n // 2)]  # mixed
+        for one_pass_bits, lits in settings:
+            monkeypatch.setattr(minimizer, "_ONE_PASS_BITS", one_pass_bits)
+            monkeypatch.setattr(minimizer, "_MINTERM_LITS", lits)
+            listed.append(False)
+            try:
+                out.append(run())
+            except ValueError as exc:
+                out.append(str(exc))
+        return out, listed
+
+    def test_paths_agree(self, monkeypatch):
+        rng = random.Random("minterm-path")
+        errors = {"not contained": 0, "does not represent": 0}
+        for _ in range(150):
+            n = rng.randint(1, 10)
+            tt = TruthTable(n, rng.getrandbits(1 << n) | rng.getrandbits(1 << n))
+            h = build_from_truthtable(tt)
+            paths = one_paths(h)
+            # a redundant cover of f: its DSOP, expansions and single minterms, shuffled
+            cubes = [*paths, *minimizer._expand(paths, tt.bits, n)[::2],
+                     *[((1 << n) - 1, m) for m in rng.sample(list(tt.minterms()), min(5, len(paths)))]]
+            rng.shuffle(cubes)
+            off = [m for m in range(1 << n) if not tt.bits >> m & 1]
+            outside = ((1 << n) - 1, rng.choice(off)) if off else None
+            runs = [(cubes, lambda: minimizer._expand(cubes, tt.bits, n)),
+                    (cubes, lambda: minimizer._irredundant(cubes, tt.bits, n)),
+                    (paths, lambda: minimizer.minimize(paths, n, tt.bits))]
+            if outside:
+                bad = cubes[:]
+                bad.insert(rng.randrange(len(bad) + 1), outside)
+                runs += [(bad, lambda: minimizer._expand(bad, tt.bits, n)),
+                         (bad, lambda: minimizer._irredundant(bad, tt.bits, n)),
+                         (cubes, lambda: minimizer._irredundant(cubes, tt.bits | 1 << outside[1], n))]
+            for i, (given, run) in enumerate(runs):
+                out, listed = self.outcomes(monkeypatch, n, run)
+                assert out == [out[0]] * 4, (n, tt.bits, i)
+                assert listed[:3] == [False, False, bool(given)]
+                if isinstance(out[0], str):
+                    errors[next(e for e in errors if e in out[0])] += 1
+        assert errors["not contained"] > 50 and errors["does not represent"] > 100
 
 
 class TestMaskHandOff:
