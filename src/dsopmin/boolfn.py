@@ -4,8 +4,9 @@ Conventions used throughout the package:
 
 * A cube is two ints over n variables, ``care`` and ``value``, with
   variable v at bit n-1-v: a care bit is set iff v has a literal, and
-  its value bit is set iff that literal is positive.  Containment,
-  cofactor and merge are each a few bitwise operations.
+  its value bit is set iff that literal is positive.  The URP simplify
+  recursion in minimizer holds the same cube as one record,
+  ``(care ^ value) << n | value``; everything else runs on the pair.
 * Cube text is positional, one character per variable: 0 means the
   complemented literal, 1 the positive literal, 2 (or "-" on input) an
   absent variable.  It exists only at I/O, in ``decode_cube`` (which

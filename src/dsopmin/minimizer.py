@@ -2,17 +2,19 @@
 
 simplify() splits a binate cover on its most-binate variable and
 joins the cofactor results with the containment lift; unate leaves
-fall to single-cube containment.  Cubes are ``(care, value)`` int
-pairs, so polarity, cofactor and specialization are bitwise operations,
-and the work per recursion node stays near linear in its cover:
+fall to single-cube containment.  Inside the recursion each cube is one
+int record, ``zeros << n | ones``: its complemented literals above its
+positive ones.  A node's polarity is one OR per cube, a cofactor one
+test and one XOR, a containment test one OR, and the work per recursion
+node stays near linear in its cover:
 
-* a cover of 16 cubes or more packs into one int, a field per cube;
-  each binate count is one popcount on it and each containment query
-  of the merge or scc() a few operations.  Below that, where most
-  nodes are, packing costs more than it saves: a node counts its
-  binate columns cube by cube (closed form for three cubes), the merge
-  files each cube against a small other half in one loop, and a
-  two-cube node is closed form;
+* a cover of 16 cubes or more packs its records into one int, a field
+  per cube; each binate count is one popcount on it and each
+  containment query of the merge or scc() a few operations.  Below
+  that, where most nodes are, packing costs more than it saves: a node
+  counts its binate columns cube by cube (closed form for three cubes),
+  the merge files each cube against a small other half in one loop, and
+  a two-cube node is closed form;
 * the merge of two simplify() results needs no containment pass;
 * one call keeps a table from each binate sub-cover of 16 cubes or
   more to its result (smaller ones seldom repeat on random inputs), the
@@ -21,11 +23,13 @@ and the work per recursion node stays near linear in its cover:
   F|x=1,y=0).  Its key is the packed int, which holds no references
   for the garbage collector to traverse.
 
-expand() raises literals toward primeness and irredundant() drops cubes
-the rest of the cover covers, both on pairs and truth-table bit masks,
-or past a size bound, for small cubes, on minterm lists and counts.
-minimize() runs the three passes for the pipeline; simplify(), expand()
-and irredundant() wrap the same kernels for a Cover.
+minimize() and simplify() turn ``(care, value)`` pairs into records on
+entry and back on exit.  expand() raises literals toward primeness and
+irredundant() drops cubes the rest of the cover covers, both on pairs
+and truth-table bit masks, or past a size bound, for small cubes, on
+minterm lists and counts.  minimize() runs the three passes for the
+pipeline; simplify(), expand() and irredundant() wrap the same kernels
+for a Cover.
 """
 
 from __future__ import annotations
@@ -49,55 +53,41 @@ Packed = Tuple[int, int]
 # merge scans such a half cube by cube instead of packing it.
 _SMALL = 16
 
-
-def polarity(cubes: Sequence[Packed]) -> Tuple[int, int]:
-    """Bit masks of the variables with a positive and with a complemented literal.
-
-    Their AND is the binate variables; the cover is unate iff it is 0.
-    """
-    ones = zeros = 0
-    for care, value in cubes:
-        ones |= value
-        zeros |= care & ~value
-    return ones, zeros
-
-
-# A packed cover: (size, cube count, fields).  Cube i's record (care ^ value) << 4 size | value,
-# complemented literals above positive ones, fills bytes [i size, (i+1) size) under a guard bit.
+# A packed cover: (size, cube count, fields).  Cube i's record fills bytes
+# [i size, (i+1) size) under a guard bit, with size = 2n // 8 + 1.
 Key = Tuple[int, int, int]
 
 
-def _pack(cubes: Sequence[Packed], wide: int) -> Key:
-    """The cover packed into one int; wide is the OR of every care mask."""
-    size = wide.bit_length() // 4 + 1  # two masks and the guard bit
-    half = 4 * size
-    fields = int.from_bytes(b"".join([((care ^ value) << half | value).to_bytes(size, "little")
-                                      for care, value in cubes]), "little")
+def _pack(cubes: Sequence[int], n: int) -> Key:
+    """The cover's records packed into one int."""
+    size = n // 4 + 1  # two n-bit masks and the guard bit
+    fields = int.from_bytes(b"".join([r.to_bytes(size, "little") for r in cubes]), "little")
     return size, len(cubes), fields
 
 
-def _count_pick(cubes: Sequence[Packed], binate: int) -> int:
+def _count_pick(cubes: Sequence[int], binate: int, n: int) -> int:
     """_pick on a cover of fewer than _SMALL cubes, counted cube by cube."""
     if len(cubes) == 3:  # a variable all three cubes care about has the most rows; else all tie
-        (a, _), (b, _), (c, _) = cubes
-        return 1 << (binate & a & b & c or binate).bit_length() - 1
+        a, b, c = cubes
+        return 1 << (binate & (a | a >> n) & (b | b >> n) & (c | c >> n) or binate).bit_length() - 1
     best, pick = (0, 0), 0
     while binate:  # top bit first, so a tie keeps the lowest index
         bit = 1 << binate.bit_length() - 1
         binate ^= bit
-        rows = ones = 0
-        for care, value in cubes:
-            if care & bit:
-                rows += 1
-                if value & bit:
-                    ones += 1
-        score = rows, -abs(rows - 2 * ones)
+        zero = bit << n
+        ones = zeros = 0
+        for r in cubes:
+            if r & bit:
+                ones += 1
+            elif r & zero:
+                zeros += 1
+        score = ones + zeros, -abs(zeros - ones)
         if score > best:
             best, pick = score, bit
     return pick
 
 
-def _pick(key: Key, binate: int) -> int:
+def _pick(key: Key, binate: int, n: int) -> int:
     """Bit of the packed cover's most-binate variable, as _count_pick picks it.
 
     Most rows, most balanced, then lowest index (top bit); each count is
@@ -109,7 +99,7 @@ def _pick(key: Key, binate: int) -> int:
     for s in range(binate.bit_length()):
         if binate >> s & 1:
             c1 = (fields & column << s).bit_count()
-            c0 = (fields & column << s + 4 * size).bit_count()
+            c0 = (fields & column << s + n).bit_count()
             keys.append((-(c0 + c1), abs(c0 - c1), -(1 << s)))
     return -min(keys)[2]
 
@@ -121,23 +111,23 @@ def _columns(size: int, count: int) -> Tuple[int, int, int]:
     return column, ((1 << 8 * size - 1) - 1) * column, column << 8 * size - 1
 
 
-def cover_cofactor(cubes: Sequence[Packed], bit: int) -> Tuple[List[Packed], List[Packed]]:
+def cover_cofactor(cubes: Sequence[int], bit: int, n: int) -> Tuple[List[int], List[int]]:
     """The per-cube cofactors at x' and at x on the variable at bit, in one pass."""
+    zero = bit << n
     h0, h1 = [], []
-    for cube in cubes:
-        care, value = cube
-        if not care & bit:
-            h0.append(cube)
-            h1.append(cube)
-        elif value & bit:
-            h1.append((care ^ bit, value ^ bit))
+    for r in cubes:
+        if r & bit:
+            h1.append(r ^ bit)
+        elif r & zero:
+            h0.append(r ^ zero)
         else:
-            h0.append((care ^ bit, value))
+            h0.append(r)
+            h1.append(r)
     return h0, h1
 
 
-def _containers(queries: Sequence[Packed], cubes: Sequence[Packed], wide: int) -> List[int]:
-    """For each query cube, how many of cubes contain it; wide ORs every care mask.
+def _containers(queries: Sequence[int], cubes: Sequence[int], n: int) -> List[int]:
+    """For each query record, how many of the cube records contain it.
 
     A container's record has no bit (a miss) outside the query's; adding
     low carries into the guard of each field with one (broadword, Knuth
@@ -148,38 +138,34 @@ def _containers(queries: Sequence[Packed], cubes: Sequence[Packed], wide: int) -
     if not queries:
         return []
     if len(queries) > 512 < len(cubes):
-        ones, zeros = polarity(cubes)
-        bit = 1 << (ones | zeros).bit_length() >> 1  # 0 if every cube is universal
-        rest = (ones | zeros) ^ bit  # query literals outside it meet no cube's
-        lits = (0, bit, 2 * bit)  # no literal on bit, x', x
-        sides = [[(c & rest, v & rest) for c, v in cubes if (c & bit) + (v & bit) == lit]
-                 for lit in lits]
+        acc = reduce(or_, cubes)
+        bit = 1 << ((acc | acc >> n) & (1 << n) - 1).bit_length() >> 1  # 0 if every cube is universal
+        both = bit << n | bit
+        lits = (0, bit << n, bit)  # no literal on bit, x', x
+        sides = [[r ^ lit for r in cubes if r & both == lit] for lit in lits]
         if 3 * (len(sides[0]) + max(len(sides[1]), len(sides[2]))) <= 2 * len(cubes):
-            parts = {lit: iter(_containers(
-                [(c & rest, v & rest) for c, v in queries if (c & bit) + (v & bit) == lit],
-                side + sides[0] if lit else side, rest)) for lit, side in zip(lits, sides)}
-            return [next(parts[(care & bit) + (value & bit)]) for care, value in queries]
-    size, count, fields = _pack(cubes, wide)
-    half, below = 4 * size, (1 << 8 * size - 1) - 1  # below: a field's bits under its guard
+            parts = {lit: iter(_containers([q for q in queries if q & both == lit],
+                                           side + sides[0] if lit else side, n))
+                     for lit, side in zip(lits, sides)}
+            return [next(parts[q & both]) for q in queries]
+    size, count, fields = _pack(cubes, n)
+    below = (1 << 8 * size - 1) - 1  # a field's bits under its guard
     column, low, guard = _columns(size, count)
-    return [count - (guard & (fields & (below ^ ((care ^ value) << half | value)) * column) + low)
-            .bit_count() for care, value in queries]
+    return [count - (guard & (fields & (below ^ q) * column) + low).bit_count() for q in queries]
 
 
-def scc(cubes: Sequence[Packed]) -> List[Packed]:
+def scc(cubes: Sequence[int], n: int) -> List[int]:
     """Single-cube containment: drop cubes inside another, keeping order and first duplicates."""
     unique = list(dict.fromkeys(cubes))
-    ones, zeros = polarity(unique)
-    found = _containers(unique, unique, ones | zeros)
-    return [cube for cube, inside in zip(unique, found) if inside == 1]
+    return [r for r, inside in zip(unique, _containers(unique, unique, n)) if inside == 1]
 
 
-def _merge(h0: Sequence[Packed], h1: Sequence[Packed], bit: int, wide: int) -> List[Packed]:
+def _merge(h0: Sequence[int], h1: Sequence[int], bit: int, n: int) -> List[int]:
     """Recombine cofactor covers: x'*h0 + x*h1 with the containment lift.
 
     Cubes shared between the halves (up to single-cube containment)
     are lifted with the variable at bit left don't-care; the rest get
-    the literal back.  wide is the OR of every care mask.
+    the literal back.
 
     Neither half may mention the variable at bit, and each must be
     SCC-minimal (no cube inside another, no duplicates), as every
@@ -191,68 +177,74 @@ def _merge(h0: Sequence[Packed], h1: Sequence[Packed], bit: int, wide: int) -> L
     differ in the bit.
     """
     lifted, rest = {}, []  # lifted: an insertion-ordered set
-    for half, other, lit in ((h0, h1, 0), (h1, h0, bit)):
+    for half, other, lit in ((h0, h1, bit << n), (h1, h0, bit)):
         if len(other) < _SMALL:  # one pass: a cube is lifted at its first container
-            for care, value in half:
-                for oc, ov in other:
-                    if oc & care == oc and value & oc == ov:
-                        lifted[care, value] = None
+            for r in half:
+                for o in other:
+                    if o | r == r:
+                        lifted[r] = None
                         break
                 else:
-                    rest.append((care | bit, value | lit))
+                    rest.append(r | lit)
             continue
-        for (care, value), inside in zip(half, _containers(half, other, wide)):
+        for r, inside in zip(half, _containers(half, other, n)):
             if inside:
-                lifted[care, value] = None
+                lifted[r] = None
             else:
-                rest.append((care | bit, value | lit))
+                rest.append(r | lit)
     return [*lifted, *rest]
 
 
-def _simplify(cubes: List[Packed], done: Dict[Key, List[Packed]]) -> List[Packed]:
-    """simplify() on packed cubes; done maps each binate cover's key to its result."""
+def _simplify(cubes: List[int], n: int, done: Dict[Key, List[int]]) -> List[int]:
+    """simplify() on records; done maps each binate cover's key to its result."""
     if len(cubes) == 1:
         return cubes
-    ones = zeros = 0
-    for care, value in cubes:
-        if not care:
-            return [(0, 0)]  # the universal cube
-        ones |= value
-        zeros |= care ^ value
-    binate = ones & zeros
+    if 0 in cubes:
+        return [0]  # the universal cube
+    acc = 0
+    for r in cubes:
+        acc |= r
+    binate = acc & acc >> n
     if not binate:
-        return scc(cubes)
+        return scc(cubes, n)
     if len(cubes) == 2:  # every binate variable splits the pair: all tie in _pick()
         bit = 1 << binate.bit_length() - 1
-        a, b = cubes if cubes[1][1] & bit else cubes[::-1]  # a has x', b has x
-        cx, cy = a[0] ^ bit, b[0] ^ bit  # the cofactors' care masks
-        # another binate variable splits the cofactors; else one holds the other iff its care does
-        if binate != bit or cx & cy not in (cx, cy):
+        a, b = cubes if cubes[1] & bit else cubes[::-1]  # a has x', b has x
+        ca, cb = a ^ bit << n, b ^ bit  # their cofactors
+        # another binate variable splits the cofactors; else one holds the other iff its literals do
+        if binate != bit or ca | cb not in (ca, cb):
             return [a, b]
-        if cx == cy:
-            return [(cx, a[1])]
-        return [(cx, a[1]), b] if cx & cy == cy else [(cy, b[1] ^ bit), a]
+        if ca == cb:
+            return [ca]
+        return [ca, b] if ca | cb == ca else [cb, a]
     if len(cubes) < _SMALL:
-        return _split(cubes, _count_pick(cubes, binate), ones | zeros, done)
-    key = _pack(cubes, ones | zeros)
+        return _split(cubes, _count_pick(cubes, binate, n), n, done)
+    key = _pack(cubes, n)
     out = done.get(key)
     if out is None:
-        out = done[key] = _split(cubes, _pick(key, binate), ones | zeros, done)
+        out = done[key] = _split(cubes, _pick(key, binate, n), n, done)
     return out
 
 
-def _split(cubes: List[Packed], bit: int, wide: int, done: Dict[Key, List[Packed]]) -> List[Packed]:
+def _split(cubes: List[int], bit: int, n: int, done: Dict[Key, List[int]]) -> List[int]:
     """A binate node: simplify the cofactors on the variable at bit and merge them."""
-    h0, h1 = cover_cofactor(cubes, bit)
-    h0 = _simplify(h0, done)  # frees the x' cofactor before the x one recurses
-    h1 = _simplify(h1, done)
-    out = _merge(h0, h1, bit, wide)
-    return out if len(out) <= len(cubes) else scc(cubes)
+    h0, h1 = cover_cofactor(cubes, bit, n)
+    h0 = _simplify(h0, n, done)  # frees the x' cofactor before the x one recurses
+    h1 = _simplify(h1, n, done)
+    out = _merge(h0, h1, bit, n)
+    return out if len(out) <= len(cubes) else scc(cubes, n)
+
+
+def _urp(cubes: Sequence[Packed], n: int) -> List[Packed]:
+    """_simplify on pairs: each becomes the record (care ^ value) << n | value, and back."""
+    low = (1 << n) - 1
+    out = _simplify([(care ^ value) << n | value for care, value in cubes], n, {})
+    return [(r >> n | r & low, r & low) for r in out]
 
 
 def minimize(cubes: List[Packed], n: int, onset: int) -> List[Packed]:
     """simplify, expand and irredundant on pairs; expand's masks go to a one-pass irredundant."""
-    cubes = _simplify(cubes, {})
+    cubes = _urp(cubes, n)
     masks: Optional[List[int]] = [] if _one_pass(len(cubes), n) else None
     return _irredundant(_expand(cubes, onset, n, masks), onset, n, masks)
 
@@ -268,7 +260,7 @@ def _unpack(cover: Cover, f: Union[TruthTable, FunctionHandle]) -> Tuple[List[Pa
 
 def simplify(cover: Cover) -> Cover:
     """Unate recursive simplification; never grows the cube count."""
-    return Cover.of_pairs(cover.n, _simplify([(c.care, c.value) for c in cover], {}))
+    return Cover.of_pairs(cover.n, _urp([(c.care, c.value) for c in cover], cover.n))
 
 
 def expand(cover: Cover, f: Union[TruthTable, FunctionHandle]) -> Cover:

@@ -18,7 +18,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from dsopmin import minimizer
 from dsopmin.bdd import FunctionHandle, VariableOrder, build_from_truthtable, enumerate_one_paths
 from dsopmin.boolfn import (
     MAX_TABLE_VARS,
@@ -433,11 +432,11 @@ def ref_simplify(cover: Cover) -> Cover:
     return Cover(n, tuple(cube_from_text(t, n) for t in out))
 
 
-# References for the packed URP kernels on (care, value) int pairs: the
-# package's former select_binate (two counts per binate column), scc (a
-# pairwise scan of the cubes with fewer literals) and merge (lift,
-# specialize, then a final scc), kept as they were so the indexed kernels
-# can be compared against them.
+# References for the URP kernels, on (care, value) int pairs where the
+# kernels take one record per cube: the package's former select_binate
+# (two counts per binate column), scc (a pairwise scan of the cubes with
+# fewer literals) and merge (lift, specialize, then a final scc), kept as
+# they were so the packed kernels can be compared against them.
 
 def ref_select_binate(cubes) -> int:
     """Bit of the most-binate variable: most rows touched, then most balanced, then index."""
@@ -482,15 +481,6 @@ def ref_merge(h0, h1, bit: int) -> list:
     out += [(care | bit, value) for care, value in h0 if (care, value) not in lifted]
     out += [(care | bit, value | bit) for care, value in h1 if (care, value) not in lifted]
     return ref_scc(out)
-
-
-def kernel_merge(h0, h1, bit: int) -> list:
-    """minimizer._merge on halves that must not mention bit; wide ORs their care masks."""
-    wide = 0
-    for care, _ in [*h0, *h1]:
-        wide |= care
-    assert not wide & bit, "merge input mentions the splitting variable"
-    return minimizer._merge(h0, h1, bit, wide)
 
 
 # Reference exact cover: the package's former chart phase on frozensets

@@ -2,6 +2,8 @@ import itertools
 import random
 import time
 import tracemalloc
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -23,14 +25,12 @@ from dsopmin.minimizer import (
     expand,
     format_expression,
     irredundant,
-    polarity,
     scc,
     simplify,
 )
 
 from conftest import (
     all_cube_texts,
-    kernel_merge,
     oracle_cover_minterms,
     oracle_minterms,
     pipeline_sop,
@@ -66,18 +66,57 @@ def bit(var: int, n: int = 4) -> int:
     return 1 << (n - 1 - var)
 
 
-def pick(cubes) -> int:
+def records(cubes, n: int):
+    """(care, value) pairs as the URP kernel's records, zeros << n | ones."""
+    return [(care ^ value) << n | value for care, value in cubes]
+
+
+def pairs(cubes, n: int):
+    """The URP kernel's records over n variables as (care, value) pairs."""
+    low = (1 << n) - 1
+    return [(r >> n | r & low, r & low) for r in cubes]
+
+
+def binate_mask(cubes, n: int) -> int:
+    """The binate variables of a pair cover, from its records' OR."""
+    acc = reduce(or_, records(cubes, n), 0)
+    return acc & acc >> n
+
+
+def pick(cubes, n: int) -> int:
     """The binate variable _simplify picks: counted below _SMALL cubes, packed from there."""
-    ones, zeros = polarity(cubes)
-    if len(cubes) < minimizer._SMALL:
-        return minimizer._count_pick(cubes, ones & zeros)
-    return minimizer._pick(minimizer._pack(cubes, ones | zeros), ones & zeros)
+    rs, binate = records(cubes, n), binate_mask(cubes, n)
+    if len(rs) < minimizer._SMALL:
+        return minimizer._count_pick(rs, binate, n)
+    return minimizer._pick(minimizer._pack(rs, n), binate, n)
+
+
+def kernel_scc(cubes, n: int) -> list:
+    """minimizer.scc on pairs over n variables."""
+    return pairs(scc(records(cubes, n), n), n)
+
+
+def kernel_merge(h0, h1, bit: int, n: int) -> list:
+    """minimizer._merge on pair halves over n variables, which must not mention bit."""
+    assert not any(care & bit for care, _ in [*h0, *h1]), "merge input mentions the splitting variable"
+    return pairs(minimizer._merge(records(h0, n), records(h1, n), bit, n), n)
+
+
+def kernel_containers(queries, cubes, n: int) -> list:
+    """minimizer._containers on pairs over n variables."""
+    return minimizer._containers(records(queries, n), records(cubes, n), n)
+
+
+def brute_containers(queries, cubes) -> list:
+    """For each query pair, how many of the cube pairs contain it, cube by cube."""
+    return [sum(1 for oc, ov in cubes if not oc & ~care and not (ov ^ value) & oc)
+            for care, value in queries]
 
 
 GOLDEN_DSOP = ("1122", "0110", "2001", "0101")
 
 # Variable counts for the seeded kernel checks: small ones, some on both
-# sides of a step in the packed field size (a field takes n // 4 + 1
+# sides of a step in the packed field size (a field takes 2n // 8 + 1
 # bytes), and 20-24, the widest tables the pipeline takes.
 KERNEL_NS = (1, 2, 3, 5, 7, 8, 9, 12, 15, 16, 17, 20, 21, 22, 23, 24)
 
@@ -116,30 +155,31 @@ def assert_antichain(cubes, n: int):
 
 
 class TestClassify:
-    """polarity(): the positive and complemented literal columns as masks."""
+    """A record cover's OR: the positive literal columns in its low n bits, the complemented above."""
 
     def test_golden_all_binate(self):
-        ones, zeros = polarity(packed(*GOLDEN_DSOP))
-        assert ones & zeros == 0b1111
+        acc = reduce(or_, records(packed(*GOLDEN_DSOP), 4))
+        assert acc & acc >> 4 == binate_mask(packed(*GOLDEN_DSOP), 4) == 0b1111
 
     def test_unate_cover(self):
         # a, b, c positive unate; d negative unate
-        assert polarity(packed("1122", "2110")) == (0b1110, 0b0001)
+        acc = reduce(or_, records(packed("1122", "2110"), 4))
+        assert (acc & 0b1111, acc >> 4) == (0b1110, 0b0001)
 
     def test_universal(self):
-        assert polarity(packed("2222")) == (0, 0)
+        assert records(packed("2222"), 4) == [0]
 
 
 class TestSelectBinate:
     def test_golden_selects_b(self):
         # b touches all 4 rows; a, c, d touch 3 each
-        assert pick(packed(*GOLDEN_DSOP)) == bit(1)
+        assert pick(packed(*GOLDEN_DSOP), 4) == bit(1)
 
     def test_symmetric_tie_breaks_by_index(self):
-        assert pick(packed("10", "01")) == bit(0, 2)
+        assert pick(packed("10", "01"), 2) == bit(0, 2)
 
     def test_single_column(self):
-        assert pick(packed("1", "0")) == bit(0, 1)
+        assert pick(packed("1", "0"), 1) == bit(0, 1)
 
     def test_matches_reference_random(self):
         # seeded covers up to n=24 and 700 cubes, some with many repeats so
@@ -150,9 +190,8 @@ class TestSelectBinate:
             cubes = random_packed(rng, n, cover_size(rng) + 2)
             if rng.random() < 0.3:
                 cubes += rng.choices(cubes, k=rng.randint(1, 300))
-            ones, zeros = polarity(cubes)
-            if ones & zeros:  # _simplify picks only on binate covers
-                assert pick(cubes) == ref_select_binate(cubes), (n, cubes)
+            if binate_mask(cubes, n):  # _simplify picks only on binate covers
+                assert pick(cubes, n) == ref_select_binate(cubes), (n, cubes)
 
     def test_full_columns_at_n24(self):
         # 600 cubes carrying every variable: each count is 600 or near it
@@ -161,39 +200,43 @@ class TestSelectBinate:
         cubes = [(full, rng.getrandbits(24)) for _ in range(600)]
         cubes += [(full, 0)] * 7 + [(full, full)] * 3
         assert len(cubes) >= minimizer._SMALL
-        assert pick(cubes) == ref_select_binate(cubes)
+        assert pick(cubes, 24) == ref_select_binate(cubes)
+
+
+def cofactors(cubes, var: int, n: int = 4):
+    """cover_cofactor on the records of pair cubes, as cube text."""
+    h0, h1 = cover_cofactor(records(cubes, n), bit(var, n), n)
+    return unpacked(pairs(h0, n), n), unpacked(pairs(h1, n), n)
 
 
 class TestCoverCofactor:
     def test_golden_b1(self):
-        got = cover_cofactor(packed(*GOLDEN_DSOP), bit(1))[1]
-        assert unpacked(got) == ["1222", "0210", "0201"]
+        assert cofactors(packed(*GOLDEN_DSOP), 1)[1] == ["1222", "0210", "0201"]
 
     def test_golden_b0(self):
-        got = cover_cofactor(packed(*GOLDEN_DSOP), bit(1))[0]
-        assert unpacked(got) == ["2201"]
+        assert cofactors(packed(*GOLDEN_DSOP), 1)[0] == ["2201"]
 
     def test_empty(self):
-        assert cover_cofactor([], bit(1)) == ([], [])
+        assert cover_cofactor([], bit(1), 4) == ([], [])
 
     def test_cube_without_the_literal_goes_to_both(self):
-        h0, h1 = cover_cofactor(packed("2201", "1122", "0022"), bit(1))
-        assert (unpacked(h0), unpacked(h1)) == (["2201", "0222"], ["2201", "1222"])
+        h0, h1 = cofactors(packed("2201", "1122", "0022"), 1)
+        assert (h0, h1) == (["2201", "0222"], ["2201", "1222"])
 
 
 class TestScc:
     def test_contained_cube_dropped(self):
-        assert unpacked(scc(packed("2201", "0101"))) == ["2201"]
+        assert unpacked(kernel_scc(packed("2201", "0101"), 4)) == ["2201"]
 
     def test_antichain_unchanged(self):
         c = packed(*GOLDEN_DSOP)
-        assert scc(c) == c
+        assert kernel_scc(c, 4) == c
 
     def test_derived_example(self):
-        assert unpacked(scc(packed("0201", "2201", "1122"))) == ["2201", "1122"]
+        assert unpacked(kernel_scc(packed("0201", "2201", "1122"), 4)) == ["2201", "1122"]
 
     def test_duplicates_keep_earliest(self):
-        assert unpacked(scc(packed("1122", "2201", "1122"))) == ["1122", "2201"]
+        assert unpacked(kernel_scc(packed("1122", "2201", "1122"), 4)) == ["1122", "2201"]
 
     def test_matches_minterm_inclusion(self):
         # every ordered pair of 3-variable cubes: the bitwise containment
@@ -206,7 +249,7 @@ class TestScc:
                 expected = [b]
             else:
                 expected = [a, b]
-            assert unpacked(scc(packed(a, b)), 3) == expected
+            assert unpacked(kernel_scc(packed(a, b), 3), 3) == expected
 
     def test_matches_reference_random(self):
         # the care-indexed scan against the former pairwise one, repeats included
@@ -216,7 +259,7 @@ class TestScc:
             cubes = random_packed(rng, n, cover_size(rng))
             cubes += rng.choices(cubes, k=min(len(cubes), rng.randint(0, 8)))
             rng.shuffle(cubes)
-            got = scc(cubes)
+            got = kernel_scc(cubes, n)
             assert got == ref_scc(cubes), (n, cubes)
             assert_antichain(got, n)
 
@@ -226,7 +269,7 @@ class TestScc:
             n = rng.randint(2, 5)
             cubes = ["".join(rng.choice("012") for _ in range(n))
                      for _ in range(rng.randint(1, 8))]
-            out = [oracle_minterms(t) for t in unpacked(scc(packed(*cubes)), n)]
+            out = [oracle_minterms(t) for t in unpacked(kernel_scc(packed(*cubes), n), n)]
             for i, a in enumerate(out):
                 for j, b in enumerate(out):
                     if i != j:
@@ -237,7 +280,7 @@ class TestMerge:
     def test_derived_example(self):
         h0 = packed("2201")
         h1 = packed("1222", "0210", "0201")
-        got = unpacked(kernel_merge(h0, h1, bit(1)))
+        got = unpacked(kernel_merge(h0, h1, bit(1), 4))
         assert got == ["0201", "2001", "1122", "0110"]
         # function equality with x1'*h0 + x1*h1, by minterm enumeration
         expected = oracle_cover_minterms(["0201", "2001", "1122", "0110"])
@@ -246,11 +289,11 @@ class TestMerge:
         assert oracle_cover_minterms(got) == expected == shifted
 
     def test_identical_cube_lifted(self):
-        got = kernel_merge(packed("1222"), packed("1222"), bit(1))
+        got = kernel_merge(packed("1222"), packed("1222"), bit(1), 4)
         assert unpacked(got) == ["1222"]
 
     def test_one_sided(self):
-        got = kernel_merge([], packed("2222"), bit(1))
+        got = kernel_merge([], packed("2222"), bit(1), 4)
         assert unpacked(got) == ["2122"]
 
     def test_matches_reference_on_antichains(self):
@@ -277,13 +320,13 @@ class TestMerge:
             h0, h1 = ref_scc(base), ref_scc(derived)
             if rng.random() < 0.5:
                 h0, h1 = h1, h0
-            got = kernel_merge(h0, h1, split)
+            got = kernel_merge(h0, h1, split, n)
             assert got == ref_merge(h0, h1, split), (n, split, h0, h1)
             assert_antichain(got, n)
 
 
-# Care-mask widths on both sides of every step in the packed field size
-# (width // 4 + 1 bytes), and the widest tables the pipeline takes.
+# Variable counts on both sides of every step in the packed field size
+# (2n // 8 + 1 bytes), and the widest tables the pipeline takes.
 FIELD_WIDTHS = (1, 3, 4, 7, 8, 9, 11, 12, 15, 16, 19, 20, 23, 24)
 # Cube counts on both sides of minimizer._SMALL, where a merge half switches
 # from the pairwise scan to the packed kernel.
@@ -295,8 +338,8 @@ def nested_halves(rng, width: int, split: int, count: int):
 
     h0 is random; h1 takes each h0 cube as it is, widened, narrowed or
     replaced.  Every care mask lies below 1 << width, and h0's first
-    draw cares about bit width-1 unless split is that bit, so the fields
-    are mostly as wide as width asks.
+    draw cares about bit width-1 unless split is that bit, so the records
+    mostly fill their fields.
     """
     top = 1 << width - 1
     h0 = random_packed(rng, width, count, free=split)
@@ -329,9 +372,9 @@ class TestContainmentKernel:
             h0, h1 = nested_halves(rng, width, split, count)
             if rng.random() < 0.5:
                 h0, h1 = h1, h0
-            got = kernel_merge(h0, h1, split)
+            got = kernel_merge(h0, h1, split, width)
             assert got == ref_merge(h0, h1, split), (width, split, h0, h1)
-            assert got == minimizer._merge(h0, h1, split, (1 << width) - 1)
+            assert got == kernel_merge(h0, h1, split, width + 5)  # the same cubes in wider records
 
     @pytest.mark.parametrize("width", FIELD_WIDTHS)
     def test_scc_matches_reference(self, width):
@@ -340,7 +383,7 @@ class TestContainmentKernel:
             h0, h1 = nested_halves(rng, width, 0, count)
             cubes = h0 + h1 + rng.choices(h0, k=min(len(h0), 3))
             rng.shuffle(cubes)
-            assert scc(cubes) == ref_scc(cubes), (width, cubes)
+            assert kernel_scc(cubes, width) == ref_scc(cubes), (width, cubes)
 
     @pytest.mark.parametrize("width", FIELD_WIDTHS)
     def test_containers_counts(self, width, monkeypatch):
@@ -348,16 +391,14 @@ class TestContainmentKernel:
         # duplicates included; the last cubes are dense and past 512 with
         # their queries, so the kernel splits them before it scans
         rng = random.Random(f"kernel-counts/{width}")
-        wide = (1 << width) - 1
         dense = [rng.getrandbits(width) | rng.getrandbits(width) for _ in range(700)]
         for cubes in [random_packed(rng, width, count) for count in FIELD_COUNTS] + [
                 [(care, rng.getrandbits(width) & care) for care in dense]]:
             queries = random_packed(rng, width, len(cubes) // 2 + 1) + cubes[:len(cubes) // 2]
             calls = count_calls(monkeypatch, "_containers")
-            found = minimizer._containers(queries, cubes, wide)
-            for (care, value), k in zip(queries, found):
-                want = sum(1 for oc, ov in cubes if not oc & ~care and not (ov ^ value) & oc)
-                assert k == want, (width, (care, value), len(cubes))
+            found = kernel_containers(queries, cubes, width)
+            for query, k, want in zip(queries, found, brute_containers(queries, cubes)):
+                assert k == want, (width, query, len(cubes))
             monkeypatch.undo()
         assert len(calls) > 1
 
@@ -367,8 +408,8 @@ class TestContainmentKernel:
         # cubes, leaves a part that would keep nearly all of them to the
         # flat scan and skips parts with no queries, so this is a few
         # scans, not one per subset of the wide cube's variables; the merge
-        # is also given a care mask with its own variable on top, and the
-        # wide cube's literals above the low cubes' must stay in their fields
+        # also runs on records wider than the cubes need, and the wide
+        # cube's literals above the low cubes' must stay in their fields
         rng = random.Random("kernel-top")
         def dense_half():
             cares = [rng.getrandbits(12) | rng.getrandbits(12) | rng.getrandbits(12)
@@ -385,9 +426,8 @@ class TestContainmentKernel:
         queries = h1 + [(care | high, value | wide[1] & high) for care, value in h0[:100]]
         calls = count_calls(monkeypatch, "_containers")
         start = time.perf_counter()
-        got = (scc(h0 + h1), kernel_merge(h0, h1, 1 << 23),
-               minimizer._merge(h0, h1, 1 << 23, (1 << 24) - 1),
-               minimizer._containers(queries, h0, (1 << 23) - 1))
+        got = (kernel_scc(h0 + h1, 23), kernel_merge(h0, h1, 1 << 23, 24),
+               kernel_merge(h0, h1, 1 << 23, 28), kernel_containers(queries, h0, 23))
         assert time.perf_counter() - start < 1.0
         # scc, and h0's queries on h1's cubes, whose top variable only the
         # wide cube mentions, scan flat; h1's queries on h0's cubes and the
@@ -395,8 +435,45 @@ class TestContainmentKernel:
         assert len(calls) == 1 + 2 * (1 + 1 + 3) + 1 + 3
         assert got[0] == ref_scc(h0 + h1)
         assert got[1] == got[2] == ref_merge(h0, h1, 1 << 23)
-        assert got[3] == [sum(1 for oc, ov in h0 if not oc & ~care and not (ov ^ value) & oc)
-                          for care, value in queries]
+        assert got[3] == brute_containers(queries, h0)
+
+
+# n where 2n and the guard bit cross a byte: the packed field takes
+# 2n // 8 + 1 bytes, one more from each step on.
+BYTE_STEP_NS = (3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 19, 20, 21, 23, 24)
+
+
+class TestFieldFollowsN:
+    """A record's field width follows n, not the variables its cover mentions.
+
+    Narrow covers mention only the low k <= 6 variables of n = 16-24;
+    step covers reach the top variable of an n at a byte step.
+    """
+
+    @pytest.mark.parametrize("kind, n", [("narrow", n) for n in range(16, 25)]
+                             + [("step", n) for n in BYTE_STEP_NS])
+    def test_simplify_containers_and_key(self, kind, n, monkeypatch):
+        rng = random.Random(f"field/{kind}/{n}")
+        for _ in range(30):
+            k = rng.randint(1, 6) if kind == "narrow" else n
+            rate = rng.choice((0.15, 0.3, 0.6, 0.9))
+            texts = ["2" * (n - k) + "".join(rng.choice("01") if rng.random() < rate else "2"
+                                             for _ in range(k))
+                     for _ in range(rng.choice((2, 3, 8, 15, 16, 17, 30)))]
+            if kind == "step":
+                texts[0] = rng.choice("01") + texts[0][1:]
+            c = Cover(n, tuple(cube_from_text(t, n) for t in texts))
+            assert simplify(c) == ref_simplify(c), (n, texts)
+            cubes = [(x.care, x.value) for x in c]
+            assert decode(minimizer._pack(records(cubes, n), n), n) == cubes
+            queries = random_packed(rng, k, len(cubes)) + cubes
+            assert kernel_containers(queries, cubes, n) == brute_containers(queries, cubes)
+        if kind == "narrow":  # past 512 queries and cubes, the count splits the cover first
+            cares = [rng.getrandbits(6) | rng.getrandbits(6) | rng.getrandbits(6) for _ in range(520)]
+            cubes = [(care, rng.getrandbits(6) & care) for care in cares]
+            calls = count_calls(monkeypatch, "_containers")
+            assert kernel_containers(cubes, cubes, n) == brute_containers(cubes, cubes)
+            assert len(calls) > 1
 
 
 def _random_tables(rng):
@@ -487,16 +564,16 @@ def count_calls(monkeypatch, name: str):
 
 
 def decode(key, n: int):
-    """The (care, value) list a packed-cover key stands for."""
+    """The (care, value) list a packed-cover key over n variables stands for."""
     size, count, fields = key
-    half = 4 * size
+    assert size == 2 * n // 8 + 1
     out = []
     for i in range(count):
         record = fields >> (8 * size * i) & (1 << 8 * size) - 1
-        value, zeros = record & (1 << half) - 1, record >> half
-        assert zeros < 1 << half - 1  # the guard bit stays clear
-        out.append((zeros | value, value))
+        assert record < 1 << 8 * size - 1  # the guard bit stays clear
+        out.append(record)
     assert fields < 1 << 8 * size * count
+    out = pairs(out, n)
     assert all(care < 1 << n for care, _ in out)
     return out
 
@@ -536,8 +613,7 @@ class TestSimplifyTable:
             if i % 7 == 0:
                 cubes.append((0, 0))  # a zero record, at the end or not
                 rng.shuffle(cubes)
-            ones, zeros = polarity(cubes)
-            assert decode(minimizer._pack(cubes, ones | zeros), n) == cubes, (n, cubes)
+            assert decode(minimizer._pack(records(cubes, n), n), n) == cubes, (n, cubes)
 
     def test_parity12_merges(self, monkeypatch):
         # each cofactor of parity is parity or its complement over the rest,
@@ -593,16 +669,17 @@ class TestSmallNodes:
         for _ in range(3000):
             n = rng.choice(KERNEL_NS)
             cubes = tied_cover(rng, n, rng.randint(3, minimizer._SMALL - 1))
-            ones, zeros = polarity(cubes)
-            if not ones & zeros:
+            binate = binate_mask(cubes, n)
+            if not binate:
                 continue
             want = ref_select_binate(cubes)
-            packed_pick = minimizer._pick(minimizer._pack(cubes, ones | zeros), ones & zeros)
-            assert minimizer._count_pick(cubes, ones & zeros) == packed_pick == want, cubes
+            rs = records(cubes, n)
+            packed_pick = minimizer._pick(minimizer._pack(rs, n), binate, n)
+            assert minimizer._count_pick(rs, binate, n) == packed_pick == want, cubes
             checked += 1
             counts = sorted((-sum(1 for care, _ in cubes if care & b),
                              abs(sum(1 if value & b else -1 for care, value in cubes if care & b)))
-                            for b in (1 << s for s in range(n)) if ones & zeros & b)
+                            for b in (1 << s for s in range(n)) if binate & b)
             tied += len(counts) > 1 and counts[0] == counts[1]
         assert checked > 2000 and tied > 500
 
@@ -611,18 +688,17 @@ class TestSmallNodes:
         # SCC-minimal halves of 0-15 cubes: the merge scans them pairwise;
         # with the line at 0 the same merge answers through the kernel
         rng = random.Random(f"small-merge/{width}")
-        wide = (1 << width) - 1
         cases = []
         for _ in range(150):
             split = 1 << rng.randrange(width)
             h0, h1 = nested_halves(rng, width, split, rng.randint(0, minimizer._SMALL - 1))
             cases.append((h1, h0, split) if rng.random() < 0.5 else (h0, h1, split))
         kernel = count_calls(monkeypatch, "_containers")
-        scanned = [minimizer._merge(h0, h1, split, wide) for h0, h1, split in cases]
+        scanned = [kernel_merge(h0, h1, split, width) for h0, h1, split in cases]
         assert not kernel
         monkeypatch.setattr(minimizer, "_SMALL", 0)
         for (h0, h1, split), got in zip(cases, scanned):
-            assert got == ref_merge(h0, h1, split) == minimizer._merge(h0, h1, split, wide), \
+            assert got == ref_merge(h0, h1, split) == kernel_merge(h0, h1, split, width), \
                 (width, split, h0, h1)
         assert kernel
 
@@ -657,8 +733,8 @@ class TestSmallNodes:
             dsop = enumerate_one_paths(build_from_truthtable(TruthTable(n, on)))
             if 3 <= len(dsop.cubes) < minimizer._SMALL:
                 done = {}
-                out = minimizer._simplify([(c.care, c.value) for c in dsop], done)
-                assert [(c.care, c.value) for c in ref_simplify(dsop)] == out
+                out = minimizer._simplify(records([(c.care, c.value) for c in dsop], n), n, done)
+                assert [(c.care, c.value) for c in ref_simplify(dsop)] == pairs(out, n)
                 assert not done and not packs and not picks
                 checked += 1
         assert checked > 20
@@ -668,8 +744,8 @@ class TestSmallNodes:
         for n in (8, 10, 12):
             dsop = enumerate_one_paths(build_from_truthtable(TruthTable(n, rng.getrandbits(1 << n))))
             done = {}
-            out = minimizer._simplify([(c.care, c.value) for c in dsop], done)
-            assert [(c.care, c.value) for c in simplify(dsop)] == out
+            out = minimizer._simplify(records([(c.care, c.value) for c in dsop], n), n, done)
+            assert [(c.care, c.value) for c in simplify(dsop)] == pairs(out, n)
             assert done and min(count for _, count, _ in done) >= minimizer._SMALL == 16
 
 
