@@ -106,7 +106,9 @@ class BddManager:
                 ids[level][ref - 2] = u
             return u
 
-        return FunctionHandle(self, node(0, levels.root))
+        root = node(0, levels.root)
+        del node  # node's closure holds node: free it without the cycle collector
+        return FunctionHandle(self, root)
 
     def reachable(self, root: int) -> List[int]:
         """Internal nodes reachable from root, discovery order."""
@@ -209,7 +211,9 @@ def _fold(h: FunctionHandle, zero: int, one: int, combine: Callable[[int, int, i
             memo[u] = combine(var, value(lo), value(hi))
         return memo[u]
 
-    return value(h.root)
+    root = value(h.root)
+    del value  # value's closure holds value: free it without the cycle collector
+    return root
 
 
 def one_path_count(h: FunctionHandle) -> int:
@@ -258,33 +262,33 @@ def to_truthtable(h: FunctionHandle) -> TruthTable:
 class _LevelSets:
     """One diagram held as per-level node sets, for in-place swaps.
 
-    The arena is cut to root's diagram once, at the start; from then on
-    it equals the live diagram, since a swap drops the nodes it orphans.
-    ref counts a node's parents (the root one more), down is its count
-    of paths to 1, and paths is its count of root paths: into it above
-    the cut, and entering it across the cut at or below it.  P1 is the
-    sum, below the cut, of paths times down, so down is kept only there
-    and is made as the cut moves up.
+    The sifter keeps its own store, lists indexed by node id, loaded
+    from the manager's arena cut to root's diagram: nodes[u] is u's
+    (var, lo, hi) key, None once u is dropped, and unique finds the id
+    of each live key.  A swap drops the nodes it orphans, so the store
+    is the live diagram; write_back hands it to the manager.  ref counts
+    a node's parents (the root one more), down is its count of paths to
+    1, and paths is its count of root paths: into it above the cut, and
+    entering it across the cut at or below it.  P1 is the sum, below the
+    cut, of paths times down, so down is kept only there and is made as
+    the cut moves up.
     """
 
     def __init__(self, mgr: BddManager, root: int):
-        live = mgr.reachable(root)
-        if len(live) != len(mgr._nodes):
-            mgr._nodes = {u: mgr._nodes[u] for u in live}
-            mgr._unique = {key: u for u, key in mgr._nodes.items()}
-        nodes = mgr._nodes
+        live, slots = mgr.reachable(root), mgr._next_id
         self.mgr, self.perm = mgr, list(mgr.order.perm)
         self.levels: List[set[int]] = [set() for _ in range(mgr.n)]
-        self.ref = dict.fromkeys([ZERO, ONE, *live], 0)
-        self.ref[root] += 1
+        self.nodes: List[Optional[Tuple[int, int, int]]] = [None] * slots
+        self.unique: Dict[Tuple[int, int, int], int] = {}
+        self.ref, self.paths, self.down = [0] * slots, [0] * slots, [0] * slots
+        self.ref[root] = self.paths[root] = self.down[ONE] = 1
+        level_of = sorted(range(mgr.n), key=self.perm.__getitem__)  # perm's inverse: var -> level
         for u in live:
-            var, lo, hi = nodes[u]
-            self.levels[self.perm.index(var)].add(u)
+            var, lo, hi = key = self.nodes[u] = mgr._nodes[u]
+            self.unique[key] = u
+            self.levels[level_of[var]].add(u)
             self.ref[lo] += 1
             self.ref[hi] += 1
-        self.paths = dict.fromkeys(self.ref, 0)
-        self.paths[root] = 1
-        self.down = {ZERO: 0, ONE: 1}
         self.cut = 0
         # with the cut under every level, P1 is the root paths into 1
         self.move_cut(mgr.n)
@@ -292,7 +296,7 @@ class _LevelSets:
 
     def move_cut(self, k: int) -> None:
         """Put the cut above level k; each level it passes costs its width."""
-        nodes, paths, down = self.mgr._nodes, self.paths, self.down
+        nodes, paths, down = self.nodes, self.paths, self.down
         while self.cut < k:
             for u in self.levels[self.cut]:
                 _, lo, hi = nodes[u]
@@ -308,15 +312,21 @@ class _LevelSets:
                 down[u] = down[lo] + down[hi]
 
     def save(self) -> tuple:
-        """A copy of everything a swap changes, in C-level dict and set copies."""
-        return (dict(self.mgr._nodes), dict(self.mgr._unique), dict(self.ref), dict(self.paths),
-                dict(self.down), [set(level) for level in self.levels], list(self.perm),
-                self.p1, self.size, self.cut)
+        """A copy of everything a swap changes: list slices, dict and set copies."""
+        return (self.nodes[:], dict(self.unique), self.ref[:], self.paths[:], self.down[:],
+                [set(level) for level in self.levels], self.perm[:], self.p1, self.size, self.cut)
 
     def restore(self, state: tuple) -> None:
         """Go back to a save(); the state is taken over, not copied."""
-        (self.mgr._nodes, self.mgr._unique, self.ref, self.paths, self.down,
+        (self.nodes, self.unique, self.ref, self.paths, self.down,
          self.levels, self.perm, self.p1, self.size, self.cut) = state
+
+    def write_back(self) -> None:
+        """Give the manager the live diagram as its dict arena, in the current order."""
+        mgr = self.mgr
+        mgr._nodes = {u: key for u, key in enumerate(self.nodes) if key}
+        mgr._unique, mgr._next_id = self.unique, len(self.nodes)
+        mgr.order = VariableOrder(tuple(self.perm))
 
     def swap(self, k: int) -> None:
         """Rudell's swap of levels k and k+1 (ICCAD 1993).
@@ -326,12 +336,12 @@ class _LevelSets:
         level-(k+1) child move down, keys unchanged.  The other level-k
         nodes keep their id, take the level-(k+1) variable and get
         children on the level-k variable, found in or added to the
-        unique table.  P1 changes by paths times the change of down over
-        the rewritten nodes, the only ones whose down changes.
+        unique table; a new node takes the next id.  P1 changes by paths
+        times the change of down over the rewritten nodes, the only ones
+        whose down changes.
         """
         self.move_cut(k)
-        mgr, nodes, unique = self.mgr, self.mgr._nodes, self.mgr._unique
-        ref, down, paths = self.ref, self.down, self.paths
+        nodes, unique, ref, down, paths = self.nodes, self.unique, self.ref, self.down, self.paths
         upper, lower = self.levels[k], self.levels[k + 1]
         x, y = self.perm[k], self.perm[k + 1]  # x moves down, y up
         below: set[int] = set()
@@ -350,23 +360,31 @@ class _LevelSets:
             del unique[key]
             _, f00, f01 = nodes[lo] if lo in lower else (y, lo, lo)
             _, f10, f11 = nodes[hi] if hi in lower else (y, hi, hi)
-            kids = []
-            for c0, c1 in ((f00, f10), (f01, f11)):
-                if c0 != c1:  # else the redundant test reduces to c0
-                    child = (x, c0, c1)
-                    v = unique.get(child)
-                    if v is None:
-                        v = mgr._next_id
-                        mgr._next_id += 1
-                        nodes[v], unique[child] = child, v
-                        ref[v], paths[v], down[v] = 0, 0, down[c0] + down[c1]
-                        ref[c0] += 1
-                        ref[c1] += 1
-                        below.add(v)
-                    c0 = v
-                ref[c0] += 1
-                kids.append(c0)
-            r0, r1 = kids
+            # new children (x, f00, f10) and (x, f01, f11); a redundant test is its child
+            if f00 == f10:
+                r0 = f00
+            elif (r0 := unique.get(key := (x, f00, f10))) is None:
+                r0 = unique[key] = len(nodes)
+                nodes.append(key)
+                ref.append(0)
+                paths.append(0)
+                down.append(down[f00] + down[f10])
+                ref[f00] += 1
+                ref[f10] += 1
+                below.add(r0)
+            if f01 == f11:
+                r1 = f01
+            elif (r1 := unique.get(key := (x, f01, f11))) is None:
+                r1 = unique[key] = len(nodes)
+                nodes.append(key)
+                ref.append(0)
+                paths.append(0)
+                down.append(down[f01] + down[f11])
+                ref[f01] += 1
+                ref[f11] += 1
+                below.add(r1)
+            ref[r0] += 1
+            ref[r1] += 1
             key = nodes[u] = (y, r0, r1)
             unique[key] = u
             ref[lo] -= 1
@@ -379,8 +397,9 @@ class _LevelSets:
                 top.add(v)
                 continue
             # orphaned; its children are the new nodes' children, so they live on
-            _, lo, hi = key = nodes.pop(v)
-            del unique[key], ref[v], down[v], paths[v]
+            _, lo, hi = key = nodes[v]
+            nodes[v] = None
+            del unique[key]
             ref[lo] -= 1
             ref[hi] -= 1
         self.size += len(top) + len(below) - len(upper) - len(lower)
@@ -435,7 +454,12 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> int:
     once.  P1 is kept as a running total that a swap changes by the
     rewritten nodes' share, and the node count as per-level widths.
 
-    Each variable moves as _LevelSets.sift moves it.
+    The sifter works on its own store, lists indexed by node id, loaded
+    from the manager's dict arena once at the start; a copy of its
+    state is a few list slices.  At the end only the live nodes go back
+    to the arena, with the unique table and the next free id, so code
+    outside the sifter sees only the dict arena.  Each variable moves
+    as _LevelSets.sift moves it.
     """
     n = mgr.n
     if n < 2 or h.root < 2:
@@ -444,7 +468,7 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> int:
     levels = _LevelSets(mgr, h.root)
     for var in sorted(range(n), key=lambda v: (-len(levels.levels[levels.perm.index(v)]), v)):
         levels.sift(var)
-    mgr.order = VariableOrder(tuple(levels.perm))
+    levels.write_back()
     return levels.p1
 
 

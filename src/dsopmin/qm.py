@@ -173,6 +173,7 @@ def _branch_and_bound(
         recurse(chosen, rest, todo)
 
     recurse([], rows, uncovered)
+    del recurse  # recurse's closure holds recurse: free it without the cycle collector
     return best
 
 

@@ -334,17 +334,20 @@ class TestTautologyAndContainment:
 class TestSwap:
     def test_swap_work_follows_two_levels(self):
         # a swap makes at most two nodes per old level-k node, every node
-        # keeps its function, and the running P1 and node count match walks
+        # keeps its function, and the running P1 and node count match walks;
+        # the sifter's own store is read through its write_back after each swap
         for tt in random_tables(40, (2, 8), seed=53):
             h = build_from_truthtable(tt)
             mgr = h.manager
             levels = bdd._LevelSets(mgr, h.root)
+            levels.write_back()
             for k in list(range(tt.n - 1)) + list(range(tt.n - 2, -1, -1)):
                 upper = set(levels.levels[k])
                 tables = {u: to_truthtable(bdd.FunctionHandle(mgr, u)).bits for u in mgr._nodes}
                 made = mgr._next_id
                 levels.swap(k)
-                mgr.order = VariableOrder(tuple(levels.perm))
+                levels.write_back()
+                assert_arena_invariants(mgr, h.root)
                 assert mgr._next_id - made <= 2 * len(upper)
                 assert upper <= set(mgr._nodes)
                 for u in set(tables) & set(mgr._nodes):
@@ -432,6 +435,7 @@ def sift_summary(tt, start=None):
     """sift_paths's order, P1, node count and DSOP text, with its arena checks."""
     h = build_from_truthtable(tt, start)
     p1 = sift_paths(h.manager, h)
+    assert_arena_invariants(h.manager, h.root)
     assert len(h.manager._nodes) == node_count(h)
     assert to_truthtable(h).bits == tt.bits
     assert p1 == one_path_count(h)
@@ -465,7 +469,7 @@ class TestSiftAgainstReference:
             levels = bdd._LevelSets(mgr, root)
             for k in list(range(tt.n - 1)) + list(range(tt.n - 2, -1, -1)):
                 levels.swap(k)
-                mgr.order = VariableOrder(tuple(levels.perm))
+                levels.write_back()
                 top, below = len(levels.levels[k]), len(levels.levels[k + 1])
                 widths = [0] * tt.n
                 for u in mgr.reachable(root):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import itertools
 import hashlib
 import io
@@ -49,6 +50,7 @@ from dsopmin.cli import (
 from dsopmin.boolfn import format_cube
 from dsopmin.minimizer import expand, irredundant, simplify
 from dsopmin.ordering import entropy_order, entropy_place
+from dsopmin.qm import exact_cover
 
 from conftest import (
     cube_text_masks,
@@ -515,6 +517,40 @@ class TestRunPipeline:
                    .hexdigest()[:16] for name in ("dsop", "sop")}
         assert digests == {"dsop": "f804bf96817231d3", "sop": "09981b74685d8c77"}
         assert (report.sop_cubes, report.sop_literals) == (10611, 145051)
+
+
+def garbage_after(call) -> int:
+    """What a collection finds after call() with the cycle collector off:
+    the objects call left in reference cycles, which refcounting cannot free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestNoReferenceCycles:
+    """A run leaves nothing for the cycle collector: the self-recursive
+    closures of build_levels, _fold and _branch_and_bound are let go."""
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_random_run(self, ordering):
+        tt = TruthTable(10, random.Random("cycles/10").getrandbits(1 << 10))
+        assert garbage_after(lambda: run_pipeline(tt, PipelineConfig(ordering=ordering))) == 0
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_golden_with_oracle(self, golden_tt, ordering):
+        cfg = PipelineConfig(ordering=ordering, oracle=True)
+        assert garbage_after(lambda: run_pipeline(golden_tt, cfg)) == 0
+
+    def test_branch_and_bound(self):
+        # a cyclic chart: no essential row, so the search runs
+        tt = truthtable_from_minterms(3, [0, 1, 2, 5, 6, 7])
+        assert garbage_after(lambda: exact_cover(tt)) == 0
 
 
 class TestReports:
