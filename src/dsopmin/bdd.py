@@ -1,11 +1,11 @@
 """Reduced ordered BDD manager, one-path DSOP extraction, and path sifting.
 
 Nodes are integers: 0 and 1 are the terminals, everything else indexes
-an arena of (var, lo, hi) triples.  A single unique table keyed by
-that triple keeps the store canonical; equal functions built under the
-same order always come back as the same node id.  A key names the
-node's variable, not its level, so a node keeps its key when a swap
-only moves it to another level.
+one arena, a list of (var, lo, hi) triples indexed by node id.  A single
+unique table keyed by that triple keeps the store canonical; equal
+functions built under the same order always come back as the same node
+id.  A key names the node's variable, not its level, so a node keeps
+its key when a swap only moves it to another level.
 
 Children lie strictly deeper under the manager's order; long edges
 simply skip levels, and the skipped variables stay don't-care in the
@@ -15,8 +15,9 @@ split_levels is the one top-down split of a truth table: one level at
 a time, each distinct subtable cofactored once.  A rule picks each
 level's variable; the entropy ordering passes its greedy rule, and a
 fixed order is the rule "the place of perm[level]".  build_levels makes
-the nodes from those splits, so the pipeline orders and builds from one
-descent in every mode.  Path sifting swaps adjacent levels in place.
+the nodes from those splits, bottom up, so the pipeline orders and
+builds from one descent in every mode.  Path sifting swaps adjacent
+levels in place, in the same arena.
 """
 
 from __future__ import annotations
@@ -55,7 +56,12 @@ class VariableOrder:
 
 
 class BddManager:
-    """Canonicalizing node store for one function and its cofactors."""
+    """Canonicalizing node store for one function and its cofactors.
+
+    _nodes[u] is node u's (var, lo, hi) key, None at the terminals 0 and
+    1 and at ids the sifter dropped; its length is the next id.  _unique
+    finds the id of each live key.
+    """
 
     def __init__(self, n: int, order: Optional[VariableOrder] = None):
         if order is None:
@@ -64,10 +70,8 @@ class BddManager:
             raise ValueError("order length does not match variable count")
         self.n = n
         self.order = order
-        # node id -> (var, lo, hi); ids 0 and 1 are the terminals
-        self._nodes: Dict[int, Tuple[int, int, int]] = {}
+        self._nodes: List[Optional[Tuple[int, int, int]]] = [None, None]
         self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._next_id = 2
 
     def make(self, var: int, lo: int, hi: int) -> int:
         """Canonical node constructor; applies the redundant-test reduction."""
@@ -76,10 +80,8 @@ class BddManager:
         key = (var, lo, hi)
         u = self._unique.get(key)
         if u is None:
-            u = self._next_id
-            self._next_id += 1
-            self._nodes[u] = key
-            self._unique[key] = u
+            u = self._unique[key] = len(self._nodes)
+            self._nodes.append(key)
         return u
 
     def build(self, tt: TruthTable) -> "FunctionHandle":
@@ -90,25 +92,14 @@ class BddManager:
         return self.build_levels(split_levels(tt, lambda level, rest, _: rest.index(perm[level])))
 
     def build_levels(self, levels: "Levels") -> "FunctionHandle":
-        """Make the nodes of a split table, lo first in post order from the root."""
+        """Make the nodes of a split table bottom up, a level's in its split order."""
         if levels.order != self.order:
             raise ValueError("split order does not match manager")
-        ids: List[List[Optional[int]]] = [[None] * len(kids) for kids in levels.kids]
-        perm = self.order.perm
-
-        def node(level: int, ref: int) -> int:
-            if ref < 2:
-                return ref
-            u = ids[level][ref - 2]
-            if u is None:
-                lo, hi = levels.kids[level][ref - 2]
-                u = self.make(perm[level], node(level + 1, lo), node(level + 1, hi))
-                ids[level][ref - 2] = u
-            return u
-
-        root = node(0, levels.root)
-        del node  # node's closure holds node: free it without the cycle collector
-        return FunctionHandle(self, root)
+        make, ids = self.make, [ZERO, ONE]
+        # ids: reference -> node id, one level down
+        for var, kids in zip(reversed(self.order.perm), reversed(levels.kids)):
+            ids = [ZERO, ONE, *[make(var, ids[lo], ids[hi]) for lo, hi in kids]]
+        return FunctionHandle(self, ids[levels.root])
 
     def reachable(self, root: int) -> List[int]:
         """Internal nodes reachable from root, discovery order."""
@@ -262,30 +253,28 @@ def to_truthtable(h: FunctionHandle) -> TruthTable:
 class _LevelSets:
     """One diagram held as per-level node sets, for in-place swaps.
 
-    The sifter keeps its own store, lists indexed by node id, loaded
-    from the manager's arena cut to root's diagram: nodes[u] is u's
-    (var, lo, hi) key, None once u is dropped, and unique finds the id
-    of each live key.  A swap drops the nodes it orphans, so the store
-    is the live diagram; write_back hands it to the manager.  ref counts
-    a node's parents (the root one more), down is its count of paths to
-    1, and paths is its count of root paths: into it above the cut, and
-    entering it across the cut at or below it.  P1 is the sum, below the
-    cut, of paths times down, so down is kept only there and is made as
-    the cut moves up.
+    Swaps rewrite the manager's arena and unique table, cut at the start
+    to root's diagram; a swap drops the nodes it orphans, so the arena
+    stays the live diagram.  The side tables are lists indexed by node
+    id: ref counts a node's parents (the root one more), down is its
+    count of paths to 1, and paths is its count of root paths: into it
+    above the cut, and entering it across the cut at or below it.  P1 is
+    the sum, below the cut, of paths times down, so down is kept only
+    there and is made as the cut moves up.  perm is the order the swaps
+    have reached; sift_paths gives it to the manager at the end.
     """
 
     def __init__(self, mgr: BddManager, root: int):
-        live, slots = mgr.reachable(root), mgr._next_id
+        live, nodes, slots = mgr.reachable(root), mgr._nodes, len(mgr._nodes)
         self.mgr, self.perm = mgr, list(mgr.order.perm)
         self.levels: List[set[int]] = [set() for _ in range(mgr.n)]
-        self.nodes: List[Optional[Tuple[int, int, int]]] = [None] * slots
-        self.unique: Dict[Tuple[int, int, int], int] = {}
+        mgr._nodes, mgr._unique = [None] * slots, {}
         self.ref, self.paths, self.down = [0] * slots, [0] * slots, [0] * slots
         self.ref[root] = self.paths[root] = self.down[ONE] = 1
         level_of = sorted(range(mgr.n), key=self.perm.__getitem__)  # perm's inverse: var -> level
         for u in live:
-            var, lo, hi = key = self.nodes[u] = mgr._nodes[u]
-            self.unique[key] = u
+            var, lo, hi = key = mgr._nodes[u] = nodes[u]
+            mgr._unique[key] = u
             self.levels[level_of[var]].add(u)
             self.ref[lo] += 1
             self.ref[hi] += 1
@@ -296,7 +285,7 @@ class _LevelSets:
 
     def move_cut(self, k: int) -> None:
         """Put the cut above level k; each level it passes costs its width."""
-        nodes, paths, down = self.nodes, self.paths, self.down
+        nodes, paths, down = self.mgr._nodes, self.paths, self.down
         while self.cut < k:
             for u in self.levels[self.cut]:
                 _, lo, hi = nodes[u]
@@ -313,20 +302,15 @@ class _LevelSets:
 
     def save(self) -> tuple:
         """A copy of everything a swap changes: list slices, dict and set copies."""
-        return (self.nodes[:], dict(self.unique), self.ref[:], self.paths[:], self.down[:],
+        mgr = self.mgr
+        return (mgr._nodes[:], dict(mgr._unique), self.ref[:], self.paths[:], self.down[:],
                 [set(level) for level in self.levels], self.perm[:], self.p1, self.size, self.cut)
 
     def restore(self, state: tuple) -> None:
         """Go back to a save(); the state is taken over, not copied."""
-        (self.nodes, self.unique, self.ref, self.paths, self.down,
-         self.levels, self.perm, self.p1, self.size, self.cut) = state
-
-    def write_back(self) -> None:
-        """Give the manager the live diagram as its dict arena, in the current order."""
         mgr = self.mgr
-        mgr._nodes = {u: key for u, key in enumerate(self.nodes) if key}
-        mgr._unique, mgr._next_id = self.unique, len(self.nodes)
-        mgr.order = VariableOrder(tuple(self.perm))
+        (mgr._nodes, mgr._unique, self.ref, self.paths, self.down,
+         self.levels, self.perm, self.p1, self.size, self.cut) = state
 
     def swap(self, k: int) -> None:
         """Rudell's swap of levels k and k+1 (ICCAD 1993).
@@ -341,7 +325,8 @@ class _LevelSets:
         whose down changes.
         """
         self.move_cut(k)
-        nodes, unique, ref, down, paths = self.nodes, self.unique, self.ref, self.down, self.paths
+        nodes, unique = self.mgr._nodes, self.mgr._unique
+        ref, down, paths = self.ref, self.down, self.paths
         upper, lower = self.levels[k], self.levels[k + 1]
         x, y = self.perm[k], self.perm[k + 1]  # x moves down, y up
         below: set[int] = set()
@@ -454,21 +439,18 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> int:
     once.  P1 is kept as a running total that a swap changes by the
     rewritten nodes' share, and the node count as per-level widths.
 
-    The sifter works on its own store, lists indexed by node id, loaded
-    from the manager's dict arena once at the start; a copy of its
-    state is a few list slices.  At the end only the live nodes go back
-    to the arena, with the unique table and the next free id, so code
-    outside the sifter sees only the dict arena.  Each variable moves
-    as _LevelSets.sift moves it.
+    The sifter rewrites the manager's arena, lists indexed by node id,
+    in place: it cuts the arena to h's diagram at the start, so a copy of
+    its state is a few list slices, and sets the manager's order at the
+    end.  A constant's order stays put: every position of a constant
+    scores the same.  Each variable moves as _LevelSets.sift moves it.
     """
-    n = mgr.n
-    if n < 2 or h.root < 2:
-        return one_path_count(h)
-
     levels = _LevelSets(mgr, h.root)
-    for var in sorted(range(n), key=lambda v: (-len(levels.levels[levels.perm.index(v)]), v)):
-        levels.sift(var)
-    levels.write_back()
+    if h.root > ONE:
+        widths = [len(levels.levels[levels.perm.index(v)]) for v in range(mgr.n)]
+        for var in sorted(range(mgr.n), key=lambda v: (-widths[v], v)):
+            levels.sift(var)
+        mgr.order = VariableOrder(tuple(levels.perm))
     return levels.p1
 
 

@@ -30,8 +30,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 MAX_TABLE_VARS = 24
 
 # The pipeline refuses a BDD with more one-paths, before it makes a cube.
-# Dense random tables have 83,367 at n=18 (about 6-8 s and 167 MB through
-# the pipeline) and 332,509 at n=20, where minimizing would take minutes.
+# Dense random tables have 83,367 at n=18 (through the pipeline, about 6-10 s
+# under the entropy order and 10-13 s under sift, 85-88 MB peak) and 332,509
+# at n=20, where minimizing would take minutes.
 MAX_ONE_PATHS = 100_000
 
 

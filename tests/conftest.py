@@ -663,8 +663,9 @@ def ref_children(mgr, u: int) -> Tuple[int, int]:
 
 
 def ref_level_nodes(mgr) -> Dict[int, Tuple[int, int, int]]:
-    """The arena as id -> (level, lo, hi) under mgr.order, ref_build's form."""
-    return {u: (ref_level(mgr, u), *ref_children(mgr, u)) for u in mgr._nodes}
+    """The arena's live nodes as id -> (level, lo, hi) under mgr.order, ref_build's form."""
+    return {u: (ref_level(mgr, u), *ref_children(mgr, u))
+            for u, key in enumerate(mgr._nodes) if key}
 
 
 def _ref_reachable(mgr, root: int) -> List[int]:

@@ -45,9 +45,32 @@ ORDER_ABCD = VariableOrder((0, 1, 2, 3))
 ORDER_BACD = VariableOrder((1, 0, 2, 3))
 
 
+def live_nodes(mgr):
+    """The arena's live slots, id -> (var, lo, hi)."""
+    return {u: key for u, key in enumerate(mgr._nodes) if key}
+
+
+def post_order(nodes, root):
+    """A diagram (id -> (level, lo, hi)) and its root with ids renumbered
+    from 2 in lo-first post order from the root, ref_build's numbering."""
+    ids = {0: 0, 1: 1}
+    out = {}
+
+    def walk(u):
+        if u not in ids:
+            level, lo, hi = nodes[u]
+            key = (level, walk(lo), walk(hi))
+            ids[u] = len(ids)
+            out[ids[u]] = key
+        return ids[u]
+
+    return out, walk(root)
+
+
 def assert_arena_invariants(mgr, root):
     """The arena is a reduced ordered BDD rooted at root, under mgr.order."""
-    nodes = mgr._nodes
+    assert mgr._nodes[:2] == [None, None]  # the terminals' slots
+    nodes = live_nodes(mgr)
     assert mgr._unique == {key: u for u, key in nodes.items()}
     assert len(set(nodes.values())) == len(nodes)  # no key twice
     for u, (_, lo, hi) in nodes.items():
@@ -154,13 +177,15 @@ class TestBuild:
             rng.shuffle(perm)
             mgr = BddManager(n, VariableOrder(tuple(perm)))
             root = mgr.build(TruthTable(n, bits)).root
-            nodes, ref_root = ref_build(bits, n, perm)
-            assert ref_level_nodes(mgr) == nodes
-            assert root == ref_root
+            want = ref_build(bits, n, perm)
+            # the same diagram up to node renaming, with no other node made
+            assert post_order(ref_level_nodes(mgr), root) == want
+            assert len(live_nodes(mgr)) == len(want[0])
 
     def test_levels_match_build(self):
         # the ordering's splits, made into nodes, are the BDD that building
-        # from the table under the entropy order gives, ids included
+        # from the table under the entropy order gives, ids included, and
+        # ref_build's diagram up to node renaming
         rng = random.Random("build-levels")
         for i in range(200):
             n = 1 + i % 12
@@ -186,7 +211,9 @@ class TestBuild:
             h = mgr.build_levels(levels)
             want = build_from_truthtable(tt, entropy_order(tt))
             assert (mgr._nodes, h.root) == (want.manager._nodes, want.root), (n, hex(bits))
-            assert (ref_level_nodes(mgr), h.root) == ref_build(bits, n, levels.order.perm)
+            nodes, root = ref_build(bits, n, levels.order.perm)
+            assert post_order(ref_level_nodes(mgr), h.root) == (nodes, root)
+            assert len(live_nodes(mgr)) == len(nodes)
 
     def test_levels_under_another_order(self, golden_tt):
         levels = split_levels(golden_tt, entropy_place)
@@ -335,26 +362,27 @@ class TestSwap:
     def test_swap_work_follows_two_levels(self):
         # a swap makes at most two nodes per old level-k node, every node
         # keeps its function, and the running P1 and node count match walks;
-        # the sifter's own store is read through its write_back after each swap
+        # the manager's arena is read after each swap, under the swaps' order
         for tt in random_tables(40, (2, 8), seed=53):
             h = build_from_truthtable(tt)
             mgr = h.manager
             levels = bdd._LevelSets(mgr, h.root)
-            levels.write_back()
             for k in list(range(tt.n - 1)) + list(range(tt.n - 2, -1, -1)):
                 upper = set(levels.levels[k])
-                tables = {u: to_truthtable(bdd.FunctionHandle(mgr, u)).bits for u in mgr._nodes}
-                made = mgr._next_id
+                tables = {u: to_truthtable(bdd.FunctionHandle(mgr, u)).bits
+                          for u in live_nodes(mgr)}
+                made = len(mgr._nodes)
                 levels.swap(k)
-                levels.write_back()
+                mgr.order = VariableOrder(tuple(levels.perm))
                 assert_arena_invariants(mgr, h.root)
-                assert mgr._next_id - made <= 2 * len(upper)
-                assert upper <= set(mgr._nodes)
-                for u in set(tables) & set(mgr._nodes):
+                assert len(mgr._nodes) - made <= 2 * len(upper)
+                live = set(live_nodes(mgr))
+                assert upper <= live
+                for u in set(tables) & live:
                     assert to_truthtable(bdd.FunctionHandle(mgr, u)).bits == tables[u]
                 assert to_truthtable(h).bits == tt.bits
                 assert (levels.p1, levels.size) == (one_path_count(h), node_count(h))
-                assert len(mgr._nodes) == levels.size
+                assert len(live) == levels.size
 
 
 class TestSifting:
@@ -436,7 +464,7 @@ def sift_summary(tt, start=None):
     h = build_from_truthtable(tt, start)
     p1 = sift_paths(h.manager, h)
     assert_arena_invariants(h.manager, h.root)
-    assert len(h.manager._nodes) == node_count(h)
+    assert len(live_nodes(h.manager)) == node_count(h)
     assert to_truthtable(h).bits == tt.bits
     assert p1 == one_path_count(h)
     return (h.manager.order.perm, p1, node_count(h),
@@ -462,14 +490,15 @@ class TestSiftAgainstReference:
 
     def test_swap_reports_level_widths(self):
         # after every swap, the two widths it reports are the reachable
-        # node counts at levels k and k+1
+        # node counts at levels k and k+1, in the manager's arena under the
+        # swaps' order
         for tt in random_tables(40, (2, 8), seed=47):
             h = build_from_truthtable(tt)
             mgr, root = h.manager, h.root
             levels = bdd._LevelSets(mgr, root)
             for k in list(range(tt.n - 1)) + list(range(tt.n - 2, -1, -1)):
                 levels.swap(k)
-                levels.write_back()
+                mgr.order = VariableOrder(tuple(levels.perm))
                 top, below = len(levels.levels[k]), len(levels.levels[k + 1])
                 widths = [0] * tt.n
                 for u in mgr.reachable(root):
@@ -538,18 +567,27 @@ class TestSiftAgainstReference:
 
     def test_arena_holds_only_the_diagram(self):
         # the arena is cut to the handle's diagram before the first swap,
-        # and swaps keep node ids and drop the nodes they orphan
-        tt = relabel([t for name, t in symmetric_tables() if name == "mux-6"][0],
-                     [5, 2, 4, 0, 3, 1], 0)
-        h = build_from_truthtable(tt)
-        h.manager.build(TruthTable(tt.n, tt.bits ^ 1))  # a second diagram in the arena
-        sift_paths(h.manager, h)
-        mgr = h.manager
-        live = set(mgr.reachable(h.root))
-        assert set(mgr._nodes) == live
-        assert set(mgr._unique.values()) == live
-        assert all(mgr._unique[mgr._nodes[u]] == u for u in live)
-        assert mgr.build(tt).root == h.root
+        # and swaps keep node ids and drop the nodes they orphan; a constant
+        # or an n=1 table is cut too, though it takes no swap
+        mux = relabel([t for name, t in symmetric_tables() if name == "mux-6"][0],
+                      [5, 2, 4, 0, 3, 1], 0)
+        parity = [t for name, t in symmetric_tables(3) if name == "parity-3"][0]
+        for tt, other in ((mux, TruthTable(mux.n, mux.bits ^ 1)),
+                          (TruthTable(3, 0), parity),
+                          (TruthTable(3, full_mask(3)), parity),
+                          (TruthTable(1, 0b01), TruthTable(1, 0b10))):
+            h = build_from_truthtable(tt)
+            mgr = h.manager
+            mgr.build(other)  # a second diagram in the arena
+            order = mgr.order
+            sift_paths(mgr, h)
+            live = set(mgr.reachable(h.root))
+            assert set(live_nodes(mgr)) == live
+            assert set(mgr._unique.values()) == live
+            assert all(mgr._unique[mgr._nodes[u]] == u for u in live)
+            assert mgr.build(tt).root == h.root
+            if h.root < 2:
+                assert mgr.order == order
 
 
 class TestDot:
