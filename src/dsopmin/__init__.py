@@ -10,8 +10,6 @@ from .boolfn import (
     Cover,
     Cube,
     TruthTable,
-    cover_to_truthtable,
-    cube_from_text,
     format_cube,
     literal_count,
     truthtable_from_minterms,
@@ -40,8 +38,6 @@ __all__ = [
     "TruthTable",
     "VariableOrder",
     "build_from_truthtable",
-    "cover_to_truthtable",
-    "cube_from_text",
     "enumerate_one_paths",
     "entropy_order",
     "exact_cover",

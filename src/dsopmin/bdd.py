@@ -84,13 +84,6 @@ class BddManager:
             self._nodes.append(key)
         return u
 
-    def build(self, tt: TruthTable) -> "FunctionHandle":
-        """Build the canonical BDD of tt under the manager's current order."""
-        if tt.n != self.n:
-            raise ValueError("table variable count does not match manager")
-        perm = self.order.perm
-        return self.build_levels(split_levels(tt, lambda level, rest, _: rest.index(perm[level])))
-
     def build_levels(self, levels: "Levels") -> "FunctionHandle":
         """Make the nodes of a split table bottom up, a level's in its split order."""
         if levels.order != self.order:
@@ -180,7 +173,9 @@ def split_levels(tt: TruthTable, rule: Callable[[int, List[int], Dict[int, int]]
 
 def build_from_truthtable(tt: TruthTable, order: Optional[VariableOrder] = None) -> FunctionHandle:
     """Fresh manager plus the canonical BDD of tt under the given order."""
-    return BddManager(tt.n, order).build(tt)
+    mgr = BddManager(tt.n, order)
+    perm = mgr.order.perm
+    return mgr.build_levels(split_levels(tt, lambda level, rest, _: rest.index(perm[level])))
 
 
 def node_count(h: FunctionHandle) -> int:

@@ -9,9 +9,8 @@ Conventions used throughout the package:
   ``(care ^ value) << n | value``; everything else runs on the pair.
 * Cube text is positional, one character per variable: 0 means the
   complemented literal, 1 the positive literal, 2 (or "-" on input) an
-  absent variable.  It exists only at I/O, in ``decode_cube`` (which
-  ``cube_from_text`` wraps), its bulk form ``decode_cubes``, and
-  ``format_cube``.
+  absent variable.  It exists only at I/O, in ``decode_cube``, its bulk
+  form ``decode_cubes``, and ``format_cube``.
 * Minterm index bit order: variable 0 is the MOST significant bit.  For
   n=4 with names a,b,c,d, minterm 5 = 0b0101 = a'bc'd.  So a cube's
   ``value`` is its smallest minterm, and a don't-care variable's bit is
@@ -160,10 +159,6 @@ def decode_cubes(texts: List[str], n: int) -> Optional[Iterator[Tuple[int, int]]
                map(int, joined.translate(_VALUE_CHARS).split(), repeat(2)))
 
 
-def cube_from_text(text: str, n: int) -> Cube:
-    return Cube(n, *decode_cube(text, n))
-
-
 # One string per distinct cube, so a caller that keeps the text of many covers
 # holds each text once.  A bounded LRU rather than sys.intern: CPython 3.12
 # makes interned strings immortal, so an intern table would only grow.
@@ -253,10 +248,6 @@ def truthtable_from_pairs(n: int, pairs: Iterable[Tuple[int, int]]) -> TruthTabl
     return TruthTable(n, bits)
 
 
-def cover_to_truthtable(cover: Cover) -> TruthTable:
-    return truthtable_from_pairs(cover.n, [(c.care, c.value) for c in cover])
-
-
 def truthtable_from_minterms(n: int, minterms: Iterable[int]) -> TruthTable:
     TruthTable(n, 0)  # refuses a bad n before any minterm is read
     minterms = list(minterms)
@@ -285,19 +276,6 @@ def cofactor_bits(bits: int, n: int, var: int, val: bool) -> int:
         bits ^= bits & masks[coarser]
         run <<= 1
     return bits
-
-
-def truthtable_cofactor(tt: TruthTable, var: int, val: bool) -> TruthTable:
-    """Restrict var to val; the result ranges over the remaining n-1 variables.
-
-    Kept as documented API for the paper's subtables (f with x = v); the
-    pipeline splits raw bits with cofactor_bits in bdd.split_levels.
-    """
-    if not 0 <= var < tt.n:
-        raise ValueError(f"variable index {var} out of range for n={tt.n}")
-    if tt.n == 1:
-        raise ValueError("cannot drop the only variable of a table")
-    return TruthTable(tt.n - 1, cofactor_bits(tt.bits, tt.n, var, val))
 
 
 def literal_count(cover: Cover) -> int:

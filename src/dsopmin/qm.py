@@ -5,7 +5,8 @@ of minterm groups; phase two solves the prime-implicant chart exactly.
 The chart is in truth-table bits: a row is its prime's ``cube_mask``,
 a column is a minterm bit, and the uncovered columns are one int.
 Essentials and row/column dominance reduce it to a cyclic core, which
-branch and bound then covers.
+branch and bound then covers: a loop over an explicit stack, so no
+recursion limit bounds how deep the search goes.
 """
 
 from __future__ import annotations
@@ -140,18 +141,24 @@ def _reduce_chart(
 def _branch_and_bound(
     masks: Sequence[int], keys: Sequence[RowKey], rows: Sequence[int], uncovered: int
 ) -> List[int]:
-    """Minimum cover of the uncovered columns over rows, by _solution_key."""
+    """Minimum cover of the uncovered columns over rows, by _solution_key.
+
+    Depth first over a stack of (chosen, remaining, todo) nodes.  A
+    node's branch with its pivot is pushed last, so it is searched
+    first, and each node is pruned against the best cover found before
+    it is popped.
+    """
     rows = sorted(rows, key=lambda k: keys[k])
     best: List[int] = list(rows)  # trivially feasible upper bound
     best_key = _solution_key(keys, best)
-
-    def recurse(chosen: List[int], remaining: List[int], todo: int) -> None:
-        nonlocal best, best_key
+    stack: List[Tuple[List[int], List[int], int]] = [([], rows, uncovered)]
+    while stack:
+        chosen, remaining, todo = stack.pop()
         if not todo:
             key = _solution_key(keys, chosen)
             if key < best_key:
-                best, best_key = list(chosen), key
-            return
+                best, best_key = chosen, key
+            continue
         usable = []
         counts = []
         for k in remaining:
@@ -160,20 +167,17 @@ def _branch_and_bound(
                 usable.append(k)
                 counts.append(count)
         if not usable:
-            return
+            continue
         max_cov = max(counts)
         if len(chosen) + ceil(todo.bit_count() / max_cov) > best_key[0]:
-            return
+            continue
         # branch on the most-covering row; usable is in key order, so the
         # first such row is the deterministic tie-break
         i = counts.index(max_cov)
         pivot = usable[i]
         rest = usable[:i] + usable[i + 1:]
-        recurse(chosen + [pivot], rest, todo & ~masks[pivot])
-        recurse(chosen, rest, todo)
-
-    recurse([], rows, uncovered)
-    del recurse  # recurse's closure holds recurse: free it without the cycle collector
+        stack.append((chosen, rest, todo))
+        stack.append((chosen + [pivot], rest, todo & ~masks[pivot]))
     return best
 
 

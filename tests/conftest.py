@@ -18,17 +18,25 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from dsopmin.bdd import FunctionHandle, VariableOrder, build_from_truthtable, enumerate_one_paths
+from dsopmin.bdd import (
+    BddManager,
+    FunctionHandle,
+    VariableOrder,
+    build_from_truthtable,
+    enumerate_one_paths,
+    split_levels,
+)
 from dsopmin.boolfn import (
     MAX_TABLE_VARS,
     Cover,
     Cube,
     TruthTable,
     cofactor_bits,
-    cube_from_text,
     cube_mask,
+    decode_cube,
     format_cube,
     truthtable_from_minterms,
+    truthtable_from_pairs,
     var_masks,
 )
 from dsopmin.cli import PipelineConfig, PlaError, run_pipeline
@@ -41,6 +49,22 @@ GOLDEN_MINTERMS = [1, 5, 6, 9, 12, 13, 14, 15]
 @pytest.fixture
 def golden_tt() -> TruthTable:
     return truthtable_from_minterms(4, GOLDEN_MINTERMS)
+
+
+def text_cube(text: str, n: int) -> Cube:
+    """The Cube of a positional cube text over {0,1,2,-}."""
+    return Cube(n, *decode_cube(text, n))
+
+
+def cover_table(cover: Cover) -> TruthTable:
+    """The truth table of a cover's cubes."""
+    return truthtable_from_pairs(cover.n, [(c.care, c.value) for c in cover])
+
+
+def build_into(mgr: BddManager, tt: TruthTable) -> FunctionHandle:
+    """tt's diagram made in mgr under mgr's order, beside any it holds."""
+    perm = mgr.order.perm
+    return mgr.build_levels(split_levels(tt, lambda level, rest, _: rest.index(perm[level])))
 
 
 def pipeline_sop(tt: TruthTable, ordering: str = "entropy") -> Cover:
@@ -280,7 +304,7 @@ def ref_entropy_order(tt: TruthTable) -> Tuple[int, ...]:
 # Reference unate recursive paradigm on cube text: the package's former
 # simplify() on tuples of trits, ported step for step onto strings over
 # {0,1,2}.  A Cover enters through format_cube and leaves through
-# cube_from_text; nothing in between uses the package's bit masks.
+# text_cube; nothing in between uses the package's bit masks.
 
 class Monotonicity(Enum):
     POS_UNATE = "pos"
@@ -429,7 +453,7 @@ def ref_simplify(cover: Cover) -> Cover:
     """Unate recursive simplification; never grows the cube count."""
     n = cover.n
     out = _ref_simplify([format_cube(c) for c in cover], n)
-    return Cover(n, tuple(cube_from_text(t, n) for t in out))
+    return Cover(n, tuple(text_cube(t, n) for t in out))
 
 
 # References for the URP kernels, on (care, value) int pairs where the
@@ -908,7 +932,7 @@ def ref_parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
             raise PlaError("don't-care outputs not supported (completely specified only)")
         if out_part not in ("0", "1"):
             raise PlaError(f"malformed output field {out_part!r}")
-        cube = cube_from_text(in_part, n)
+        cube = text_cube(in_part, n)
         if out_part == "1":
             bits |= cube_mask(cube)
     return TruthTable(n, bits), names

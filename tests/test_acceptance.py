@@ -21,10 +21,9 @@ from dsopmin.bdd import (
 from dsopmin.boolfn import (
     Cover,
     TruthTable,
-    cover_to_truthtable,
+    cofactor_bits,
     format_cube,
     literal_count,
-    truthtable_cofactor,
     truthtable_from_minterms,
 )
 from dsopmin.cli import PipelineConfig, emit_report, main, run_benchmark
@@ -33,6 +32,7 @@ from dsopmin.ordering import cofactor_entropy, entropy_order, variable_entropy
 from conftest import (
     GOLDEN_MINTERMS,
     brute_force_primes,
+    cover_table,
     oracle_disjoint,
     oracle_minterms,
     pipeline_sop,
@@ -79,10 +79,10 @@ def test_criterion_2_entropy_table():
     tol = 1e-3
     assert cofactor_entropy(tt, 0, False) == pytest.approx(0.954, abs=tol)
     assert variable_entropy(tt, 1) == pytest.approx(0.811, abs=tol)
-    b0 = truthtable_cofactor(tt, 1, False)   # over (a, c, d)
+    b0 = TruthTable(3, cofactor_bits(tt.bits, 4, 1, False))   # over (a, c, d)
     assert variable_entropy(b0, 1) == pytest.approx(0.5, abs=tol)
     assert cofactor_entropy(b0, 1, True) == pytest.approx(0.0, abs=tol)
-    b1 = truthtable_cofactor(tt, 1, True)
+    b1 = TruthTable(3, cofactor_bits(tt.bits, 4, 1, True))
     assert variable_entropy(b1, 0) == pytest.approx(0.5, abs=tol)
     report(2, True)
 
@@ -108,7 +108,7 @@ def test_criterion_3_dsop_soundness():
         dsop = enumerate_one_paths(h)
         assert one_path_count(h) == len(dsop.cubes)
         assert oracle_disjoint(format_cube(c) for c in dsop)
-        assert cover_to_truthtable(dsop).bits == tt.bits
+        assert cover_table(dsop).bits == tt.bits
     assert time.perf_counter() - start < 60.0
     report(3, True)
 
@@ -118,14 +118,14 @@ def test_criterion_4_minimizer_soundness():
         h = build_from_truthtable(tt, entropy_order(tt))
         dsop = enumerate_one_paths(h)
         sop = pipeline_sop(tt)
-        assert cover_to_truthtable(sop).bits == tt.bits
+        assert cover_table(sop).bits == tt.bits
         assert len(sop.cubes) <= len(dsop.cubes)
         on = set(tt.minterms())
         for c in sop:
             assert oracle_minterms(format_cube(c)) <= on
         for i in range(len(sop.cubes)):
             rest = Cover(tt.n, sop.cubes[:i] + sop.cubes[i + 1:])
-            assert cover_to_truthtable(rest).bits != tt.bits
+            assert cover_table(rest).bits != tt.bits
     report(4, True)
 
 

@@ -19,8 +19,6 @@ from dsopmin.bdd import (
 )
 from dsopmin.boolfn import (
     TruthTable,
-    cover_to_truthtable,
-    cube_from_text,
     cube_mask,
     format_cube,
     full_mask,
@@ -31,6 +29,8 @@ from dsopmin.ordering import entropy_order, entropy_place
 
 from conftest import (
     _ref_reachable,
+    build_into,
+    cover_table,
     oracle_disjoint,
     random_cube,
     ref_build,
@@ -39,6 +39,7 @@ from conftest import (
     ref_level_nodes,
     ref_sift_summary,
     symmetric_tables,
+    text_cube,
 )
 
 ORDER_ABCD = VariableOrder((0, 1, 2, 3))
@@ -121,29 +122,29 @@ class TestBuild:
         assert node_count(h) == 0
 
     def test_build_refuses_table_over_other_n(self, golden_tt):
-        with pytest.raises(ValueError, match="table variable count does not match manager"):
-            BddManager(5).build(golden_tt)
+        with pytest.raises(ValueError, match="split order does not match manager"):
+            build_into(BddManager(5), golden_tt)
 
     def test_to_truthtable_refuses_25_variables(self):
         with pytest.raises(ValueError, match="variable count 25 outside"):
             to_truthtable(bdd.FunctionHandle(BddManager(25), bdd.ONE))
 
     def test_repeat_build_identical_root(self, golden_tt):
-        mgr = BddManager(4, ORDER_BACD)
-        assert mgr.build(golden_tt).root == mgr.build(golden_tt).root
+        h = build_from_truthtable(golden_tt, ORDER_BACD)
+        assert build_into(h.manager, golden_tt).root == h.root
 
     def test_canonicity_random(self):
         for tt in random_tables(50, (1, 8), seed=11):
-            mgr = BddManager(tt.n)
-            h1 = mgr.build(tt)
-            h2 = mgr.build(tt)
+            h1 = build_from_truthtable(tt)
+            mgr = h1.manager
+            h2 = build_into(mgr, tt)
             assert h1.root == h2.root
             other = TruthTable(tt.n, tt.bits ^ 1)
-            assert mgr.build(other).root != h1.root
+            assert build_into(mgr, other).root != h1.root
 
     def test_reduction_invariants(self, golden_tt):
-        mgr = BddManager(4, ORDER_BACD)
-        assert_arena_invariants(mgr, mgr.build(golden_tt).root)
+        h = build_from_truthtable(golden_tt, ORDER_BACD)
+        assert_arena_invariants(h.manager, h.root)
 
     def test_reduction_invariants_after_sift(self):
         # the same checks on the structured tables, under the order that
@@ -175,8 +176,8 @@ class TestBuild:
                     bits &= ~(1 << rng.randrange(1 << n))
             perm = list(range(n))
             rng.shuffle(perm)
-            mgr = BddManager(n, VariableOrder(tuple(perm)))
-            root = mgr.build(TruthTable(n, bits)).root
+            h = build_from_truthtable(TruthTable(n, bits), VariableOrder(tuple(perm)))
+            mgr, root = h.manager, h.root
             want = ref_build(bits, n, perm)
             # the same diagram up to node renaming, with no other node made
             assert post_order(ref_level_nodes(mgr), root) == want
@@ -196,7 +197,7 @@ class TestBuild:
                 bits = 0
                 for _ in range(rng.randint(1, 4)):
                     cube = "".join(rng.choice("012") for _ in range(n))
-                    bits |= cube_mask(cube_from_text(cube, n))
+                    bits |= cube_mask(text_cube(cube, n))
             elif kind == 2:  # the constants
                 bits = full_mask(n) if i % 2 else 0
             elif kind == 3:  # parity
@@ -263,7 +264,7 @@ class TestOnePaths:
             dsop = enumerate_one_paths(h)
             assert len(dsop.cubes) == one_path_count(h)
             assert oracle_disjoint(format_cube(c) for c in dsop)
-            assert cover_to_truthtable(dsop).bits == tt.bits
+            assert cover_table(dsop).bits == tt.bits
 
 
 class TestOnePathWalk:
@@ -314,7 +315,7 @@ class TestOnePathWalk:
         for n in (6, 9, 12):
             bits = 0
             for k in (2, 3, 3, 4):
-                bits |= cube_mask(cube_from_text(random_cube(rng, n, k), n))
+                bits |= cube_mask(text_cube(random_cube(rng, n, k), n))
             tables.append(TruthTable(n, bits))
         tables += [tt for _name, tt in symmetric_tables(8)]
         skipped = 0
@@ -340,22 +341,22 @@ class TestTautologyAndContainment:
         tt = truthtable_from_minterms(2, [2, 3])  # f = x0
         table = to_truthtable(build_from_truthtable(tt))
         # f|x0=1 is a tautology, f|x0=0 is a contradiction
-        assert cube_mask(cube_from_text("12", 2)) & ~table.bits == 0
-        assert cube_mask(cube_from_text("02", 2)) & table.bits == 0
+        assert cube_mask(text_cube("12", 2)) & ~table.bits == 0
+        assert cube_mask(text_cube("02", 2)) & table.bits == 0
 
     def test_cube_in_function_true(self, golden_tt):
         table = to_truthtable(build_from_truthtable(golden_tt))
         assert {6, 14} <= set(golden_tt.minterms())
-        assert cube_mask(cube_from_text("2110", 4)) & ~table.bits == 0
+        assert cube_mask(text_cube("2110", 4)) & ~table.bits == 0
 
     def test_cube_in_function_false(self, golden_tt):
         table = to_truthtable(build_from_truthtable(golden_tt))
         assert not golden_tt.bits >> 2 & 1
-        assert cube_mask(cube_from_text("2210", 4)) & ~table.bits != 0
+        assert cube_mask(text_cube("2210", 4)) & ~table.bits != 0
 
     def test_universal_in_constant_one(self):
         table = to_truthtable(build_from_truthtable(TruthTable(3, (1 << 8) - 1)))
-        assert cube_mask(cube_from_text("222", 3)) & ~table.bits == 0
+        assert cube_mask(text_cube("222", 3)) & ~table.bits == 0
 
 
 class TestSwap:
@@ -561,7 +562,7 @@ class TestSiftAgainstReference:
         rng = random.Random("sift-sparse-pla")
         bits = 0
         for k in (3,) * 4 + (4,) * 8:
-            bits |= cube_mask(cube_from_text(random_cube(rng, 15, k), 15))
+            bits |= cube_mask(text_cube(random_cube(rng, 15, k), 15))
         tt = TruthTable(15, bits)
         assert sift_summary(tt) == ref_sift_summary(tt)
 
@@ -578,14 +579,14 @@ class TestSiftAgainstReference:
                           (TruthTable(1, 0b01), TruthTable(1, 0b10))):
             h = build_from_truthtable(tt)
             mgr = h.manager
-            mgr.build(other)  # a second diagram in the arena
+            build_into(mgr, other)  # a second diagram in the arena
             order = mgr.order
             sift_paths(mgr, h)
             live = set(mgr.reachable(h.root))
             assert set(live_nodes(mgr)) == live
             assert set(mgr._unique.values()) == live
             assert all(mgr._unique[mgr._nodes[u]] == u for u in live)
-            assert mgr.build(tt).root == h.root
+            assert build_into(mgr, tt).root == h.root
             if h.root < 2:
                 assert mgr.order == order
 

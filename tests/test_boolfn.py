@@ -10,83 +10,83 @@ from dsopmin.boolfn import (
     Cover,
     Cube,
     TruthTable,
-    cover_to_truthtable,
-    cube_from_text,
+    cofactor_bits,
     cube_mask,
     decode_cube,
     format_cube,
     full_mask,
     literal_count,
     pair_mask,
-    truthtable_cofactor,
     truthtable_from_minterms,
     var_masks,
 )
 
 from conftest import (
     all_cube_texts,
+    cover_table,
     oracle_cover_minterms,
     oracle_minterms,
     random_cube,
     ref_cofactor_bits,
+    text_cube,
 )
 
 
 def cube(text: str) -> Cube:
-    return cube_from_text(text, len(text))
+    return text_cube(text, len(text))
 
 
 def cover(*texts: str) -> Cover:
     n = len(texts[0]) if texts else 0
-    return Cover(n, tuple(cube_from_text(t, n) for t in texts))
+    return Cover(n, tuple(text_cube(t, n) for t in texts))
 
 
 class TestCubeCodec:
     def test_ab_cube(self):
-        c = cube_from_text("1122", 4)
+        c = text_cube("1122", 4)
         assert (c.n, c.care, c.value) == (4, 0b1100, 0b1100)
 
     def test_universal(self):
-        assert cube_from_text("2222", 4) == Cube(4, 0, 0)
+        assert text_cube("2222", 4) == Cube(4, 0, 0)
         assert Cube(4, 0, 0).is_universal
 
     def test_minterm_cube(self):
-        assert format_cube(cube_from_text("0101", 4)) == "0101"
+        assert format_cube(text_cube("0101", 4)) == "0101"
 
     def test_dash_alias(self):
-        assert cube_from_text("1-0-", 4) == cube_from_text("1202", 4)
-        assert format_cube(cube_from_text("1-0-", 4)) == "1202"
+        assert text_cube("1-0-", 4) == text_cube("1202", 4)
+        assert format_cube(text_cube("1-0-", 4)) == "1202"
 
     def test_equal_cubes_share_text(self):
-        a, b = cube_from_text("1202", 4), cube_from_text("1-0-", 4)
+        a, b = text_cube("1202", 4), text_cube("1-0-", 4)
         assert a is not b
         assert format_cube(a) is format_cube(b)
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            cube_from_text("112", 4)
+            text_cube("112", 4)
 
     def test_illegal_character(self):
         with pytest.raises(ValueError):
-            cube_from_text("11x2", 4)
+            text_cube("11x2", 4)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_round_trip_exhaustive(self, n):
         for text in all_cube_texts(n):
-            assert format_cube(cube_from_text(text, n)) == text
+            assert format_cube(text_cube(text, n)) == text
 
     @given(st.integers(1, 6).flatmap(
         lambda n: st.text(alphabet="012-", min_size=n, max_size=n)))
     def test_round_trip_property(self, text):
         canonical = text.replace("-", "2")
-        assert format_cube(cube_from_text(text, len(text))) == canonical
+        assert format_cube(text_cube(text, len(text))) == canonical
 
 
 class TestCubeMask:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_minterm_enumeration(self, n):
         for text in all_cube_texts(n):
-            mask = cube_mask(cube_from_text(text, n))
+            mask = cube_mask(text_cube(text, n))
             assert {m for m in range(1 << n) if (mask >> m) & 1} == oracle_minterms(text)
 
     @pytest.mark.parametrize("n", range(1, 25))
@@ -136,7 +136,7 @@ class TestCubeBits:
             care = sum(1 << (n - 1 - v) for v, ch in enumerate(text) if ch != "2")
             value = sum(1 << (n - 1 - v) for v, ch in enumerate(text) if ch == "1")
             c = Cube(n, care, value)
-            assert c == cube_from_text(text, n)
+            assert c == text_cube(text, n)
             assert format_cube(c) == text
             assert c.literal_count() == n - text.count("2")
             # value is the smallest minterm; filling the free bits gives the largest
@@ -146,7 +146,7 @@ class TestCubeBits:
     def test_golden_cubes(self):
         assert (cube("1122").care, cube("1122").value) == (0b1100, 0b1100)
         assert (cube("2001").care, cube("2001").value) == (0b0111, 0b0001)
-        assert cube_from_text("22222", 5) == Cube(5, 0, 0)
+        assert text_cube("22222", 5) == Cube(5, 0, 0)
 
     def test_rejects_non_cube(self):
         with pytest.raises(ValueError):
@@ -208,27 +208,27 @@ class TestOfPairs:
 class TestCoverEval:
     def test_minterm_13_covered(self):
         c = cover("1122", "2201", "2110")
-        assert cover_to_truthtable(c).bits >> 0b1101 & 1
+        assert cover_table(c).bits >> 0b1101 & 1
 
     def test_minterm_0_uncovered(self):
         c = cover("1122", "2201", "2110")
-        assert not cover_to_truthtable(c).bits >> 0b0000 & 1
+        assert not cover_table(c).bits >> 0b0000 & 1
 
     def test_empty_cover(self):
-        assert not cover_to_truthtable(Cover(4, ())).bits >> 0b1010 & 1
+        assert not cover_table(Cover(4, ())).bits >> 0b1010 & 1
 
 
 class TestCoverToTruthTable:
     def test_golden_dsop(self):
         c = cover("1122", "0110", "2001", "0101")
-        tt = cover_to_truthtable(c)
+        tt = cover_table(c)
         assert set(tt.minterms()) == {1, 5, 6, 9, 12, 13, 14, 15}
 
     def test_empty(self):
-        assert cover_to_truthtable(Cover(3, ())).bits == 0
+        assert cover_table(Cover(3, ())).bits == 0
 
     def test_universal(self):
-        tt = cover_to_truthtable(Cover(3, (Cube(3, 0, 0),)))
+        tt = cover_table(Cover(3, (Cube(3, 0, 0),)))
         assert tt.bits == (1 << 8) - 1
 
     @given(st.integers(1, 10), st.randoms(use_true_random=False))
@@ -236,8 +236,8 @@ class TestCoverToTruthTable:
         minterms = [m for m in range(1 << n) if rng.random() < 0.4]
         tt = truthtable_from_minterms(n, minterms)
         texts = [format(m, f"0{n}b") for m in minterms]
-        c = Cover(n, tuple(cube_from_text(t, n) for t in texts))
-        assert cover_to_truthtable(c).bits == tt.bits
+        c = Cover(n, tuple(text_cube(t, n) for t in texts))
+        assert cover_table(c).bits == tt.bits
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_cubes_sharing_care_patterns(self, n):
@@ -247,7 +247,7 @@ class TestCoverToTruthTable:
         cubes = [Cube(n, care, rng.getrandbits(n) & care)
                  for care in (rng.choice(cares) for _ in range(40))]
         want = set().union(*(oracle_minterms(format_cube(c)) for c in cubes))
-        assert set(cover_to_truthtable(Cover(n, tuple(cubes))).minterms()) == want
+        assert set(cover_table(Cover(n, tuple(cubes))).minterms()) == want
 
 
 class TestTruthTable:
@@ -302,7 +302,7 @@ class TestTruthTable:
             TruthTable(25, 0)
 
     def test_cofactor(self, golden_tt):
-        sub = truthtable_cofactor(golden_tt, 1, False)
+        sub = TruthTable(3, cofactor_bits(golden_tt.bits, 4, 1, False))
         # paper's b=0 sub-table over (a,c,d): only a'c'd and ac'd are on
         assert set(sub.minterms()) == {1, 5}
 
@@ -313,18 +313,11 @@ class TestTruthTable:
         tables = [0, full, 1, 1 << ((1 << n) - 1)]
         tables += [rng.getrandbits(1 << n) for _ in range(4)]
         for bits in tables:
-            tt = TruthTable(n, bits)
             for var in range(n):
                 for val in (False, True):
-                    sub = truthtable_cofactor(tt, var, val)
-                    assert sub.n == n - 1
-                    assert sub.bits == ref_cofactor_bits(bits, n, var, val)
-
-    def test_cofactor_bad_index(self, golden_tt):
-        with pytest.raises(ValueError):
-            truthtable_cofactor(golden_tt, 4, True)
-        with pytest.raises(ValueError):
-            truthtable_cofactor(TruthTable(1, 0b10), 0, True)
+                    sub = cofactor_bits(bits, n, var, val)
+                    assert sub.bit_length() <= 1 << (n - 1)  # a table over n-1 variables
+                    assert sub == ref_cofactor_bits(bits, n, var, val)
 
     @pytest.mark.parametrize("n", [1, 3, 24])
     def test_bits_bound(self, n):

@@ -534,8 +534,8 @@ def garbage_after(call) -> int:
 
 
 class TestNoReferenceCycles:
-    """A run leaves nothing for the cycle collector: the self-recursive
-    closures of build_levels, _fold and _branch_and_bound are let go."""
+    """A run leaves nothing for the cycle collector: _fold's
+    self-recursive closure is let go."""
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     def test_random_run(self, ordering):

@@ -13,8 +13,6 @@ from dsopmin.boolfn import (
     Cover,
     Cube,
     TruthTable,
-    cover_to_truthtable,
-    cube_from_text,
     cube_mask,
     format_cube,
     literal_count,
@@ -31,6 +29,7 @@ from dsopmin.minimizer import (
 
 from conftest import (
     all_cube_texts,
+    cover_table,
     oracle_cover_minterms,
     oracle_minterms,
     pipeline_sop,
@@ -41,12 +40,13 @@ from conftest import (
     ref_simplify,
     symmetric_tables,
     table_of,
+    text_cube,
 )
 
 
 def cover(*texts: str) -> Cover:
     n = len(texts[0]) if texts else 4
-    return Cover(n, tuple(cube_from_text(t, n) for t in texts))
+    return Cover(n, tuple(text_cube(t, n) for t in texts))
 
 
 def texts(c: Cover):
@@ -55,7 +55,7 @@ def texts(c: Cover):
 
 def packed(*texts: str):
     """The (care, value) pairs the URP steps work on."""
-    return [(c.care, c.value) for c in (cube_from_text(t, len(t)) for t in texts)]
+    return [(c.care, c.value) for c in (text_cube(t, len(t)) for t in texts)]
 
 
 def unpacked(cubes, n: int = 4):
@@ -462,7 +462,7 @@ class TestFieldFollowsN:
                      for _ in range(rng.choice((2, 3, 8, 15, 16, 17, 30)))]
             if kind == "step":
                 texts[0] = rng.choice("01") + texts[0][1:]
-            c = Cover(n, tuple(cube_from_text(t, n) for t in texts))
+            c = Cover(n, tuple(text_cube(t, n) for t in texts))
             assert simplify(c) == ref_simplify(c), (n, texts)
             cubes = [(x.care, x.value) for x in c]
             assert decode(minimizer._pack(records(cubes, n), n), n) == cubes
@@ -489,7 +489,7 @@ def _random_tables(rng):
 class TestSimplify:
     def test_golden_dsop(self, golden_tt):
         got = simplify(cover(*GOLDEN_DSOP))
-        assert cover_to_truthtable(got).bits == golden_tt.bits
+        assert cover_table(got).bits == golden_tt.bits
         assert len(got.cubes) <= 4
 
     def test_tautology_collapses(self):
@@ -507,7 +507,7 @@ class TestSimplify:
             tt = TruthTable(n, rng.getrandbits(1 << n))
             dsop = enumerate_one_paths(build_from_truthtable(tt))
             out = simplify(dsop)
-            assert cover_to_truthtable(out).bits == tt.bits
+            assert cover_table(out).bits == tt.bits
             assert len(out.cubes) <= len(dsop.cubes)
 
     def test_matches_reference_on_dsops(self):
@@ -530,7 +530,7 @@ class TestSimplify:
                      for _ in range(rng.randint(0, 24))]
             cubes += rng.choices(cubes, k=min(len(cubes), 4))
             rng.shuffle(cubes)
-            c = Cover(n, tuple(cube_from_text(t, n) for t in cubes))
+            c = Cover(n, tuple(text_cube(t, n) for t in cubes))
             assert simplify(c) == ref_simplify(c), cubes
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -538,15 +538,15 @@ class TestSimplify:
         # every ordered pair of cubes: equal, nested, overlapping, disjoint,
         # and pairs whose cofactors are universal
         for a, b in itertools.product(all_cube_texts(n), repeat=2):
-            c = Cover(n, (cube_from_text(a, n), cube_from_text(b, n)))
+            c = Cover(n, (text_cube(a, n), text_cube(b, n)))
             assert simplify(c) == ref_simplify(c), (a, b)
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_universal_and_empty(self, n):
         empty = Cover(n, ())
         assert simplify(empty) == ref_simplify(empty) == empty
-        some = Cover(n, (cube_from_text("0" * n, n), Cube(n, 0, 0),
-                         cube_from_text("1" * n, n)))
+        some = Cover(n, (text_cube("0" * n, n), Cube(n, 0, 0),
+                         text_cube("1" * n, n)))
         assert simplify(some) == ref_simplify(some) == Cover(n, (Cube(n, 0, 0),))
 
 
@@ -711,7 +711,7 @@ class TestSmallNodes:
         for _ in range(120):
             n = rng.randint(3, 9)
             cubes = ["".join(rng.choice("0122") for _ in range(n)) for _ in range(rng.randint(14, 18))]
-            c = Cover(n, tuple(cube_from_text(t, n) for t in cubes))
+            c = Cover(n, tuple(text_cube(t, n) for t in cubes))
             assert simplify(c) == ref_simplify(c), cubes
         checked = 0
         for _ in range(400):
@@ -1044,11 +1044,11 @@ class TestMinimize:
 
     def test_explicit_order(self, golden_tt):
         got = pipeline_sop(golden_tt, ordering="given")
-        assert cover_to_truthtable(got).bits == golden_tt.bits
+        assert cover_table(got).bits == golden_tt.bits
 
     def test_with_sifting(self, golden_tt):
         got = pipeline_sop(golden_tt, ordering="sift")
-        assert cover_to_truthtable(got).bits == golden_tt.bits
+        assert cover_table(got).bits == golden_tt.bits
 
     def test_pipeline_invariants_random(self):
         rng = random.Random(97)
@@ -1058,7 +1058,7 @@ class TestMinimize:
             h = build_from_truthtable(tt)
             dsop = enumerate_one_paths(h)
             out = pipeline_sop(tt)
-            assert cover_to_truthtable(out).bits == tt.bits
+            assert cover_table(out).bits == tt.bits
             assert len(out.cubes) <= len(dsop.cubes)
             on = set(tt.minterms())
             for c in out:
@@ -1066,7 +1066,7 @@ class TestMinimize:
             # no single cube removable
             for i in range(len(out.cubes)):
                 rest = Cover(n, out.cubes[:i] + out.cubes[i + 1:])
-                assert cover_to_truthtable(rest).bits != tt.bits
+                assert cover_table(rest).bits != tt.bits
 
 
 class TestExpression:

@@ -2,21 +2,22 @@ import random
 
 import pytest
 
-from dsopmin.bdd import build_from_truthtable, node_count, one_path_count
+from dsopmin.bdd import build_from_truthtable, node_count, one_path_count, split_levels
 from dsopmin.boolfn import (
     TruthTable,
-    cube_from_text,
+    cofactor_bits,
     cube_mask,
-    truthtable_cofactor,
     truthtable_from_minterms,
 )
 from dsopmin.ordering import (
+    _EPS,
     cofactor_entropy,
     entropy_order,
+    entropy_place,
     variable_entropy,
 )
 
-from conftest import oracle_cover_minterms, random_cube, ref_entropy_order
+from conftest import oracle_cover_minterms, random_cube, ref_entropy_order, text_cube
 
 TOL = 1e-3
 
@@ -90,7 +91,7 @@ def wide_tables():
     def wide_pla(n):
         bits = 0
         for k in (3,) * 4 + (4,) * 8:
-            bits |= cube_mask(cube_from_text(random_cube(rng, n, k), n))
+            bits |= cube_mask(text_cube(random_cube(rng, n, k), n))
         return TruthTable(n, bits)
 
     for n in (18, 20, 22):
@@ -123,7 +124,7 @@ def reference_tables():
         elif kind == 1:
             bits = 0
             for _ in range(rng.randint(1, 6)):
-                bits |= cube_mask(cube_from_text(random_cube(rng, n, rng.randint(1, n)), n))
+                bits |= cube_mask(text_cube(random_cube(rng, n, rng.randint(1, n)), n))
             yield TruthTable(n, bits)
         elif kind == 2:
             yield _table(n, lambda x: sum(x) % 2)
@@ -148,7 +149,7 @@ class TestCofactorEntropy:
         assert cofactor_entropy(golden_tt, 0, False) == pytest.approx(0.954, abs=TOL)
 
     def test_golden_b0_subtable_i_c1(self, golden_tt):
-        sub = truthtable_cofactor(golden_tt, 1, False)  # over (a, c, d)
+        sub = TruthTable(3, cofactor_bits(golden_tt.bits, 4, 1, False))  # over (a, c, d)
         assert cofactor_entropy(sub, 1, True) == pytest.approx(0.0, abs=TOL)
         assert cofactor_entropy(sub, 1, False) == pytest.approx(1.0, abs=TOL)
 
@@ -168,12 +169,12 @@ class TestVariableEntropy:
         assert variable_entropy(golden_tt, 1) == pytest.approx(0.811, abs=TOL)
 
     def test_golden_b1_subtable_e_a(self, golden_tt):
-        sub = truthtable_cofactor(golden_tt, 1, True)  # over (a, c, d)
+        sub = TruthTable(3, cofactor_bits(golden_tt.bits, 4, 1, True))  # over (a, c, d)
         assert variable_entropy(sub, 0) == pytest.approx(0.5, abs=TOL)
         assert variable_entropy(sub, 1) == pytest.approx(0.811, abs=TOL)
 
     def test_golden_b0_subtable_e_c(self, golden_tt):
-        sub = truthtable_cofactor(golden_tt, 1, False)
+        sub = TruthTable(3, cofactor_bits(golden_tt.bits, 4, 1, False))
         assert variable_entropy(sub, 1) == pytest.approx(0.5, abs=TOL)
 
     @pytest.mark.parametrize("var", [-1, 4])
@@ -185,6 +186,45 @@ class TestVariableEntropy:
         xor = truthtable_from_minterms(2, [1, 2])
         assert variable_entropy(xor, 0) == pytest.approx(1.0, abs=TOL)
         assert variable_entropy(xor, 1) == pytest.approx(1.0, abs=TOL)
+
+
+def least_entropy_place(scores):
+    """The first place whose score is within _EPS of the least score."""
+    least = min(scores)
+    return next(j for j, score in enumerate(scores) if score <= least + _EPS)
+
+
+class TestPlaceScoresAreVariableEntropy:
+    """entropy_place's scores are the paper's E(x): on the table itself at
+    level 0, and below it the mean over all 2^level subtables, each
+    distinct one weighted by its count and the constants scoring 0."""
+
+    def test_level_0(self):
+        for tt in reference_tables():
+            if tt.n <= 10:
+                scores = [variable_entropy(tt, v) for v in range(tt.n)]
+                assert entropy_place(0, list(range(tt.n)), {tt.bits: 1}) == \
+                    least_entropy_place(scores), (tt.n, hex(tt.bits))
+
+    def test_deeper_levels(self):
+        checked = 0
+
+        def rule(level, remaining, tables):
+            nonlocal checked
+            place = entropy_place(level, remaining, tables)
+            if level:
+                width = len(remaining)
+                scores = [sum(count * variable_entropy(TruthTable(width, st), j)
+                              for st, count in tables.items()) / (1 << level)
+                          for j in range(width)]
+                assert place == least_entropy_place(scores), (level, remaining)
+                checked += 1
+            return place
+
+        for tt in reference_tables():
+            if tt.n <= 10:
+                assert split_levels(tt, rule).order == entropy_order(tt)
+        assert checked > 1000
 
 
 class TestEntropyReport:

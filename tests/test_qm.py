@@ -5,15 +5,15 @@ import pytest
 
 from dsopmin.boolfn import (
     TruthTable,
-    cover_to_truthtable,
     cube_mask,
     format_cube,
     truthtable_from_minterms,
 )
-from dsopmin.qm import _reduce_chart, exact_cover, prime_implicants
+from dsopmin.qm import _branch_and_bound, _reduce_chart, exact_cover, prime_implicants
 
 from conftest import (
     brute_force_primes,
+    cover_table,
     oracle_minterms,
     pipeline_sop,
     ref_exact_cover,
@@ -109,7 +109,7 @@ class TestExactCover:
     def test_cyclic_core(self):
         tt = truthtable_from_minterms(3, [0, 1, 2, 5, 6, 7])
         got = exact_cover(tt)
-        assert cover_to_truthtable(got).bits == tt.bits
+        assert cover_table(got).bits == tt.bits
         assert len(got.cubes) == 3
         # certified minimum: exhaustive search over prime subsets
         primes = prime_implicants(tt)
@@ -123,7 +123,7 @@ class TestExactCover:
         for n in (1, 2):
             for bits in range(1 << (1 << n)):
                 tt = TruthTable(n, bits)
-                assert cover_to_truthtable(exact_cover(tt)).bits == bits
+                assert cover_table(exact_cover(tt)).bits == bits
 
     def test_function_equality_random(self):
         rng = random.Random(53)
@@ -131,7 +131,7 @@ class TestExactCover:
             n = rng.randint(3, 6)
             tt = TruthTable(n, rng.getrandbits(1 << n))
             got = exact_cover(tt)
-            assert cover_to_truthtable(got).bits == tt.bits
+            assert cover_table(got).bits == tt.bits
 
     def test_never_beaten_by_heuristic(self):
         rng = random.Random(59)
@@ -142,6 +142,14 @@ class TestExactCover:
 
     def test_deterministic(self, golden_tt):
         assert exact_cover(golden_tt) == exact_cover(golden_tt)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # 1,100 rows that all cover the one column: the search goes one
+        # level deeper per row it leaves out, past Python's default
+        # recursion limit of 1,000
+        rows = 1100
+        keys = [(1, k) for k in range(rows)]
+        assert _branch_and_bound([1] * rows, keys, range(rows), 1) == [0]
 
 
 def oracle_pool(indices):
