@@ -12,12 +12,15 @@ simply skip levels, and the skipped variables stay don't-care in the
 extracted cubes.
 
 split_levels is the one top-down split of a truth table: one level at
-a time, each distinct subtable cofactored once.  A rule picks each
-level's variable; the entropy ordering passes its greedy rule, and a
-fixed order is the rule "the place of perm[level]".  build_levels makes
-the nodes from those splits, bottom up, so the pipeline orders and
-builds from one descent in every mode.  Path sifting swaps adjacent
-levels in place, in the same arena.
+a time, each distinct subtable cofactored once, a level's all in one
+cofactor_tables call.  A rule picks each level's variable; the entropy
+ordering passes its greedy rule, and a fixed order is the rule "the
+place of perm[level]".  build_levels makes the nodes from those splits,
+bottom up, so the pipeline orders and builds from one descent in every
+mode.  P1 comes from the split (Levels.one_paths) and the node count
+from the store (BddManager.live_size); one_path_count and node_count
+walk the diagram.  Path sifting swaps adjacent levels in place, in the
+same arena.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .boolfn import (
     Cover,
     TruthTable,
-    cofactor_bits,
+    cofactor_tables,
     full_mask,
     var_masks,
 )
@@ -94,6 +97,11 @@ class BddManager:
             ids = [ZERO, ONE, *[make(var, ids[lo], ids[hi]) for lo, hi in kids]]
         return FunctionHandle(self, ids[levels.root])
 
+    def live_size(self) -> int:
+        """The unique table's size: node_count of the one diagram a fresh
+        manager built, or that sift_paths left."""
+        return len(self._unique)
+
     def reachable(self, root: int) -> List[int]:
         """Internal nodes reachable from root, discovery order."""
         seen: Dict[int, None] = {}  # an insertion-ordered set
@@ -129,6 +137,14 @@ class Levels:
     def __init__(self, order: VariableOrder, root: int, kids: Tuple[List[Tuple[int, int]], ...]):
         self.order, self.root, self.kids = order, root, kids
 
+    def one_paths(self) -> int:
+        """P1 of the split's BDD, bottom up over the references: a subtable
+        with equal halves is no node, so its paths are its child's."""
+        c = [0, 1]  # c[ref]: paths to 1 from each reference, one level down
+        for kids in reversed(self.kids):
+            c = [0, 1, *[c[lo] if lo == hi else c[lo] + c[hi] for lo, hi in kids]]
+        return c[self.root]
+
 
 def split_levels(tt: TruthTable, rule: Callable[[int, List[int], Dict[int, int]], int]) -> Levels:
     """Split tt one level at a time, each distinct subtable once.
@@ -144,30 +160,28 @@ def split_levels(tt: TruthTable, rule: Callable[[int, List[int], Dict[int, int]]
     children's references.
     """
     n = tt.n
-    below: Dict[int, int] = {}  # the next level: distinct subtable -> count
-    index: Dict[int, int] = {}  # the next level: distinct subtable -> reference
-
-    def refer(bits: int, count: int, full: int) -> int:
-        if bits == 0 or bits == full:
-            return ONE if bits else ZERO
-        ref = index.setdefault(bits, len(index) + 2)
-        below[bits] = below.get(bits, 0) + count
-        return ref
-
-    root = refer(tt.bits, 1, full_mask(n))
+    full = full_mask(n)
+    root = ONE if tt.bits == full else 2 if tt.bits else ZERO  # 2: the first subtable, tt itself
+    below = {tt.bits: 1} if root == 2 else {}  # the next level: distinct subtable -> count
     remaining = list(range(n))
     perm: List[int] = []
     kids: List[List[Tuple[int, int]]] = []
     for level in range(n):
-        # refer fills the fresh dicts bound here, one level down
+        # index: the next level's distinct subtable -> reference
         tables, below, index = below, {}, {}
         width = n - level
         place = rule(level, remaining, tables)
         perm.append(remaining.pop(place))
         full = full_mask(width - 1)
-        kids.append([(refer(cofactor_bits(bits, width, place, False), count, full),
-                      refer(cofactor_bits(bits, width, place, True), count, full))
-                     for bits, count in tables.items()])
+        refs = []
+        for halves, count in zip(cofactor_tables(tables, width, place), tables.values()):
+            for bits in halves:
+                if bits == 0 or bits == full:
+                    refs.append(ONE if bits else ZERO)
+                else:
+                    refs.append(index.setdefault(bits, len(index) + 2))
+                    below[bits] = below.get(bits, 0) + count
+        kids.append([*zip(refs[::2], refs[1::2])])
     return Levels(VariableOrder(tuple(perm)), root, tuple(kids))
 
 

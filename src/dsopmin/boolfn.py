@@ -30,7 +30,7 @@ MAX_TABLE_VARS = 24
 
 # The pipeline refuses a BDD with more one-paths, before it makes a cube.
 # Dense random tables have 83,367 at n=18 (through the pipeline, about 6-10 s
-# under the entropy order and 10-13 s under sift, 85-88 MB peak) and 332,509
+# under the entropy order and 10-13 s under sift, 84-86 MB peak) and 332,509
 # at n=20, where minimizing would take minutes.
 MAX_ONE_PATHS = 100_000
 
@@ -257,25 +257,37 @@ def truthtable_from_minterms(n: int, minterms: Iterable[int]) -> TruthTable:
     return truthtable_from_pairs(n, zip(repeat((1 << n) - 1), minterms))
 
 
-def cofactor_bits(bits: int, n: int, var: int, val: bool) -> int:
-    """Raw-bits cofactor of an n-variable table on var=val, over n-1 variables.
+def cofactor_tables(tables: Iterable[int], n: int, var: int) -> List[Tuple[int, int]]:
+    """The (var=0, var=1) raw-bits cofactors of each n-variable table, over n-1 variables.
 
-    The var=val half is shifted into place and masked; then one
-    shift-OR-mask step per coarser variable closes the gaps between its
-    runs.  That is O(var) big-int operations, no per-minterm loop.
-    Each x & ~mask is written x ^ (x & mask): CPython ANDs with a
-    negative int several times slower, which shows on wide tables.
+    Each half is shifted into place and masked; then one shift-OR-mask
+    step per coarser variable, its mask looked up once for all the
+    tables, closes the gaps between its runs: O(var) big-int operations
+    per table, no per-minterm loop.  Each x & ~mask is written
+    x ^ (x & mask): CPython ANDs with a negative int several times
+    slower, which shows on wide tables.
     """
     masks = var_masks(n)
-    run = 1 << (n - 1 - var)
-    if val:
-        bits >>= run
-    bits ^= bits & masks[var]
-    for coarser in range(var - 1, -1, -1):
-        bits |= bits >> run
-        bits ^= bits & masks[coarser]
-        run <<= 1
-    return bits
+    run, mask = 1 << (n - 1 - var), masks[var]
+    steps = [(run << j, masks[coarser]) for j, coarser in enumerate(range(var - 1, -1, -1))]
+    out = []
+    for bits in tables:
+        lo = bits ^ (bits & mask)
+        for shift, coarser in steps:
+            lo |= lo >> shift
+            lo ^= lo & coarser
+        hi = bits >> run
+        hi ^= hi & mask
+        for shift, coarser in steps:
+            hi |= hi >> shift
+            hi ^= hi & coarser
+        out.append((lo, hi))
+    return out
+
+
+def cofactor_bits(bits: int, n: int, var: int, val: bool) -> int:
+    """Raw-bits cofactor of an n-variable table on var=val: cofactor_tables of one table."""
+    return cofactor_tables((bits,), n, var)[0][val]
 
 
 def literal_count(cover: Cover) -> int:

@@ -190,18 +190,19 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
     levels = bdd.split_levels(tt, rule)
     clock("order", t)
 
+    # P1 is read from the split, before any node is made or sifted;
+    # sifting never raises P1 (each variable ends at its best position,
+    # its start among those scored), so the budget still bounds the DSOP
     t = time.perf_counter()
-    mgr = bdd.BddManager(tt.n, levels.order)
-    h = mgr.build_levels(levels)
-    # read before sifting, which costs most on large diagrams; sifting
-    # never raises P1 (each variable ends at its best position, its start
-    # among those scored), so the budget still bounds the DSOP
-    p1 = bdd.one_path_count(h)
+    p1 = levels.one_paths()
     if p1 > MAX_ONE_PATHS:
         raise ValueError(f"one-path count {p1} exceeds the budget of {MAX_ONE_PATHS}")
+    mgr = bdd.BddManager(tt.n, levels.order)
+    h = mgr.build_levels(levels)
+    del levels  # the splits are nodes now: free them before sifting and minimizing
     if cfg.ordering == "sift":
         p1 = bdd.sift_paths(mgr, h)
-    nodes = bdd.node_count(h)
+    nodes = mgr.live_size()
     clock("build", t)
 
     # (care, value) pairs from the walk to the SOP; Cubes only in the covers returned
@@ -294,6 +295,9 @@ def _run_one(args: argparse.Namespace, cfg: PipelineConfig, emit: Sequence[str])
     names = names or default_names(tt.n)
     if len(names) != tt.n:
         raise ValueError("variable name count does not match n")
+    for i, name in enumerate(names):  # an expression must name each variable once
+        if not name or name in names[:i]:
+            raise ValueError(f"repeated variable name {name!r}" if name else "empty variable name")
     report, covers = run_pipeline(tt, cfg)
     if "dsop" in emit:
         print(f"dsop ({report.dsop_cubes} cubes): {format_expression(covers['dsop'], names)}")

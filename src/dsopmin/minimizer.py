@@ -27,9 +27,10 @@ minimize() and simplify() turn ``(care, value)`` pairs into records on
 entry and back on exit.  expand() raises literals toward primeness and
 irredundant() drops cubes the rest of the cover covers, both on pairs
 and truth-table bit masks, or past a size bound, for small cubes, on
-minterm lists and counts.  minimize() runs the three passes for the
-pipeline; simplify(), expand() and irredundant() wrap the same kernels
-for a Cover.
+minterm lists and counts; within the one-pass bound expand() reads
+Espresso's blocking matrix, kept as one mask per variable.  minimize()
+runs the three passes for the pipeline; simplify(), expand() and
+irredundant() wrap the same kernels for a Cover.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import bdd
 from .bdd import FunctionHandle
-from .boolfn import Cover, Cube, TruthTable, format_cube, full_mask, pair_mask
+from .boolfn import Cover, Cube, TruthTable, format_cube, full_mask, pair_mask, var_masks
 
 # A cube's (care, value) pair; variable v is bit n-1-v, as in boolfn.Cube.
 Packed = Tuple[int, int]
@@ -279,24 +280,26 @@ def _expand(cubes: List[Packed], onset: int, n: int,
 
     Cubes are processed in cover order, variables by ascending index
     (descending bit).  Raising the variable at bit b adds the cube's
-    minterms shifted by b across it: a mask shift, or past the one-pass
-    bound, for a cube of _MINTERM_LITS literals or more, its minterm list
-    with bit b flipped.
+    minterms shifted by b across it.  Within the one-pass bound that is
+    _expand_blocked; past it, where masks are not given, a mask shift
+    tested against f's OFF-set, or for a cube of _MINTERM_LITS literals
+    or more, its minterm list with bit b flipped.
     """
     # every minterm where f is 0, kept non-negative: CPython ANDs with a
     # negative int several times slower, which shows on wide tables
     outside = full_mask(n) ^ onset
-    by_minterm, view = not _one_pass(len(cubes), n), None
+    if _one_pass(len(cubes), n):
+        return _expand_blocked(cubes, outside, n, masks)
+    view = None
     out = []
     for care, value in cubes:
-        if by_minterm and care.bit_count() >= _MINTERM_LITS:
+        if care.bit_count() >= _MINTERM_LITS:
             view = view or _minterm_view(n, onset)
             out.append(_expand_by_minterm(care, value, n, view))
             continue
         mask = pair_mask(n, care, value)
         if mask & outside:
-            text = format_cube(Cube(n, care, value))
-            raise ValueError(f"cube {text} is not contained in the function")
+            raise _not_contained(n, care, value)
         lits = care
         while lits:
             bit = 1 << (lits.bit_length() - 1)
@@ -307,16 +310,55 @@ def _expand(cubes: List[Packed], onset: int, n: int,
                 care ^= bit
                 value &= ~bit
         out.append((care, value))
+    return out
+
+
+def _expand_blocked(cubes: List[Packed], outside: int, n: int,
+                    masks: Optional[List[int]]) -> List[Packed]:
+    """_expand() within the one-pass bound.
+
+    blocked[b] is the minterms whose neighbour across bit b lies outside
+    f, made once per call, so a literal test is one AND with the cube's
+    mask: its care pattern's spread, made once per pattern, shifted by
+    its value, and shifted again only when a literal is raised.
+    """
+    blocked = []  # (b, blocked[b]), b descending
+    for var, pos in enumerate(var_masks(n)):
+        bit = 1 << (n - 1 - var)
+        up = outside & pos  # outside f where the variable is 1
+        blocked.append((bit, (outside ^ up) << bit | up >> bit))
+    # care -> its spread and its literals' (bit, blocked[bit]), bits descending
+    patterns: Dict[int, Tuple[int, List[Tuple[int, int]]]] = {}
+    out = []
+    for care, value in cubes:
+        pattern = patterns.get(care)
+        if pattern is None:
+            pattern = patterns[care] = (pair_mask(n, care, 0),
+                                        [(bit, block) for bit, block in blocked if care & bit])
+        spread, lits = pattern
+        mask = spread << value
+        if mask & outside:
+            raise _not_contained(n, care, value)
+        for bit, block in lits:
+            if not mask & block:
+                mask |= mask >> bit if value & bit else mask << bit
+                care ^= bit
+                value &= ~bit
+        out.append((care, value))
         if masks is not None:
             masks.append(mask)
     return out
+
+
+def _not_contained(n: int, care: int, value: int) -> ValueError:
+    return ValueError(f"cube {format_cube(Cube(n, care, value))} is not contained in the function")
 
 
 def _expand_by_minterm(care: int, value: int, n: int, view: bytes) -> Packed:
     """_expand() of one cube on its minterm list, each tested in f's minterm view."""
     mins = _minterms(n, care, value)
     if not all(map(view.__getitem__, mins)):
-        raise ValueError(f"cube {format_cube(Cube(n, care, value))} is not contained in the function")
+        raise _not_contained(n, care, value)
     lits = care
     while lits:
         bit = 1 << (lits.bit_length() - 1)
@@ -329,9 +371,10 @@ def _expand_by_minterm(care: int, value: int, n: int, view: bytes) -> Packed:
     return care, value
 
 
-# irredundant() holds every cube mask and suffix OR at once while the k
-# masks of 2^n bits each stay below this many bits (16 MiB); above it, it
-# keeps suffix ORs at block starts only.
+# irredundant() holds every cube mask and suffix OR at once, and expand()
+# its n blocked masks, while those k + n masks of 2^n bits each stay below
+# this many bits (16 MiB); above it, expand() makes no blocked mask and
+# irredundant() keeps suffix ORs at block starts only.
 _ONE_PASS_BITS = 1 << 27
 
 # Past the one-pass bound, where expand's masks are not handed over, a cube
@@ -342,7 +385,7 @@ _MINTERM_LITS = 10
 
 
 def _one_pass(k: int, n: int) -> bool:
-    return k << n < _ONE_PASS_BITS
+    return (k + n) << n < _ONE_PASS_BITS
 
 
 def _minterm_view(n: int, onset: int) -> bytes:

@@ -35,10 +35,13 @@ from dsopmin.boolfn import (
     cube_mask,
     decode_cube,
     format_cube,
+    full_mask,
+    pair_mask,
     truthtable_from_minterms,
     truthtable_from_pairs,
     var_masks,
 )
+from dsopmin import minimizer
 from dsopmin.cli import PipelineConfig, PlaError, run_pipeline
 from dsopmin.qm import prime_implicants
 
@@ -846,6 +849,42 @@ def ref_irredundant(cover: Cover, tt: TruthTable) -> Cover:
             kept.append(c)
             prefix |= masks[i]
     return Cover(cover.n, tuple(kept))
+
+
+# Reference expand: the package's former kernel, which tests each literal
+# by shifting the cube's mask across it and ANDing the shift with f's
+# OFF-set.  Past the one-pass bound it hands a cube of _MINTERM_LITS
+# literals or more to the package's minterm path, as it did.
+
+def ref_expand(cubes: List[Tuple[int, int]], onset: int, n: int,
+               masks: Optional[List[int]] = None) -> List[Tuple[int, int]]:
+    """Raise literals to don't-care wherever the enlarged cube stays in f;
+    appends each output cube's mask to masks when given."""
+    outside = full_mask(n) ^ onset
+    by_minterm, view = not len(cubes) << n < minimizer._ONE_PASS_BITS, None
+    out = []
+    for care, value in cubes:
+        if by_minterm and care.bit_count() >= minimizer._MINTERM_LITS:
+            view = view or minimizer._minterm_view(n, onset)
+            out.append(minimizer._expand_by_minterm(care, value, n, view))
+            continue
+        mask = pair_mask(n, care, value)
+        if mask & outside:
+            text = format_cube(Cube(n, care, value))
+            raise ValueError(f"cube {text} is not contained in the function")
+        lits = care
+        while lits:
+            bit = 1 << (lits.bit_length() - 1)
+            lits ^= bit
+            other_half = mask >> bit if value & bit else mask << bit
+            if not other_half & outside:
+                mask |= other_half
+                care ^= bit
+                value &= ~bit
+        out.append((care, value))
+        if masks is not None:
+            masks.append(mask)
+    return out
 
 
 # Reference DSOP walk and PLA reader: the package's former recursive

@@ -25,6 +25,7 @@ from dsopmin.boolfn import (
     truthtable_from_minterms,
     var_masks,
 )
+from dsopmin.cli import ORDERINGS, PipelineConfig, run_pipeline
 from dsopmin.ordering import entropy_order, entropy_place
 
 from conftest import (
@@ -220,6 +221,47 @@ class TestBuild:
         levels = split_levels(golden_tt, entropy_place)
         with pytest.raises(ValueError):
             BddManager(4, ORDER_ABCD).build_levels(levels)
+
+
+def count_tables():
+    """Seeded tables for n = 1..10: dense and sparse random, parity and
+    both constants."""
+    rng = random.Random("count-sources")
+    for n in range(1, 11):
+        yield TruthTable(n, rng.getrandbits(1 << n))
+        yield TruthTable(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
+        yield TruthTable(n, sum(1 << m for m in range(1 << n) if bin(m).count("1") % 2))
+        yield TruthTable(n, 0)
+        yield TruthTable(n, full_mask(n))
+
+
+class TestCountsFromTheBuild:
+    """The pipeline's P1 comes from the descent (Levels.one_paths) and its
+    node count from the store (BddManager.live_size); both equal the
+    independent traversals one_path_count and node_count, after the build
+    and after sift_paths."""
+
+    @pytest.mark.parametrize("mode", ("entropy", "given"))
+    def test_equal_to_the_traversals(self, mode):
+        rule = entropy_place if mode == "entropy" else lambda level, rest, tables: 0
+        for tt in count_tables():
+            levels = split_levels(tt, rule)
+            mgr = BddManager(tt.n, levels.order)
+            h = mgr.build_levels(levels)
+            assert levels.one_paths() == one_path_count(h), (mode, tt)
+            assert mgr.live_size() == node_count(h), (mode, tt)
+            p1 = sift_paths(mgr, h)
+            assert p1 == one_path_count(h), (mode, tt)
+            assert mgr.live_size() == node_count(h), (mode, tt)
+
+    @pytest.mark.parametrize("mode", ORDERINGS)
+    def test_report_counts(self, mode):
+        # the diagram is canonical for its order, so a fresh build in the
+        # report's order has the report's counts, sifted or not
+        for tt in count_tables():
+            report, _ = run_pipeline(tt, PipelineConfig(ordering=mode))
+            h = build_from_truthtable(tt, VariableOrder(report.order))
+            assert (report.one_paths, report.bdd_nodes) == (one_path_count(h), node_count(h)), (mode, tt)
 
 
 class TestOnePaths:

@@ -30,7 +30,7 @@ from dsopmin.bdd import (
 from dsopmin.boolfn import (
     MAX_ONE_PATHS,
     TruthTable,
-    cofactor_bits,
+    cofactor_tables,
     literal_count,
     truthtable_from_minterms,
 )
@@ -360,16 +360,18 @@ class TestRunPipeline:
     def test_one_split_per_distinct_subtable(self, golden_tt, monkeypatch):
         # in entropy mode the ordering and the BDD share one descent: each
         # distinct non-constant subtable of each level is cofactored once on
-        # each side, whichever module asks
+        # each side, whichever module asks; a level's subtables go through
+        # one cofactor_tables call, which makes two cofactors of each
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return cofactor_bits(*args)
+        def counting(tables, n, var):
+            out = cofactor_tables(tables, n, var)
+            calls.extend(half for halves in out for half in halves)
+            return out
 
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "dsopmin" and getattr(module, "cofactor_bits", None) is cofactor_bits:
-                monkeypatch.setattr(module, "cofactor_bits", counting)
+            if name.split(".")[0] == "dsopmin" and getattr(module, "cofactor_tables", None) is cofactor_tables:
+                monkeypatch.setattr(module, "cofactor_tables", counting)
         rng = random.Random("one-descent")
         tables = [golden_tt, TruthTable(10, rng.getrandbits(1 << 10)),
                   sparse_pla(10, (2, 3, 3, 4), "one-descent/sparse")[0],
@@ -862,6 +864,30 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "dsopmin: error: variable name count does not match n\n"
+
+    @pytest.mark.parametrize("names, error", [
+        (",,", "empty variable name"),
+        ("p,,q", "empty variable name"),
+        ("a,a,b", "repeated variable name 'a'"),
+        ("p,q,q", "repeated variable name 'q'"),
+    ])
+    def test_names_refused(self, monkeypatch, capsys, names, error):
+        def never(*args):
+            raise AssertionError("run_pipeline ran before the name check")
+
+        monkeypatch.setattr(cli, "run_pipeline", never)
+        assert main(["--minterms", "3:1", "--names", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dsopmin: error: {error}\n"
+
+    def test_ilb_repeated_name_refused(self, tmp_path, capsys):
+        path = tmp_path / "f.pla"
+        path.write_text(GOLDEN_PLA.replace(".ilb a b c d", ".ilb a b a d"))
+        assert main(["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dsopmin: error: repeated variable name 'a'\n"
 
     def test_python_m_dsopmin(self):
         src = str(Path(__file__).resolve().parent.parent / "src")

@@ -33,6 +33,7 @@ from conftest import (
     oracle_cover_minterms,
     oracle_minterms,
     pipeline_sop,
+    ref_expand,
     ref_irredundant,
     ref_merge,
     ref_scc,
@@ -784,6 +785,76 @@ class TestExpand:
             assert oracle_minterms(format_cube(after)) <= set(golden_tt.minterms())
 
 
+class TestExpandAgainstReference:
+    """_expand against the former kernel (conftest.ref_expand): the same
+    cubes, masks and errors with blocked masks (masks given), without, and
+    past the one-pass bound."""
+
+    @staticmethod
+    def covers():
+        """Seeded (cubes, onset, n): each table's raw DSOP and its simplify
+        output, dense and sparse tables, n = 1..12."""
+        rng = random.Random("expand-reference")
+        for n in range(1, 13):
+            for i in range(2 if n > 9 else 6):
+                bits = rng.getrandbits(1 << n)
+                if i % 2:
+                    bits &= rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+                paths = one_paths(build_from_truthtable(TruthTable(n, bits)))
+                yield paths, bits, n
+                yield minimizer._urp(paths, n), bits, n
+
+    @staticmethod
+    def outcome(expand_kernel, cubes, onset, n, masks):
+        """The kernel's cubes and masks, or its error text."""
+        try:
+            return expand_kernel(cubes, onset, n, masks), masks
+        except ValueError as exc:
+            return str(exc)
+
+    def test_with_and_without_masks(self):
+        for cubes, onset, n in self.covers():
+            want_masks = []
+            want = ref_expand(cubes, onset, n, want_masks)
+            masks = []
+            assert minimizer._expand(cubes, onset, n, masks) == want, (n, onset)
+            assert masks == want_masks
+            assert minimizer._expand(cubes, onset, n) == want
+
+    def test_both_sides_of_the_one_pass_bound(self, monkeypatch):
+        # under a bound of 2^n bits no cover is in one pass, so masks are
+        # not handed on and cubes of _MINTERM_LITS literals or more go
+        # minterm by minterm
+        one_pass = minimizer._ONE_PASS_BITS
+        for cubes, onset, n in self.covers():
+            for bound in (one_pass, 1 << n):
+                monkeypatch.setattr(minimizer, "_ONE_PASS_BITS", bound)
+                handed = minimizer._one_pass(len(cubes), n)
+                assert handed == (bound == one_pass)
+                got = self.outcome(minimizer._expand, cubes, onset, n, [] if handed else None)
+                assert got == self.outcome(ref_expand, cubes, onset, n, [] if handed else None)
+
+    def test_cube_outside_the_function(self, monkeypatch):
+        rng = random.Random("expand-reference/outside")
+        one_pass = minimizer._ONE_PASS_BITS
+        tried = 0
+        for cubes, onset, n in self.covers():
+            off = [m for m in range(1 << n) if not onset >> m & 1]
+            if not off:
+                continue
+            bad = cubes[:]
+            bad.insert(rng.randrange(len(bad) + 1), ((1 << n) - 1, rng.choice(off)))
+            for bound in (one_pass, 1 << n):
+                monkeypatch.setattr(minimizer, "_ONE_PASS_BITS", bound)
+                for give in (False, True):
+                    got = self.outcome(minimizer._expand, bad, onset, n, [] if give else None)
+                    want = self.outcome(ref_expand, bad, onset, n, [] if give else None)
+                    assert isinstance(want, str) and "is not contained in the function" in want
+                    assert got == want
+            tried += 1
+        assert tried > 40
+
+
 class TestIrredundant:
     def test_golden_expanded(self, golden_tt):
         h = build_from_truthtable(golden_tt)
@@ -960,16 +1031,17 @@ class TestMaskHandOff:
             # under a bound of 2^n bits, every cover of one cube or more runs in blocks
             for one_pass_bits, handed in ((one_pass, True), (1 << n, False)):
                 monkeypatch.setattr(minimizer, "_ONE_PASS_BITS", one_pass_bits)
-                masks_given, masks_made = [], [0]
+                masks_given = []
+                made = {"expand": [], "irredundant": []}  # each pass's pair_mask cares
                 kernel, mask = minimizer._irredundant, minimizer.pair_mask
 
                 def spy_irredundant(cubes, onset, n, masks=None):
                     masks_given.append(masks is not None)
                     return kernel(cubes, onset, n, masks)
 
-                def counting_mask(*args):
-                    masks_made[0] += 1
-                    return mask(*args)
+                def counting_mask(n, care, value):
+                    made["irredundant" if masks_given else "expand"].append(care)
+                    return mask(n, care, value)
 
                 with monkeypatch.context() as m:
                     m.setattr(minimizer, "_irredundant", spy_irredundant)
@@ -978,8 +1050,10 @@ class TestMaskHandOff:
                 assert got == [(c.care, c.value) for c in want]
                 if simplified.cubes:  # an empty cover runs in one pass anyway
                     assert masks_given == [handed]
-                if handed:  # expand makes each mask once, and irredundant none
-                    assert masks_made[0] == len(simplified)
+                if handed:  # expand spreads each care pattern once, and irredundant makes no mask
+                    cares = {c.care for c in simplified}
+                    assert sorted(made["expand"]) == sorted(cares)
+                    assert made["irredundant"] == []
 
 
 class TestTableHandOff:
