@@ -170,10 +170,11 @@ def format_cube(cube: Cube) -> str:
                    for s in range(cube.n - 1, -1, -1))
 
 
-# A descent uses widths n, n-1, ..., 1 in turn, so after one the cache holds
-# widths up to 16 only: about 240 KiB, where keeping every width up to 24
-# would hold about 92 MiB for the life of the process.
-@lru_cache(maxsize=16)
+# Widths up to 16 are kept, about 240 KiB in all; a wider width is built on
+# each call and dropped with its last reference.  Widths 17 to 24 together
+# take about 92 MiB, and a descent at n > 16 uses each once or twice (its
+# place rule and its cofactors), so keeping them would hold every width it
+# has passed: a sparse n=24 split then peaks at about 103 MiB, not 60 MiB.
 def var_masks(n: int) -> Tuple[int, ...]:
     """Truth-table masks of the positive literals over n variables.
 
@@ -181,6 +182,11 @@ def var_masks(n: int) -> Tuple[int, ...]:
     the complemented literal's mask is ``full_mask(n) ^ var_masks(n)[v]``.
     Only the n positive masks are kept: n * 2^n bits per n.
     """
+    return _cached_var_masks(n) if n <= 16 else _cached_var_masks.__wrapped__(n)
+
+
+@lru_cache(maxsize=16)
+def _cached_var_masks(n: int) -> Tuple[int, ...]:
     if not 1 <= n <= MAX_TABLE_VARS:
         raise ValueError(f"variable count {n} outside [1, {MAX_TABLE_VARS}]")
     size = 1 << n

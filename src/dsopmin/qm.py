@@ -4,9 +4,12 @@ Phase one builds all prime implicants by iterative adjacency merging
 of minterm groups; phase two solves the prime-implicant chart exactly.
 The chart is in truth-table bits: a row is its prime's ``cube_mask``,
 a column is a minterm bit, and the uncovered columns are one int.
-Essentials and row/column dominance reduce it to a cyclic core, which
-branch and bound then covers: a loop over an explicit stack, so no
-recursion limit bounds how deep the search goes.
+Essentials and one dominance rule reduce it to a cyclic core: the rule
+drops a set that lies inside another (of equal sets, all but the least
+ranked), applied to the rows' useful coverage and to the complements of
+the columns' row sets.  Branch and bound then covers the core: a loop
+over an explicit stack, so no recursion limit bounds how deep the search
+goes.
 """
 
 from __future__ import annotations
@@ -59,10 +62,33 @@ def _solution_key(keys: Sequence[RowKey], rows: Sequence[int]) -> Tuple[int, int
     return (len(rows), sum(keys[k][0] for k in rows), tuple(sorted(rows)))
 
 
+def _dominated(sets: Sequence[int], rank: Sequence) -> List[bool]:
+    """Which sets lie inside another set of the list; of equal sets, all
+    but the one of least rank.
+
+    A dropped set's chain of dominators ends in a kept set, which also
+    dominates it, so a set is compared only with sets not yet dropped and
+    the result does not depend on the order of the list.
+    """
+    drop = [False] * len(sets)
+    for i, si in enumerate(sets):
+        for j, sj in enumerate(sets[i + 1:], i + 1):
+            if drop[i]:
+                break
+            if drop[j]:
+                continue
+            common = si & sj  # not si & ~sj: an AND with a negative int is slower
+            if common == si:
+                drop[i if si != sj or rank[i] > rank[j] else j] = True
+            elif common == sj:
+                drop[j] = True
+    return drop
+
+
 def _reduce_chart(
     masks: Sequence[int], keys: Sequence[RowKey], uncovered: int
 ) -> Tuple[List[int], List[int], int]:
-    """Essentials plus row/column dominance to a fixpoint.
+    """Essentials plus dominance to a fixpoint.
 
     Rows are indices into ``masks`` and ``keys``.  Returns the chosen
     essential rows, the rows of the cyclic core in index order, and the
@@ -90,49 +116,25 @@ def _reduce_chart(
         if not uncovered:
             break
 
-        # row dominance: drop rows whose useful coverage fits inside another's
-        useful = [masks[k] & uncovered for k in rows]
-        drop = [False] * len(rows)
-        for i, ui in enumerate(useful):
-            if drop[i]:
-                continue
-            for j in range(i + 1, len(rows)):
-                if drop[j]:
-                    continue
-                uj = useful[j]
-                if not ui & ~uj:
-                    # on equal coverage keep the cheaper, deterministic row
-                    if ui != uj or keys[rows[i]] > keys[rows[j]]:
-                        drop[i] = True
-                        break
-                    drop[j] = True
-                elif not uj & ~ui:
-                    drop[j] = True
-        if any(drop):
-            rows = [k for k, dropped in zip(rows, drop) if not dropped]
-            changed = True
+        # rows: drop a row whose useful coverage lies inside another's; on
+        # equal coverage keep the least key
+        drop = _dominated([masks[k] & uncovered for k in rows], [keys[k] for k in rows])
+        rows = [k for k, dropped in zip(rows, drop) if not dropped]
+        changed |= any(drop)
 
-        # column dominance: a minterm whose row set contains another's is easier
-        # (a column's rows are an int over positions in rows)
-        cols = []
+        # columns: a column whose row set holds another column's is covered
+        # whenever that one is, so the same rule runs on the complements of
+        # the row sets (ints over positions in rows); on equal row sets keep
+        # the least bit
+        bits = []
         rest = uncovered
         while rest:
-            bit = rest & -rest
-            rest ^= bit
-            cols.append((bit, sum(1 << i for i, k in enumerate(rows) if masks[k] & bit)))
-        removed = 0
-        for m1, r1 in cols:
-            if removed & m1:
-                continue
-            for m2, r2 in cols:
-                if m1 == m2 or removed & m2:
-                    continue
-                if not r2 & ~r1 and (r2 != r1 or m2 < m1):
-                    removed |= m1
-                    break
-        if removed:
-            uncovered &= ~removed
-            changed = True
+            bits.append(rest & -rest)
+            rest ^= bits[-1]
+        outside = [sum(1 << i for i, k in enumerate(rows) if not masks[k] & bit) for bit in bits]
+        removed = sum(bit for bit, dropped in zip(bits, _dominated(outside, bits)) if dropped)
+        uncovered ^= removed
+        changed |= removed != 0
 
     rows = [k for k in rows if masks[k] & uncovered]
     return chosen, rows, uncovered

@@ -670,6 +670,84 @@ def ref_exact_cover(tt: TruthTable) -> Cover:
     return Cover(tt.n, cubes)
 
 
+# Reference chart reduction on bit masks: the package's former
+# _reduce_chart, which writes row dominance and column dominance as two
+# loops.  Its rows are indices into masks and keys, as the package's are.
+
+def ref_reduce_chart_masks(
+    masks: Sequence[int], keys: Sequence[Tuple[int, int]], uncovered: int
+) -> Tuple[List[int], List[int], int]:
+    """Essentials plus row/column dominance to a fixpoint."""
+    chosen: List[int] = []
+    rows = list(range(len(masks)))
+    changed = True
+    while changed and uncovered:
+        changed = False
+
+        # essentials: the rows holding a column that no other row covers
+        once = twice = 0
+        for k in rows:
+            twice |= once & masks[k]
+            once |= masks[k]
+        alone = uncovered & once & ~twice
+        if alone:
+            essential = [k for k in rows if masks[k] & alone]
+            chosen += essential
+            for k in essential:
+                uncovered &= ~masks[k]
+            rows = [k for k in rows if not masks[k] & alone]
+            changed = True
+        if not uncovered:
+            break
+
+        # row dominance: drop rows whose useful coverage fits inside another's
+        useful = [masks[k] & uncovered for k in rows]
+        drop = [False] * len(rows)
+        for i, ui in enumerate(useful):
+            if drop[i]:
+                continue
+            for j in range(i + 1, len(rows)):
+                if drop[j]:
+                    continue
+                uj = useful[j]
+                if not ui & ~uj:
+                    # on equal coverage keep the cheaper, deterministic row
+                    if ui != uj or keys[rows[i]] > keys[rows[j]]:
+                        drop[i] = True
+                        break
+                    drop[j] = True
+                elif not uj & ~ui:
+                    drop[j] = True
+        if any(drop):
+            rows = [k for k, dropped in zip(rows, drop) if not dropped]
+            changed = True
+
+        # column dominance: a minterm whose row set contains another's is easier
+        # (a column's rows are an int over positions in rows)
+        cols = []
+        rest = uncovered
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            cols.append((bit, sum(1 << i for i, k in enumerate(rows) if masks[k] & bit)))
+        removed = 0
+        for m1, r1 in cols:
+            if removed & m1:
+                continue
+            for m2, r2 in cols:
+                if m1 == m2 or removed & m2:
+                    continue
+                if not r2 & ~r1 and (r2 != r1 or m2 < m1):
+                    removed |= m1
+                    break
+        if removed:
+            uncovered &= ~removed
+            changed = True
+
+    rows = [k for k in rows if masks[k] & uncovered]
+    return chosen, rows, uncovered
+
+
 # Reference path sifting: the package's former swap_adjacent and
 # sift_paths, which rescore every candidate position by counting one-paths
 # and reachable nodes over the whole diagram and leave the nodes that

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dsopmin.boolfn import (
+    _cached_var_masks,
     Cover,
     Cube,
     TruthTable,
@@ -92,9 +93,9 @@ class TestCubeMask:
     @pytest.mark.parametrize("n", range(1, 25))
     def test_random_cubes_match_references(self, n):
         # up to n=12 against the cube's minterm list; wider, against the AND
-        # of its literals' masks (var_masks uncached, so no width stays held)
+        # of its literals' masks (built uncached, so no width stays held)
         rng = random.Random(f"pair-mask/{n}")
-        masks = var_masks.__wrapped__(n) if n > 12 else None
+        masks = _cached_var_masks.__wrapped__(n) if n > 12 else None
         for _ in range(20 if n <= 12 else 4):
             text = random_cube(rng, n, rng.randint(0, n))
             mask = pair_mask(n, *decode_cube(text, n))
@@ -114,16 +115,18 @@ class TestCubeMask:
             var_masks(25)
 
     def test_mask_cache_keeps_the_last_16_widths(self):
-        # a descent uses widths n, n-1, ..., 1: afterwards only widths up to 16 stay
-        var_masks.cache_clear()
+        # a descent uses widths n, n-1, ..., 1: afterwards only widths up to
+        # 16 stay, and a wider width is built on each call and never kept
+        _cached_var_masks.cache_clear()
         for n in range(17, 0, -1):
             var_masks(n)
-        misses = var_masks.cache_info().misses
+        assert _cached_var_masks.cache_info()[1:] == (16, 16, 16)  # misses, maxsize, size
         for n in range(16, 0, -1):
             var_masks(n)
-        assert var_masks.cache_info().misses == misses
-        var_masks(17)
-        assert var_masks.cache_info().misses == misses + 1
+        assert _cached_var_masks.cache_info()[:2] == (16, 16)  # 16 hits, no new miss
+        wide = var_masks(17)
+        assert var_masks(17) == wide and var_masks(17) is not wide
+        assert _cached_var_masks.cache_info()[:2] == (16, 16)
 
 
 class TestCubeBits:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -447,6 +448,19 @@ class TestRunPipeline:
         # the declared table cap
         self.assert_fast_and_correct(*sparse_pla(24, WIDE_PLA_LITERALS, "sparse-pla/24"), 3.0)
         self.assert_fast_and_correct(*sparse_pla(24, (4,), "one-cube/24"), 1.5)
+
+    def test_sparse_pla_split_at_n22_holds_one_wide_width(self):
+        # the PLA's distinct subtables take a few hundred bytes each, so the
+        # descent's memory is its literal masks: one width above 16 at a time
+        # (11 MiB at width 22), not every width it has passed (about 23 MiB)
+        tt, _ = sparse_pla(22, WIDE_PLA_LITERALS, "sparse-pla/22")
+        tracemalloc.start()
+        try:
+            split_levels(tt, entropy_place)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_sharp_oracle_matches_minterm_oracle(self):
         rng = random.Random("sharp-oracle")

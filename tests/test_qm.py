@@ -9,7 +9,7 @@ from dsopmin.boolfn import (
     format_cube,
     truthtable_from_minterms,
 )
-from dsopmin.qm import _branch_and_bound, _reduce_chart, exact_cover, prime_implicants
+from dsopmin.qm import _branch_and_bound, _dominated, _reduce_chart, exact_cover, prime_implicants
 
 from conftest import (
     brute_force_primes,
@@ -19,6 +19,7 @@ from conftest import (
     ref_exact_cover,
     ref_implicants,
     ref_reduce_chart,
+    ref_reduce_chart_masks,
 )
 
 
@@ -183,3 +184,72 @@ class TestAgainstReference:
         # qm-01 alone takes about a minute
         for tt in oracle_pool((0, 2, 3, 7)):
             self.assert_matches(tt)
+
+
+def survivors(sets, ranks):
+    return {(s, r) for s, r, dropped in zip(sets, ranks, _dominated(sets, ranks)) if not dropped}
+
+
+class TestDominated:
+    """The one dominance rule: a set inside another goes; of equal sets,
+    all but the one of least rank go."""
+
+    def test_equal_sets_keep_the_least_rank_wherever_it_sits(self):
+        for ranks in itertools.permutations(range(4)):
+            assert _dominated([0b101] * 4, ranks) == [r != 0 for r in ranks]
+
+    def test_a_chain_keeps_its_largest_set(self):
+        chain = [0b1, 0b11, 0b111, 0b1111]
+        for sets in itertools.permutations(chain):
+            assert _dominated(sets, range(4)) == [s != 0b1111 for s in sets]
+
+    def test_an_empty_set_goes_beside_a_non_empty_one(self):
+        assert _dominated([0], [0]) == [False]
+        assert _dominated([0, 0b10], [0, 1]) == [True, False]
+        assert _dominated([0b10, 0], [1, 0]) == [False, True]
+        assert _dominated([0b01, 0, 0b10], [2, 0, 1]) == [False, True, False]
+
+    def test_incomparable_sets_all_stay(self):
+        assert _dominated([0b011, 0b110, 0b101], [2, 1, 0]) == [False] * 3
+
+    def test_survivors_match_the_definition_in_any_order(self):
+        rng = random.Random("dominated")
+        for _ in range(500):
+            size = rng.randint(1, 12)
+            sets = [rng.getrandbits(5) & rng.getrandbits(5) for _ in range(size)]
+            ranks = rng.sample(range(100), size)
+            # kept: no other set holds it strictly, or equally with a lower rank
+            want = {(s, r) for s, r in zip(sets, ranks)
+                    if not any(s | t == t and (s != t or q < r) for t, q in zip(sets, ranks))}
+            assert survivors(sets, ranks) == want
+            order = rng.sample(range(size), size)
+            assert survivors([sets[i] for i in order], [ranks[i] for i in order]) == want
+
+
+class TestAgainstMaskReference:
+    """_reduce_chart against the former two-loop reducer in conftest, on
+    charts too large for the frozenset reference."""
+
+    def assert_matches(self, tt):
+        primes = prime_implicants(tt)
+        chart = ([cube_mask(p) for p in primes],
+                 [(p.literal_count(), k) for k, p in enumerate(primes)], tt.bits)
+        got = _reduce_chart(*chart)
+        assert got == ref_reduce_chart_masks(*chart), (tt.n, tt.bits)
+        return got
+
+    def test_random_n7_to_n9(self):
+        rng = random.Random("reduce/7-9")
+        core_rows = 0
+        for _ in range(40):
+            n = rng.randint(7, 9)
+            bits = rng.getrandbits(1 << n)
+            if rng.random() < 0.5:
+                bits &= rng.getrandbits(1 << n)
+            core_rows += len(self.assert_matches(TruthTable(n, bits))[1])
+        assert core_rows  # some charts keep a cyclic core for the search
+
+    def test_deep_n10(self):
+        _, rows, uncovered = self.assert_matches(
+            TruthTable(10, random.Random("deep/10/0").getrandbits(1 << 10)))
+        assert (len(rows), uncovered.bit_count()) == (464, 365)
