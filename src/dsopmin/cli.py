@@ -290,7 +290,7 @@ def _run_one(args: argparse.Namespace, cfg: PipelineConfig, emit: Sequence[str])
             tt, names = parse_pla(fh.read())
     else:
         tt, names = parse_minterms(args.minterms), None
-    if args.names:
+    if args.names is not None:
         names = args.names.split(",")
     names = names or default_names(tt.n)
     if len(names) != tt.n:

@@ -3,19 +3,21 @@
 Phase one builds all prime implicants by iterative adjacency merging
 of minterm groups; phase two solves the prime-implicant chart exactly.
 The chart is in truth-table bits: a row is its prime's ``cube_mask``,
-a column is a minterm bit, and the uncovered columns are one int.
-Essentials and one dominance rule reduce it to a cyclic core: the rule
-drops a set that lies inside another (of equal sets, all but the least
-ranked), applied to the rows' useful coverage and to the complements of
-the columns' row sets.  Branch and bound then covers the core: a loop
-over an explicit stack, so no recursion limit bounds how deep the search
-goes.
+a column is a minterm bit, and the uncovered columns are one int.  Each
+column's row set, an int over row indices, is made once; every round
+reads it restricted to the live rows.  Essentials (the rows of columns
+with one live row) and one dominance rule reduce the chart to a cyclic
+core: the rule drops a set that lies inside another (of equal sets, all
+but the least ranked), applied to the rows' useful coverage and to the
+complements of the columns' live row sets.  Branch and bound then covers
+the core: a loop over an explicit stack, so no recursion limit bounds
+how deep the search goes.
 """
 
 from __future__ import annotations
 
 from math import ceil
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .boolfn import Cover, Cube, TruthTable, cube_mask, format_cube
 
@@ -68,7 +70,8 @@ def _dominated(sets: Sequence[int], rank: Sequence) -> List[bool]:
 
     A dropped set's chain of dominators ends in a kept set, which also
     dominates it, so a set is compared only with sets not yet dropped and
-    the result does not depend on the order of the list.
+    the result does not depend on the order of the list: callers may pass
+    the sets in any order.
     """
     drop = [False] * len(sets)
     for i, si in enumerate(sets):
@@ -90,53 +93,50 @@ def _reduce_chart(
 ) -> Tuple[List[int], List[int], int]:
     """Essentials plus dominance to a fixpoint.
 
-    Rows are indices into ``masks`` and ``keys``.  Returns the chosen
-    essential rows, the rows of the cyclic core in index order, and the
-    core's uncovered columns.
+    Rows are indices into ``masks`` and ``keys``.  Each column's row set
+    (an int over row indices) is made once, in one pass over the masks,
+    and each round restricts it to the live rows: a column with one live
+    row makes that row essential.  Returns the chosen essential rows, the
+    rows of the cyclic core in index order, and the core's uncovered
+    columns.
     """
+    columns: Dict[int, int] = {}
+    for k, mask in enumerate(masks):
+        rest = mask & uncovered
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            columns[bit] = columns.get(bit, 0) | 1 << k
     chosen: List[int] = []
     rows = list(range(len(masks)))
+    alive = (1 << len(masks)) - 1
     changed = True
-    while changed and uncovered:
-        changed = False
+    while changed:
+        columns = {bit: col & alive for bit, col in columns.items() if bit & uncovered}
 
-        # essentials: the rows holding a column that no other row covers
-        once = twice = 0
-        for k in rows:
-            twice |= once & masks[k]
-            once |= masks[k]
-        alone = uncovered & once & ~twice
-        if alone:
-            essential = [k for k in rows if masks[k] & alone]
-            chosen += essential
-            for k in essential:
-                uncovered &= ~masks[k]
-            rows = [k for k in rows if not masks[k] & alone]
-            changed = True
-        if not uncovered:
-            break
+        # essentials: the row of a column with one live row, and the columns
+        # those rows cover (a sum of distinct bits is their union)
+        essential = sum({col for col in columns.values() if not col & (col - 1)})
+        chosen += [k for k in rows if essential >> k & 1]
+        uncovered ^= sum(bit for bit, col in columns.items() if col & essential)
 
-        # rows: drop a row whose useful coverage lies inside another's; on
-        # equal coverage keep the least key
+        # rows: of the rows that cover something uncovered, drop a row whose
+        # useful coverage lies inside another's; on equal coverage keep the
+        # least key
+        rows = [k for k in rows if masks[k] & uncovered]
         drop = _dominated([masks[k] & uncovered for k in rows], [keys[k] for k in rows])
         rows = [k for k, dropped in zip(rows, drop) if not dropped]
-        changed |= any(drop)
+        alive = sum(1 << k for k in rows)
 
         # columns: a column whose row set holds another column's is covered
         # whenever that one is, so the same rule runs on the complements of
-        # the row sets (ints over positions in rows); on equal row sets keep
-        # the least bit
-        bits = []
-        rest = uncovered
-        while rest:
-            bits.append(rest & -rest)
-            rest ^= bits[-1]
-        outside = [sum(1 << i for i, k in enumerate(rows) if not masks[k] & bit) for bit in bits]
+        # the live row sets; on equal row sets keep the least bit.  The
+        # columns go in first-seen order, which _dominated allows.
+        bits = [bit for bit in columns if bit & uncovered]
+        outside = [alive ^ (columns[bit] & alive) for bit in bits]
         removed = sum(bit for bit, dropped in zip(bits, _dominated(outside, bits)) if dropped)
         uncovered ^= removed
-        changed |= removed != 0
-
-    rows = [k for k in rows if masks[k] & uncovered]
+        changed = bool(essential or removed) or any(drop)
     return chosen, rows, uncovered
 
 

@@ -880,6 +880,7 @@ class TestMain:
         assert captured.err == "dsopmin: error: variable name count does not match n\n"
 
     @pytest.mark.parametrize("names, error", [
+        ("", "variable name count does not match n"),
         (",,", "empty variable name"),
         ("p,,q", "empty variable name"),
         ("a,a,b", "repeated variable name 'a'"),

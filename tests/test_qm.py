@@ -230,10 +230,11 @@ class TestAgainstMaskReference:
     """_reduce_chart against the former two-loop reducer in conftest, on
     charts too large for the frozenset reference."""
 
-    def assert_matches(self, tt):
+    def assert_matches(self, tt, uncovered=None):
         primes = prime_implicants(tt)
         chart = ([cube_mask(p) for p in primes],
-                 [(p.literal_count(), k) for k, p in enumerate(primes)], tt.bits)
+                 [(p.literal_count(), k) for k, p in enumerate(primes)],
+                 tt.bits if uncovered is None else uncovered)
         got = _reduce_chart(*chart)
         assert got == ref_reduce_chart_masks(*chart), (tt.n, tt.bits)
         return got
@@ -248,6 +249,16 @@ class TestAgainstMaskReference:
                 bits &= rng.getrandbits(1 << n)
             core_rows += len(self.assert_matches(TruthTable(n, bits))[1])
         assert core_rows  # some charts keep a cyclic core for the search
+
+    def test_partial_uncovered(self):
+        # exact_cover passes the whole onset; here some columns start covered,
+        # or all of them do while the primes are still rows
+        rng = random.Random("reduce/partial")
+        for _ in range(1000):
+            n = rng.randint(1, 8)
+            tt = TruthTable(n, rng.getrandbits(1 << n))
+            self.assert_matches(tt, 0 if tt.bits and rng.random() < 0.1
+                                else tt.bits & rng.getrandbits(1 << n))
 
     def test_deep_n10(self):
         _, rows, uncovered = self.assert_matches(
