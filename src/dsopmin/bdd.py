@@ -13,14 +13,16 @@ extracted cubes.
 
 split_levels is the one top-down split of a truth table: one level at
 a time, each distinct subtable cofactored once, a level's all in one
-cofactor_tables call.  A rule picks each level's variable; the entropy
-ordering passes its greedy rule, and a fixed order is the rule "the
-place of perm[level]".  build_levels makes the nodes from those splits,
-bottom up, so the pipeline orders and builds from one descent in every
-mode.  P1 comes from the split (Levels.one_paths) and the node count
-from the store (BddManager.live_size); one_path_count and node_count
-walk the diagram.  Path sifting swaps adjacent levels in place, in the
-same arena.
+cofactor_tables call.  It alone fetches a level's literal masks, once,
+for the level's rule and its cofactors.  A rule picks each level's
+variable; the entropy ordering passes its greedy rule, and a fixed
+order is the rule "the place of perm[level]".  build_levels makes the
+nodes from those splits, bottom up, so the pipeline orders and builds
+from one descent in every mode.  P1 comes from the split
+(Levels.one_paths) and the node count from the store
+(BddManager.live_size); one_path_count and node_count walk the
+diagram.  Path sifting swaps adjacent levels in place, in the same
+arena.
 """
 
 from __future__ import annotations
@@ -146,18 +148,23 @@ class Levels:
         return c[self.root]
 
 
-def split_levels(tt: TruthTable, rule: Callable[[int, List[int], Dict[int, int]], int]) -> Levels:
+def split_levels(tt: TruthTable,
+                 rule: Callable[[int, List[int], Dict[int, int], Tuple[int, ...]], int]) -> Levels:
     """Split tt one level at a time, each distinct subtable once.
 
     Every subtable at a level ranges over the same remaining variables,
     ascending, so a level is held as the count of each distinct
     non-constant subtable's raw bits, the sharing a BDD makes of equal
-    subfunctions.  The rule sees the level, the remaining variables and
-    those counts, and returns the place of the variable to split on.
-    Each distinct subtable is cofactored once, and its count is added
-    to each child's; constant children are terminals.  At most two
-    levels' tables are held at once; the levels above keep only their
-    children's references.
+    subfunctions.  The rule sees the level, the remaining variables,
+    those counts and the level's literal masks, and returns the place of
+    the variable to split on.  The masks are var_masks of the level's
+    width, fetched once for the rule and the cofactors, and () on a
+    level of constants only, which splits nothing; they are dropped
+    before the next level's are built, so one width above 16 is alive
+    at a time.  Each distinct subtable is cofactored once, and its count
+    is added to each child's; constant children are terminals.  At most
+    two levels' tables are held at once; the levels above keep only
+    their children's references.
     """
     n = tt.n
     full = full_mask(n)
@@ -169,12 +176,13 @@ def split_levels(tt: TruthTable, rule: Callable[[int, List[int], Dict[int, int]]
     for level in range(n):
         # index: the next level's distinct subtable -> reference
         tables, below, index = below, {}, {}
-        width = n - level
-        place = rule(level, remaining, tables)
+        masks = var_masks(n - level) if tables else ()
+        place = rule(level, remaining, tables, masks)
         perm.append(remaining.pop(place))
-        full = full_mask(width - 1)
+        full = full_mask(n - level - 1)
         refs = []
-        for halves, count in zip(cofactor_tables(tables, width, place), tables.values()):
+        for halves, count in zip(cofactor_tables(tables, masks, place) if masks else (),
+                                 tables.values()):
             for bits in halves:
                 if bits == 0 or bits == full:
                     refs.append(ONE if bits else ZERO)
@@ -182,6 +190,7 @@ def split_levels(tt: TruthTable, rule: Callable[[int, List[int], Dict[int, int]]
                     refs.append(index.setdefault(bits, len(index) + 2))
                     below[bits] = below.get(bits, 0) + count
         kids.append([*zip(refs[::2], refs[1::2])])
+        del masks  # before the next level's fetch: one wide width alive at a time
     return Levels(VariableOrder(tuple(perm)), root, tuple(kids))
 
 
@@ -189,7 +198,7 @@ def build_from_truthtable(tt: TruthTable, order: Optional[VariableOrder] = None)
     """Fresh manager plus the canonical BDD of tt under the given order."""
     mgr = BddManager(tt.n, order)
     perm = mgr.order.perm
-    return mgr.build_levels(split_levels(tt, lambda level, rest, _: rest.index(perm[level])))
+    return mgr.build_levels(split_levels(tt, lambda level, rest, *_: rest.index(perm[level])))
 
 
 def node_count(h: FunctionHandle) -> int:

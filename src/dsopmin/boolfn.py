@@ -172,9 +172,9 @@ def format_cube(cube: Cube) -> str:
 
 # Widths up to 16 are kept, about 240 KiB in all; a wider width is built on
 # each call and dropped with its last reference.  Widths 17 to 24 together
-# take about 92 MiB, and a descent at n > 16 uses each once or twice (its
-# place rule and its cofactors), so keeping them would hold every width it
-# has passed: a sparse n=24 split then peaks at about 103 MiB, not 60 MiB.
+# take about 92 MiB, and a descent at n > 16 fetches each once, for its
+# place rule and its cofactors both, so keeping them would hold every width
+# it has passed: a sparse n=24 split then peaks at about 103 MiB, not 60 MiB.
 def var_masks(n: int) -> Tuple[int, ...]:
     """Truth-table masks of the positive literals over n variables.
 
@@ -263,18 +263,19 @@ def truthtable_from_minterms(n: int, minterms: Iterable[int]) -> TruthTable:
     return truthtable_from_pairs(n, zip(repeat((1 << n) - 1), minterms))
 
 
-def cofactor_tables(tables: Iterable[int], n: int, var: int) -> List[Tuple[int, int]]:
+def cofactor_tables(tables: Iterable[int], masks: Tuple[int, ...], var: int) -> List[Tuple[int, int]]:
     """The (var=0, var=1) raw-bits cofactors of each n-variable table, over n-1 variables.
 
-    Each half is shifted into place and masked; then one shift-OR-mask
-    step per coarser variable, its mask looked up once for all the
-    tables, closes the gaps between its runs: O(var) big-int operations
-    per table, no per-minterm loop.  Each x & ~mask is written
-    x ^ (x & mask): CPython ANDs with a negative int several times
-    slower, which shows on wide tables.
+    masks is var_masks(n), which the caller fetches: the descent fetches
+    a level's once, for its place rule and these cofactors.  Each half is
+    shifted into place and masked; then one shift-OR-mask step per
+    coarser variable, its mask read once for all the tables, closes the
+    gaps between its runs: O(var) big-int operations per table, no
+    per-minterm loop.  Each x & ~mask is written x ^ (x & mask): CPython
+    ANDs with a negative int several times slower, which shows on wide
+    tables.
     """
-    masks = var_masks(n)
-    run, mask = 1 << (n - 1 - var), masks[var]
+    run, mask = 1 << (len(masks) - 1 - var), masks[var]
     steps = [(run << j, masks[coarser]) for j, coarser in enumerate(range(var - 1, -1, -1))]
     out = []
     for bits in tables:
@@ -293,7 +294,7 @@ def cofactor_tables(tables: Iterable[int], n: int, var: int) -> List[Tuple[int, 
 
 def cofactor_bits(bits: int, n: int, var: int, val: bool) -> int:
     """Raw-bits cofactor of an n-variable table on var=val: cofactor_tables of one table."""
-    return cofactor_tables((bits,), n, var)[0][val]
+    return cofactor_tables((bits,), var_masks(n), var)[0][val]
 
 
 def literal_count(cover: Cover) -> int:

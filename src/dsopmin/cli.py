@@ -186,7 +186,7 @@ def run_pipeline(tt: TruthTable, cfg: PipelineConfig) -> Tuple[StatsReport, Dict
     # one descent orders the table and splits it, and the BDD's nodes are
     # made from its splits; given and sift descend in the input order
     t = time.perf_counter()
-    rule = entropy_place if cfg.ordering == "entropy" else lambda level, remaining, tables: 0
+    rule = entropy_place if cfg.ordering == "entropy" else lambda level, remaining, tables, masks: 0
     levels = bdd.split_levels(tt, rule)
     clock("order", t)
 

@@ -412,10 +412,11 @@ def _irredundant(cubes: List[Packed], onset: int, n: int,
     every cube after it.  Each mask can take 2^n bits, so a large cover
     runs in blocks of about sqrt(k) cubes, keeping only the suffix OR at
     each block start: O(sqrt(k) 2^n) bits at once.  Past the one-pass
-    bound, a cover of cubes of _MINTERM_LITS literals or more keeps a
-    count per minterm of the cubes that cover it instead: cube i goes iff
-    every minterm of it has a count of 2 or more, and then takes its
-    minterms' counts down by one.
+    bound, a nonempty cover of cubes of _MINTERM_LITS literals or more
+    keeps a count per minterm of the cubes that cover it instead: cube i
+    goes iff every minterm of it has a count of 2 or more, and then takes
+    its minterms' counts down by one.  The empty cover is one block of
+    none, so f = 0 costs no 2^n counters.
     """
     if masks is None:
         cubes = list(dict.fromkeys(cubes))
@@ -424,7 +425,7 @@ def _irredundant(cubes: List[Packed], onset: int, n: int,
         cubes, masks = list(unique), list(unique.values())
     k = len(cubes)
     kept: List[Packed] = []
-    if not _one_pass(k, n) and all(care.bit_count() >= _MINTERM_LITS for care, _ in cubes):
+    if not _one_pass(k, n) and min((c.bit_count() for c, _ in cubes), default=0) >= _MINTERM_LITS:
         counts = array("I", [0]) * (1 << n)
         for m in chain.from_iterable(_minterms(n, care, value) for care, value in cubes):
             counts[m] += 1
@@ -438,7 +439,7 @@ def _irredundant(cubes: List[Packed], onset: int, n: int,
                 for m in mins:
                     counts[m] -= 1
         return kept
-    block = max(k, 1) if _one_pass(k, n) else math.isqrt(k - 1) + 1
+    block = max(k, 1) if _one_pass(k, n) else math.isqrt(k) + 1
     starts = range(0, k or 1, block)
     tails = [0] * (len(starts) + 1)  # tails[j]: every mask from block j on
     for j in range(len(starts) - 1, 0, -1):

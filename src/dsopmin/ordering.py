@@ -6,13 +6,14 @@ the smallest score (largest information gain), splits every subtable
 on it, and recurses.  Ties break toward the lowest variable index.
 The pass is bdd.split_levels with the entropy score as its rule, the
 same descent the BDD is built from: a level is held as its distinct
-subtables with their counts, and each is scored and split once.
+subtables with their counts, and each is scored and split once, with
+the literal masks the descent fetched for the level.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .bdd import VariableOrder, split_levels
 from .boolfn import TruthTable, var_masks
@@ -35,9 +36,8 @@ def cofactor_entropy(tt: TruthTable, var: int, val: bool) -> float:
     """
     if not 0 <= var < tt.n:
         raise ValueError(f"variable index {var} out of range for n={tt.n}")
-    pos = var_masks(tt.n)[var]
-    on = (tt.bits & (pos if val else ~pos)).bit_count()
-    return _h(on / (1 << (tt.n - 1)))
+    on = (tt.bits & var_masks(tt.n)[var]).bit_count()  # the 1-side's; the 0-side has the rest
+    return _h((on if val else tt.bits.bit_count() - on) / (1 << (tt.n - 1)))
 
 
 def variable_entropy(tt: TruthTable, var: int) -> float:
@@ -46,10 +46,7 @@ def variable_entropy(tt: TruthTable, var: int) -> float:
     The paper's E(x) on one table, kept as documented API; the ordering
     weights it by count over a level's distinct subtables.
     """
-    if not 0 <= var < tt.n:
-        raise ValueError(f"variable index {var} out of range for n={tt.n}")
-    on1, half = (tt.bits & var_masks(tt.n)[var]).bit_count(), 1 << (tt.n - 1)
-    return 0.5 * (_h((tt.bits.bit_count() - on1) / half) + _h(on1 / half))
+    return 0.5 * (cofactor_entropy(tt, var, False) + cofactor_entropy(tt, var, True))
 
 
 class _Entropies(dict):
@@ -63,22 +60,22 @@ class _Entropies(dict):
         return p
 
 
-def entropy_place(level: int, remaining: List[int], tables: Dict[int, int]) -> int:
+def entropy_place(level: int, remaining: List[int], tables: Dict[int, int],
+                  masks: Tuple[int, ...]) -> int:
     """The split_levels rule of the entropy order: the place in remaining
     of the minimum-average-entropy variable.
 
-    A distinct subtable is scored once, its score weighted by its count;
-    constant subtables score 0 and are not in tables, but the divisor
-    still counts all 2^level subtables.  A cofactor's entropy depends
-    only on its ON count, so each count's is computed once per call.
+    masks are the level's literal masks, which split_levels fetched; a
+    level of constants only has none and gets place 0.  A distinct
+    subtable is scored once, its score weighted by its count; constant
+    subtables score 0 and are not in tables, but the divisor still
+    counts all 2^level subtables.  A cofactor's entropy depends only on
+    its ON count, so each count's is computed once per call.
     """
-    width = len(remaining)
-    masks = var_masks(width)
-    h = _Entropies(1 << (width - 1))
+    h = _Entropies(1 << (len(remaining) - 1))
     rows = [(st, st.bit_count(), count) for st, count in tables.items()]
     best_j, best_score = 0, math.inf
-    for j in range(width):
-        pos = masks[j]
+    for j, pos in enumerate(masks):
         total = 0.0
         for st, on, count in rows:
             on1 = (st & pos).bit_count()

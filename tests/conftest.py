@@ -67,7 +67,7 @@ def cover_table(cover: Cover) -> TruthTable:
 def build_into(mgr: BddManager, tt: TruthTable) -> FunctionHandle:
     """tt's diagram made in mgr under mgr's order, beside any it holds."""
     perm = mgr.order.perm
-    return mgr.build_levels(split_levels(tt, lambda level, rest, _: rest.index(perm[level])))
+    return mgr.build_levels(split_levels(tt, lambda level, rest, *_: rest.index(perm[level])))
 
 
 def pipeline_sop(tt: TruthTable, ordering: str = "entropy") -> Cover:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -35,6 +36,7 @@ from conftest import (
     oracle_disjoint,
     random_cube,
     ref_build,
+    ref_cofactor_bits,
     ref_enumerate_one_paths,
     ref_level,
     ref_level_nodes,
@@ -224,15 +226,28 @@ class TestBuild:
 
 
 def count_tables():
-    """Seeded tables for n = 1..10: dense and sparse random, parity and
-    both constants."""
+    """Seeded tables for n = 1..12: dense and sparse random, a random
+    function of a seeded subset of the variables, parity, x0 and both
+    constants."""
     rng = random.Random("count-sources")
-    for n in range(1, 11):
+    for n in range(1, 13):
+        minterms = range(1 << n)
         yield TruthTable(n, rng.getrandbits(1 << n))
         yield TruthTable(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
-        yield TruthTable(n, sum(1 << m for m in range(1 << n) if bin(m).count("1") % 2))
+        # f(m) = g(m with the variables outside the subset set to 0)
+        kept = sum(1 << (n - 1 - v) for v in rng.sample(range(n), rng.randint(1, n)))
+        g = rng.getrandbits(1 << n)
+        yield TruthTable(n, sum(1 << m for m in minterms if g >> (m & kept) & 1))
+        yield TruthTable(n, sum(1 << m for m in minterms if bin(m).count("1") % 2))
+        yield TruthTable(n, sum(1 << m for m in minterms if m >> (n - 1) & 1))  # x0
         yield TruthTable(n, 0)
         yield TruthTable(n, full_mask(n))
+
+
+def support(tt: TruthTable):
+    """The variables tt depends on, from minterm-by-minterm cofactors."""
+    return [v for v in range(tt.n)
+            if ref_cofactor_bits(tt.bits, tt.n, v, False) != ref_cofactor_bits(tt.bits, tt.n, v, True)]
 
 
 class TestCountsFromTheBuild:
@@ -243,7 +258,7 @@ class TestCountsFromTheBuild:
 
     @pytest.mark.parametrize("mode", ("entropy", "given"))
     def test_equal_to_the_traversals(self, mode):
-        rule = entropy_place if mode == "entropy" else lambda level, rest, tables: 0
+        rule = entropy_place if mode == "entropy" else lambda level, rest, tables, masks: 0
         for tt in count_tables():
             levels = split_levels(tt, rule)
             mgr = BddManager(tt.n, levels.order)
@@ -262,6 +277,42 @@ class TestCountsFromTheBuild:
             report, _ = run_pipeline(tt, PipelineConfig(ordering=mode))
             h = build_from_truthtable(tt, VariableOrder(report.order))
             assert (report.one_paths, report.bdd_nodes) == (one_path_count(h), node_count(h)), (mode, tt)
+
+
+class TestMaskFetches:
+    """split_levels fetches a level's literal masks once, for its place
+    rule and its cofactors both, and only on a level that holds a
+    non-constant subtable."""
+
+    @pytest.mark.parametrize("mode", ORDERINGS)
+    def test_one_mask_fetch_per_level_to_split(self, mode, monkeypatch):
+        # the levels down to the deepest variable f depends on, in the
+        # descent's order, hold a non-constant subtable; fetches are
+        # recorded from every module's var_masks during the pipeline's one
+        # split_levels call
+        tables = [(tt, support(tt)) for tt in count_tables()]
+        fetched, splits = [], []
+
+        def counting(n):
+            fetched.append(n)
+            return var_masks(n)
+
+        def recording(tt, rule):
+            fetched.clear()
+            levels = split_levels(tt, rule)
+            splits.append((levels.order.perm, fetched[:]))
+            return levels
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "dsopmin" and getattr(module, "var_masks", None) is var_masks:
+                monkeypatch.setattr(module, "var_masks", counting)
+        monkeypatch.setattr(bdd, "split_levels", recording)
+        for tt, depends_on in tables:
+            splits.clear()
+            run_pipeline(tt, PipelineConfig(ordering=mode))
+            [(perm, widths)] = splits
+            depth = max((perm.index(v) + 1 for v in depends_on), default=0)
+            assert widths == list(range(tt.n, tt.n - depth, -1)), (mode, tt)
 
 
 class TestOnePaths:

@@ -365,8 +365,8 @@ class TestRunPipeline:
         # one cofactor_tables call, which makes two cofactors of each
         calls = []
 
-        def counting(tables, n, var):
-            out = cofactor_tables(tables, n, var)
+        def counting(tables, masks, var):
+            out = cofactor_tables(tables, masks, var)
             calls.extend(half for halves in out for half in halves)
             return out
 
@@ -460,6 +460,19 @@ class TestRunPipeline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_constant_zero_at_n24_builds_no_wide_width(self):
+        # every level of a constant holds only constants, so the descent
+        # fetches no masks, and irredundant checks the empty cover as one
+        # block of none, not with 2^24 minterm counters
+        tracemalloc.start()
+        try:
+            report, _ = run_pipeline(TruthTable(24, 0), PipelineConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.sop_cubes == 0
         assert peak < 16 << 20
 
     def test_sharp_oracle_matches_minterm_oracle(self):
@@ -744,6 +757,10 @@ class TestMain:
         assert rc == 0
         assert "ab + c'd + bcd'" in out or "c'd + bcd' + ab" in out
         assert "order: b a c d" in out
+
+    def test_constant_zero_at_the_table_cap(self, capsys):
+        assert main(["--minterms", "24:"]) == 0
+        assert "sop (0 cubes, 0 literals): 0" in capsys.readouterr().out
 
     def test_pla_input(self, tmp_path, capsys):
         pla = tmp_path / "f.pla"

@@ -1014,6 +1014,23 @@ class TestMintermPath:
                     errors[next(e for e in errors if e in out[0])] += 1
         assert errors["not contained"] > 50 and errors["does not represent"] > 100
 
+    def test_empty_cover_past_the_one_pass_bound(self):
+        # f = 0 at n >= 23, where even the empty cover is past the bound: it
+        # has no cube under _MINTERM_LITS literals, yet it gets no 2^n
+        # minterm counters.  It is one block of no cubes, which an f with a
+        # minterm still fails.
+        for n in (23, 24):
+            assert not minimizer._one_pass(0, n)
+            tracemalloc.start()
+            try:
+                assert minimizer._irredundant([], 0, n) == []
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            with pytest.raises(ValueError, match="does not represent"):
+                minimizer._irredundant([], 1 << (1 << n) - 1, n)
+
 
 class TestMaskHandOff:
     """minimize() hands expand's masks to irredundant only in one-pass mode."""

@@ -8,6 +8,7 @@ from dsopmin.boolfn import (
     cofactor_bits,
     cube_mask,
     truthtable_from_minterms,
+    var_masks,
 )
 from dsopmin.ordering import (
     _EPS,
@@ -203,15 +204,15 @@ class TestPlaceScoresAreVariableEntropy:
         for tt in reference_tables():
             if tt.n <= 10:
                 scores = [variable_entropy(tt, v) for v in range(tt.n)]
-                assert entropy_place(0, list(range(tt.n)), {tt.bits: 1}) == \
+                assert entropy_place(0, list(range(tt.n)), {tt.bits: 1}, var_masks(tt.n)) == \
                     least_entropy_place(scores), (tt.n, hex(tt.bits))
 
     def test_deeper_levels(self):
         checked = 0
 
-        def rule(level, remaining, tables):
+        def rule(level, remaining, tables, masks):
             nonlocal checked
-            place = entropy_place(level, remaining, tables)
+            place = entropy_place(level, remaining, tables, masks)
             if level:
                 width = len(remaining)
                 scores = [sum(count * variable_entropy(TruthTable(width, st), j)
