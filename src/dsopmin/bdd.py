@@ -27,12 +27,13 @@ arena.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .boolfn import (
     Cover,
     TruthTable,
+    _Frozen,
+    _set,
     cofactor_tables,
     full_mask,
     var_masks,
@@ -42,15 +43,15 @@ ZERO = 0
 ONE = 1
 
 
-@dataclass(frozen=True)
-class VariableOrder:
+class VariableOrder(_Frozen):
     """Permutation of variable indices; position 0 is the root level."""
 
-    perm: Tuple[int, ...]
+    __slots__ = ("perm",)
 
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError(f"{self.perm} is not a permutation of 0..{len(self.perm) - 1}")
+    def __init__(self, perm: Tuple[int, ...]) -> None:
+        if sorted(perm) != list(range(len(perm))):
+            raise ValueError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
+        _set(self, "perm", perm)
 
     def __len__(self) -> int:
         return len(self.perm)
@@ -117,12 +118,13 @@ class BddManager:
         return list(seen)
 
 
-@dataclass
 class FunctionHandle:
     """Reference to a root node in a manager; sifting keeps the root's id."""
 
-    manager: BddManager
-    root: int
+    __slots__ = ("manager", "root")
+
+    def __init__(self, manager: BddManager, root: int) -> None:
+        self.manager, self.root = manager, root
 
 
 class Levels:
@@ -133,7 +135,6 @@ class Levels:
     i + 2 is the i-th subtable one level down.  root refers to the table.
     """
 
-    # a plain class: making a NamedTuple or dataclass costs 0.1-0.6 ms at import
     __slots__ = ("order", "root", "kids")
 
     def __init__(self, order: VariableOrder, root: int, kids: Tuple[List[Tuple[int, int]], ...]):

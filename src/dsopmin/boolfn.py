@@ -16,11 +16,18 @@ Conventions used throughout the package:
   ``value`` is its smallest minterm, and a don't-care variable's bit is
   the minterm shift across that variable.
 * Truth tables describe completely specified single-output functions.
+
+No class in the package is made by code generation at import: no
+dataclass or named tuple.  Each is a plain class with ``__slots__``, and
+the value types (Cube, Cover, TruthTable, bdd.VariableOrder) share
+_Frozen's immutability, equality, hash and pickling.  A frozen, slotted
+dataclass costs about 1 ms to create at import, and importing
+``dataclasses`` loads ``inspect`` too: together about 60% of a
+bytecode-cached ``import dsopmin.cli``, paid by every CLI call.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -35,12 +42,45 @@ MAX_TABLE_VARS = 24
 MAX_ONE_PATHS = 100_000
 
 
-class Cube:
+class _Frozen:
+    """An immutable value: equal to, and hashed and pickled as, the tuple
+    of its slots' values, which are also its constructor's arguments."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__name__}({fields})"
+
+
+_set = object.__setattr__  # gets past _Frozen.__setattr__
+
+
+class Cube(_Frozen):
     """A conjunction of literals: variable v is bit n-1-v of care and value.
 
-    Immutable, and equal only to a Cube with the same three fields.
-    Not a dataclass: a frozen, slotted one takes 0.6 ms to create at
-    import against 0.01 ms, and constructs Cubes about 1.5x slower.
+    Equal only to a Cube with the same three fields.  Its own equality and
+    hash, which read the slots directly, are the hot ones.
     """
 
     __slots__ = ("n", "care", "value")
@@ -51,15 +91,6 @@ class Cube:
         _set_n(self, n)
         _set_care(self, care)
         _set_value(self, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Cube, (self.n, self.care, self.value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Cube:
@@ -80,21 +111,21 @@ class Cube:
         return self.care.bit_count()
 
 
-# the slots' own setters, which get past Cube.__setattr__
+# the slots' own setters, quicker than _set in the hot constructor
 _set_n, _set_care, _set_value = Cube.n.__set__, Cube.care.__set__, Cube.value.__set__
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(_Frozen):
     """An ordered list of cubes denoting their disjunction."""
 
-    n: int
-    cubes: Tuple[Cube, ...]
+    __slots__ = ("n", "cubes")
 
-    def __post_init__(self) -> None:
-        for c in self.cubes:
-            if c.n != self.n:
-                raise ValueError(f"cube {format_cube(c)} has length {c.n}, expected {self.n}")
+    def __init__(self, n: int, cubes: Tuple[Cube, ...]) -> None:
+        for c in cubes:
+            if c.n != n:
+                raise ValueError(f"cube {format_cube(c)} has length {c.n}, expected {n}")
+        _set(self, "n", n)
+        _set(self, "cubes", cubes)
 
     def __len__(self) -> int:
         return len(self.cubes)
@@ -106,23 +137,27 @@ class Cover:
     def of_pairs(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "Cover":
         """The cover of (care, value) pairs, one Cube constructed per pair.
 
-        A bad pair raises Cube's own error, at the first bad pair.
+        A bad pair raises Cube's own error, at the first bad pair.  The
+        cubes are made over n, so the constructor's length check is skipped.
         """
-        return cls(n, tuple([Cube(n, care, value) for care, value in pairs]))
+        cover = object.__new__(cls)
+        _set(cover, "n", n)
+        _set(cover, "cubes", tuple([Cube(n, care, value) for care, value in pairs]))
+        return cover
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(_Frozen):
     """A completely specified function; bit i of ``bits`` is f(minterm i)."""
 
-    n: int
-    bits: int
+    __slots__ = ("n", "bits")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_TABLE_VARS:
-            raise ValueError(f"variable count {self.n} outside [1, {MAX_TABLE_VARS}]")
-        if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
+    def __init__(self, n: int, bits: int) -> None:
+        if not 1 <= n <= MAX_TABLE_VARS:
+            raise ValueError(f"variable count {n} outside [1, {MAX_TABLE_VARS}]")
+        if bits < 0 or bits.bit_length() > 1 << n:
             raise ValueError("onset bit vector longer than 2^n")
+        _set(self, "n", n)
+        _set(self, "bits", bits)
 
     def minterms(self) -> Iterator[int]:
         """The ON minterms in ascending order, from one scan of bin(bits)."""

@@ -14,7 +14,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field, fields
 from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,24 +52,26 @@ def _directive_int(parts: List[str]) -> int:
         raise PlaError(f"{parts[0]} argument {parts[1]!r} is not an integer") from None
 
 
-@dataclass
 class PipelineConfig:
-    ordering: str = "entropy"  # one of ORDERINGS
-    oracle: bool = False
+    __slots__ = ("ordering", "oracle")
+
+    def __init__(self, ordering: str = "entropy", oracle: bool = False) -> None:
+        self.ordering, self.oracle = ordering, oracle  # ordering is one of ORDERINGS
 
 
-@dataclass
 class StatsReport:
-    n: int
-    order: Tuple[int, ...]
-    bdd_nodes: int
-    one_paths: int
-    dsop_cubes: int
-    sop_cubes: int
-    sop_literals: int
-    oracle_cubes: Optional[int] = None
-    oracle_literals: Optional[int] = None
-    timings_ms: Dict[str, float] = field(default_factory=dict)
+    # in RECORD_FIELDS' order, timings_ms last
+    __slots__ = ("n", "order", "bdd_nodes", "one_paths", "dsop_cubes", "sop_cubes",
+                 "sop_literals", "oracle_cubes", "oracle_literals", "timings_ms")
+
+    def __init__(self, n: int, order: Tuple[int, ...], bdd_nodes: int, one_paths: int,
+                 dsop_cubes: int, sop_cubes: int, sop_literals: int,
+                 oracle_cubes: Optional[int] = None, oracle_literals: Optional[int] = None,
+                 timings_ms: Optional[Dict[str, float]] = None) -> None:
+        self.n, self.order, self.bdd_nodes, self.one_paths = n, order, bdd_nodes, one_paths
+        self.dsop_cubes, self.sop_cubes, self.sop_literals = dsop_cubes, sop_cubes, sop_literals
+        self.oracle_cubes, self.oracle_literals = oracle_cubes, oracle_literals
+        self.timings_ms = {} if timings_ms is None else timings_ms
 
     def check(self) -> List[str]:
         """Invariant violations, empty when the record is consistent."""
@@ -85,16 +86,17 @@ class StatsReport:
 
     def to_record(self) -> Dict[str, object]:
         """The report keyed by RECORD_FIELDS, in that order."""
-        values = dict(vars(self), schema=REPORT_SCHEMA, order=list(self.order))
-        values.update(zip(RECORD_FIELDS[-len(STAGES):],
+        record = {"schema": REPORT_SCHEMA}
+        record.update((name, getattr(self, name)) for name in self.__slots__[:-1])
+        record["order"] = list(self.order)
+        record.update(zip(RECORD_FIELDS[-len(STAGES):],
                           (self.timings_ms.get(stage, 0.0) for stage in STAGES)))
-        return {key: values[key] for key in RECORD_FIELDS}
+        return record
 
 
 # a record's keys in column order: the schema, StatsReport's counts, then
 # timings_ms spread into one column per stage
-RECORD_FIELDS = ("schema", *(f.name for f in fields(StatsReport) if f.name != "timings_ms"),
-                 *(f"time_{stage}_ms" for stage in STAGES))
+RECORD_FIELDS = ("schema", *StatsReport.__slots__[:-1], *(f"time_{stage}_ms" for stage in STAGES))
 
 
 def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
@@ -154,11 +156,12 @@ def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
 
 
 def parse_minterms(spec: str) -> TruthTable:
-    """Parse the "N:i,i,..." shorthand; "N:" means the constant-0 function."""
+    """Parse the "N:i,i,..." shorthand; "N:" means the constant-0 function
+    and an empty entry ("4:1,,2", "4:1,") is malformed."""
     try:
         head, _, tail = spec.partition(":")
         n = int(head)
-        minterms = [int(t) for t in tail.split(",") if t.strip()]
+        minterms = [int(t) for t in tail.split(",")] if tail.strip() else []
     except ValueError:
         raise ValueError(f"malformed minterm spec {spec!r}") from None
     return truthtable_from_minterms(n, minterms)

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from dsopmin.bdd import VariableOrder
 from dsopmin.boolfn import (
     _cached_var_masks,
     Cover,
@@ -175,6 +176,59 @@ class TestCubeBits:
                 delattr(c, name)
         assert (c.n, c.care, c.value) == (3, 0b101, 0b001)
         assert pickle.loads(pickle.dumps(c)) == c == copy.copy(c)
+
+
+class TestValueTypes:
+    """TruthTable, Cover and VariableOrder are values: equal and hashed by
+    their fields, immutable, and pickled and copied through their
+    constructors."""
+
+    VALUES = [
+        (lambda: TruthTable(4, 0b1010), lambda: TruthTable(4, 0b1011)),
+        (lambda: TruthTable(4, 0b1010), lambda: TruthTable(5, 0b1010)),
+        (lambda: Cover(3, (Cube(3, 0b101, 0b001),)), lambda: Cover(3, ())),
+        (lambda: Cover(3, ()), lambda: Cover(2, ())),
+        (lambda: VariableOrder((1, 0, 2)), lambda: VariableOrder((0, 1, 2))),
+    ]
+    IDS = ["table-bits", "table-n", "cover-cubes", "cover-n", "order"]
+
+    @pytest.mark.parametrize("make, other", VALUES, ids=IDS)
+    def test_equality_and_hash(self, make, other):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other() and not a == other()
+        assert len({a, b, other()}) == 2
+        assert a != a._fields() and a._fields() != a  # equal only to its own type
+
+    @pytest.mark.parametrize("make, other", VALUES, ids=IDS)
+    def test_immutable(self, make, other):
+        a = make()
+        for name in (*a.__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == make()
+
+    @pytest.mark.parametrize("make, other", VALUES, ids=IDS)
+    def test_pickle_and_copy(self, make, other):
+        a = make()
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert b.__class__ is a.__class__ and b == a and hash(b) == hash(a)
+
+    def test_constructor_keywords_and_repr(self):
+        assert TruthTable(n=3, bits=5) == TruthTable(3, 5)
+        assert Cover(n=3, cubes=()) == Cover(3, ())
+        assert VariableOrder(perm=(0, 1)) == VariableOrder.identity(2)
+        assert repr(TruthTable(3, 5)) == "TruthTable(n=3, bits=5)"
+        assert repr(Cover(3, (cube("021"),))) == "Cover(n=3, cubes=(Cube('021'),))"
+        assert repr(VariableOrder((1, 0))) == "VariableOrder(perm=(1, 0))"
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match=r"^onset bit vector longer than 2\^n$"):
+            TruthTable(2, 1 << 4)
+        with pytest.raises(ValueError, match=r"^\(0, 0\) is not a permutation of 0..1$"):
+            VariableOrder((0, 0))
 
 
 class TestOfPairs:

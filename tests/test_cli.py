@@ -623,6 +623,27 @@ class TestReports:
                           sop_cubes=1, sop_literals=1, oracle_cubes=2, oracle_literals=2)
         assert bad.check() == ["oracle_cubes 2 > sop_cubes 1"]
 
+    def test_keyword_construction_and_defaults(self):
+        cfg = PipelineConfig()
+        assert (cfg.ordering, cfg.oracle) == ("entropy", False)
+        cfg = PipelineConfig(oracle=True, ordering="sift")
+        assert (cfg.ordering, cfg.oracle) == ("sift", True)
+        assert PipelineConfig("given", True).ordering == "given"
+        counts = dict(n=2, order=(1, 0), bdd_nodes=1, one_paths=2, dsop_cubes=2,
+                      sop_cubes=1, sop_literals=1)
+        a, b = StatsReport(**counts), StatsReport(*counts.values())
+        for r in (a, b):
+            assert [getattr(r, name) for name in counts] == list(counts.values())
+            assert (r.oracle_cubes, r.oracle_literals, r.timings_ms) == (None, None, {})
+        assert a.timings_ms is not b.timings_ms  # a new dict per report
+        timings = {"order": 1.5}
+        r = StatsReport(**counts, oracle_cubes=1, oracle_literals=2, timings_ms=timings)
+        assert (r.oracle_cubes, r.oracle_literals, r.timings_ms) == (1, 2, timings)
+        with pytest.raises(TypeError):
+            StatsReport(n=2)
+        with pytest.raises(TypeError):
+            PipelineConfig(order="given")
+
     def test_record_fields(self):
         # the record's columns, in the order reports and CSV headers carry them
         assert cli.RECORD_FIELDS == (
@@ -838,6 +859,18 @@ class TestMain:
             main(["--benchmark", "-1"])
         assert exc.value.code == 2
         assert "--benchmark" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["4:1,,2", "4:1,", "4:,1", "4:,", "4: , "])
+    def test_empty_minterm_entry_refused(self, capsys, spec):
+        assert main(["--minterms", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dsopmin: error: malformed minterm spec {spec!r}\n"
+
+    @pytest.mark.parametrize("spec", ["4:", "4: "])
+    def test_empty_minterm_list_is_constant_zero(self, capsys, spec):
+        assert main(["--minterms", spec]) == 0
+        assert "sop (0 cubes, 0 literals): 0" in capsys.readouterr().out
 
     def test_huge_minterm_variable_count(self, capsys):
         # n is checked before any 2^n-sized value is formed
