@@ -43,11 +43,19 @@ class PlaError(ValueError):
     pass
 
 
+def _decimal(text: str) -> int:
+    """int(text) for ASCII digits only: int() also takes "1_0" as 10 and
+    other scripts' digits, so a typo would name another number."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _directive_int(parts: List[str]) -> int:
     if len(parts) < 2:
         raise PlaError(f"{parts[0]} needs an integer argument")
     try:
-        return int(parts[1])
+        return _decimal(parts[1])
     except ValueError:
         raise PlaError(f"{parts[0]} argument {parts[1]!r} is not an integer") from None
 
@@ -160,8 +168,8 @@ def parse_minterms(spec: str) -> TruthTable:
     and an empty entry ("4:1,,2", "4:1,") is malformed."""
     try:
         head, _, tail = spec.partition(":")
-        n = int(head)
-        minterms = [int(t) for t in tail.split(",")] if tail.strip() else []
+        n = _decimal(head)
+        minterms = [_decimal(t) for t in tail.split(",")] if tail.strip() else []
     except ValueError:
         raise ValueError(f"malformed minterm spec {spec!r}") from None
     return truthtable_from_minterms(n, minterms)

@@ -4,20 +4,21 @@ Phase one builds all prime implicants by iterative adjacency merging
 of minterm groups; phase two solves the prime-implicant chart exactly.
 The chart is in truth-table bits: a row is its prime's ``cube_mask``,
 a column is a minterm bit, and the uncovered columns are one int.  Each
-column's row set, an int over row indices, is made once; every round
-reads it restricted to the live rows.  Essentials (the rows of columns
-with one live row) and one dominance rule reduce the chart to a cyclic
-core: the rule drops a set that lies inside another (of equal sets, all
-but the least ranked), applied to the rows' useful coverage and to the
-complements of the columns' live row sets.  Branch and bound then covers
-the core: a loop over an explicit stack, so no recursion limit bounds
-how deep the search goes.
+round holds the chart both ways, rows to their useful columns and
+columns to their live rows.  Essentials (the rows of columns with one
+live row) and two dominance rules reduce the chart to a cyclic core.
+One nested-set search serves both rules: ANDing the other view over a
+set's elements finds the sets that hold it, with no pairwise pass and
+no complements.  A row inside another row goes, and so does a column
+that holds another column (of equal sets, all but the least ranked).
+Branch and bound then covers the core: a loop over an explicit stack,
+so no recursion limit bounds how deep the search goes.
 """
 
 from __future__ import annotations
 
 from math import ceil
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .boolfn import Cover, Cube, TruthTable, cube_mask, format_cube
 
@@ -64,28 +65,41 @@ def _solution_key(keys: Sequence[RowKey], rows: Sequence[int]) -> Tuple[int, int
     return (len(rows), sum(keys[k][0] for k in rows), tuple(sorted(rows)))
 
 
-def _dominated(sets: Sequence[int], rank: Sequence) -> List[bool]:
-    """Which sets lie inside another set of the list; of equal sets, all
-    but the one of least rank.
+def _transpose(sets: Dict[int, int]) -> Dict[int, int]:
+    """The chart's other view: each element bit to the keys whose sets hold it."""
+    view: Dict[int, int] = {}
+    for key, members in sets.items():
+        while members:
+            bit = members & -members
+            members ^= bit
+            view[bit] = view.get(bit, 0) | key
+    return view
 
-    A dropped set's chain of dominators ends in a kept set, which also
-    dominates it, so a set is compared only with sets not yet dropped and
-    the result does not depend on the order of the list: callers may pass
-    the sets in any order.
+
+def _nested(sets: Dict[int, int], view: Dict[int, int], rank: Callable) -> Tuple[int, int]:
+    """The keys of sets that lie inside another set, and of sets that hold
+    another; of equal sets, the one of lower rank counts as the outer one.
+
+    Keys are distinct bits, and ``view`` maps each element to the keys
+    whose sets hold it, so the AND of ``view`` over a set's elements is
+    the keys of its supersets, its own key among them (a pair of a set
+    with itself never counts: its rank is not lower).  The AND starts
+    from every key, so an empty set lies inside each other set.
     """
-    drop = [False] * len(sets)
-    for i, si in enumerate(sets):
-        for j, sj in enumerate(sets[i + 1:], i + 1):
-            if drop[i]:
-                break
-            if drop[j]:
-                continue
-            common = si & sj  # not si & ~sj: an AND with a negative int is slower
-            if common == si:
-                drop[i if si != sj or rank[i] > rank[j] else j] = True
-            elif common == sj:
-                drop[j] = True
-    return drop
+    everyone = sum(sets)  # a sum of distinct bits is their union
+    inner = outer = 0
+    for key, members in sets.items():
+        holders = everyone
+        while members and holders != key:
+            bit = members & -members
+            members ^= bit
+            holders &= view[bit]
+        while holders:
+            other = holders & -holders
+            holders ^= other
+            if sets[other] != sets[key] or rank(other) < rank(key):
+                inner, outer = inner | key, outer | other
+    return inner, outer
 
 
 def _reduce_chart(
@@ -93,51 +107,42 @@ def _reduce_chart(
 ) -> Tuple[List[int], List[int], int]:
     """Essentials plus dominance to a fixpoint.
 
-    Rows are indices into ``masks`` and ``keys``.  Each column's row set
-    (an int over row indices) is made once, in one pass over the masks,
-    and each round restricts it to the live rows: a column with one live
-    row makes that row essential.  Returns the chosen essential rows, the
-    rows of the cyclic core in index order, and the core's uncovered
-    columns.
+    Rows are indices into ``masks`` and ``keys``.  The chart is held both
+    ways: ``rows`` maps ``1 << k`` to the uncovered columns row k covers,
+    and ``columns`` maps a column bit to its live rows, made from ``rows``
+    once per round.  A column with one live row makes that row essential.
+    Returns the chosen essential rows, the rows of the cyclic core in index
+    order, and the core's uncovered columns.
     """
-    columns: Dict[int, int] = {}
-    for k, mask in enumerate(masks):
-        rest = mask & uncovered
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            columns[bit] = columns.get(bit, 0) | 1 << k
+    rows = {1 << k: mask & uncovered for k, mask in enumerate(masks) if mask & uncovered}
+    columns = _transpose(rows)
     chosen: List[int] = []
-    rows = list(range(len(masks)))
-    alive = (1 << len(masks)) - 1
-    changed = True
-    while changed:
-        columns = {bit: col & alive for bit, col in columns.items() if bit & uncovered}
-
+    while True:
         # essentials: the row of a column with one live row, and the columns
-        # those rows cover (a sum of distinct bits is their union)
-        essential = sum({col for col in columns.values() if not col & (col - 1)})
-        chosen += [k for k in rows if essential >> k & 1]
-        uncovered ^= sum(bit for bit, col in columns.items() if col & essential)
+        # those rows cover (a sum of distinct bits is their union); columns
+        # still holds the columns the last round's column rule removed
+        essential = sum({col for bit, col in columns.items()
+                         if bit & uncovered and not col & (col - 1)})
+        chosen += [key.bit_length() - 1 for key in rows if key & essential]
+        uncovered ^= sum(bit for bit, col in columns.items() if bit & uncovered and col & essential)
 
         # rows: of the rows that cover something uncovered, drop a row whose
         # useful coverage lies inside another's; on equal coverage keep the
-        # least key
-        rows = [k for k in rows if masks[k] & uncovered]
-        drop = _dominated([masks[k] & uncovered for k in rows], [keys[k] for k in rows])
-        rows = [k for k, dropped in zip(rows, drop) if not dropped]
-        alive = sum(1 << k for k in rows)
+        # least key.  columns may name rows gone since it was made, which
+        # _nested's AND, starting from the live rows, leaves out
+        rows = {key: useful & uncovered for key, useful in rows.items() if useful & uncovered}
+        inner, _ = _nested(rows, columns, lambda key: keys[key.bit_length() - 1])
+        rows = {key: useful for key, useful in rows.items() if not key & inner}
 
-        # columns: a column whose row set holds another column's is covered
-        # whenever that one is, so the same rule runs on the complements of
-        # the live row sets; on equal row sets keep the least bit.  The
-        # columns go in first-seen order, which _dominated allows.
-        bits = [bit for bit in columns if bit & uncovered]
-        outside = [alive ^ (columns[bit] & alive) for bit in bits]
-        removed = sum(bit for bit, dropped in zip(bits, _dominated(outside, bits)) if dropped)
+        # columns: a column whose live rows hold another column's is covered
+        # whenever that one is, so it goes; on equal row sets keep the least
+        # bit.  This rule compares the row sets left by the row rule, so
+        # columns is made again here
+        columns = _transpose(rows)
+        _, removed = _nested(columns, rows, lambda bit: -bit)
         uncovered ^= removed
-        changed = bool(essential or removed) or any(drop)
-    return chosen, rows, uncovered
+        if not (essential or inner or removed):
+            return chosen, [key.bit_length() - 1 for key in rows], uncovered
 
 
 def _branch_and_bound(

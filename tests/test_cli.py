@@ -867,6 +867,31 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == f"dsopmin: error: malformed minterm spec {spec!r}\n"
 
+    # int() reads "1_0" as 10 and other scripts' digits as their values
+    @pytest.mark.parametrize("spec", ["4:1_0", "4:\u0661", "4:1,\u0662", "\u0664:1", "1_0:1"])
+    def test_minterm_spec_needs_ascii_digits(self, capsys, spec):
+        assert main(["--minterms", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dsopmin: error: malformed minterm spec {spec!r}\n"
+
+    @pytest.mark.parametrize("spec, minterms", [(" 4 : 1 , 2 ", [1, 2]), ("+4:+3", [3])])
+    def test_minterm_spec_signs_and_spaces(self, spec, minterms):
+        assert parse_minterms(spec) == truthtable_from_minterms(4, minterms)
+
+    @pytest.mark.parametrize("directive, arg", [(".i", "1_0"), (".i", "\u0664"), (".o", "1_0")])
+    def test_directive_needs_ascii_digits(self, tmp_path, capsys, directive, arg):
+        pla = tmp_path / "bad.pla"
+        other = ".o 1" if directive == ".i" else ".i 2"
+        pla.write_text(f"{directive} {arg}\n{other}\n11 1\n.e\n")
+        assert main(["--input", str(pla)]) == 2
+        assert capsys.readouterr().err == (
+            f"dsopmin: error: {directive} argument {arg!r} is not an integer\n")
+
+    def test_directive_sign_and_spaces(self):
+        tt, _ = parse_pla(".i  +2 \n.o 1\n11 1\n.e\n")
+        assert (tt.n, set(tt.minterms())) == (2, {3})
+
     @pytest.mark.parametrize("spec", ["4:", "4: "])
     def test_empty_minterm_list_is_constant_zero(self, capsys, spec):
         assert main(["--minterms", spec]) == 0

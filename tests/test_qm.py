@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -9,7 +10,14 @@ from dsopmin.boolfn import (
     format_cube,
     truthtable_from_minterms,
 )
-from dsopmin.qm import _branch_and_bound, _dominated, _reduce_chart, exact_cover, prime_implicants
+from dsopmin.qm import (
+    _branch_and_bound,
+    _nested,
+    _reduce_chart,
+    _transpose,
+    exact_cover,
+    prime_implicants,
+)
 
 from conftest import (
     brute_force_primes,
@@ -186,31 +194,45 @@ class TestAgainstReference:
             self.assert_matches(tt)
 
 
+def nested(sets, ranks):
+    """_nested on a list of sets, set i keyed 1 << i and ranked ranks[i]:
+    (inner, outer) as one flag per set."""
+    chart = {1 << i: s for i, s in enumerate(sets)}
+    inner, outer = _nested(chart, _transpose(chart), lambda key: ranks[key.bit_length() - 1])
+    return ([bool(inner >> i & 1) for i in range(len(sets))],
+            [bool(outer >> i & 1) for i in range(len(sets))])
+
+
+def dominated(sets, ranks):
+    return nested(sets, ranks)[0]
+
+
 def survivors(sets, ranks):
-    return {(s, r) for s, r, dropped in zip(sets, ranks, _dominated(sets, ranks)) if not dropped}
+    return {(s, r) for s, r, dropped in zip(sets, ranks, dominated(sets, ranks)) if not dropped}
 
 
 class TestDominated:
-    """The one dominance rule: a set inside another goes; of equal sets,
-    all but the one of least rank go."""
+    """The one dominance rule, as _nested finds it: a set inside another is
+    inner and the other is outer; of equal sets, the one of lower rank is
+    the outer one."""
 
     def test_equal_sets_keep_the_least_rank_wherever_it_sits(self):
         for ranks in itertools.permutations(range(4)):
-            assert _dominated([0b101] * 4, ranks) == [r != 0 for r in ranks]
+            assert dominated([0b101] * 4, ranks) == [r != 0 for r in ranks]
 
     def test_a_chain_keeps_its_largest_set(self):
         chain = [0b1, 0b11, 0b111, 0b1111]
         for sets in itertools.permutations(chain):
-            assert _dominated(sets, range(4)) == [s != 0b1111 for s in sets]
+            assert dominated(sets, range(4)) == [s != 0b1111 for s in sets]
 
     def test_an_empty_set_goes_beside_a_non_empty_one(self):
-        assert _dominated([0], [0]) == [False]
-        assert _dominated([0, 0b10], [0, 1]) == [True, False]
-        assert _dominated([0b10, 0], [1, 0]) == [False, True]
-        assert _dominated([0b01, 0, 0b10], [2, 0, 1]) == [False, True, False]
+        assert dominated([0], [0]) == [False]
+        assert dominated([0, 0b10], [0, 1]) == [True, False]
+        assert dominated([0b10, 0], [1, 0]) == [False, True]
+        assert dominated([0b01, 0, 0b10], [2, 0, 1]) == [False, True, False]
 
     def test_incomparable_sets_all_stay(self):
-        assert _dominated([0b011, 0b110, 0b101], [2, 1, 0]) == [False] * 3
+        assert dominated([0b011, 0b110, 0b101], [2, 1, 0]) == [False] * 3
 
     def test_survivors_match_the_definition_in_any_order(self):
         rng = random.Random("dominated")
@@ -224,6 +246,25 @@ class TestDominated:
             assert survivors(sets, ranks) == want
             order = rng.sample(range(size), size)
             assert survivors([sets[i] for i in order], [ranks[i] for i in order]) == want
+
+    def test_outer_matches_the_definition(self):
+        # the column rule drops the outer side: a set that holds another
+        # strictly, or equally when its rank is lower
+        rng = random.Random("nested/outer")
+        for _ in range(500):
+            size = rng.randint(1, 12)
+            sets = [rng.getrandbits(5) & rng.getrandbits(5) for _ in range(size)]
+            ranks = rng.sample(range(100), size)
+            want = [any(i != j and t | s == s and (t != s or r < q)
+                        for j, (t, q) in enumerate(zip(sets, ranks)))
+                    for i, (s, r) in enumerate(zip(sets, ranks))]
+            assert nested(sets, ranks)[1] == want
+
+    def test_outer_of_equal_and_empty_sets(self):
+        # of equal sets, all but the one of greatest rank hold another
+        assert nested([0b101] * 3, [2, 0, 1])[1] == [False, True, True]
+        assert nested([0, 0b10, 0b11], [0, 1, 2])[1] == [False, True, True]
+        assert nested([0], [0]) == ([False], [False])
 
 
 class TestAgainstMaskReference:
@@ -264,3 +305,21 @@ class TestAgainstMaskReference:
         _, rows, uncovered = self.assert_matches(
             TruthTable(10, random.Random("deep/10/0").getrandbits(1 << 10)))
         assert (len(rows), uncovered.bit_count()) == (464, 365)
+
+
+class TestDeepCharts:
+    """The full charts of random.Random("deep/{n}/0")'s tables at n=11 and
+    n=12, pinned by the (chosen, rows, uncovered) digest and core size."""
+
+    @pytest.mark.parametrize("n, want, core", [
+        (11, "728663c964287b60", (1312, 922)),
+        (12, "1f456ed4e78684c8", (2621, 1763)),
+    ])
+    def test_pinned(self, n, want, core):
+        tt = TruthTable(n, random.Random(f"deep/{n}/0").getrandbits(1 << n))
+        primes = prime_implicants(tt)
+        chosen, rows, uncovered = _reduce_chart(
+            [cube_mask(p) for p in primes],
+            [(p.literal_count(), k) for k, p in enumerate(primes)], tt.bits)
+        assert hashlib.sha256(repr((chosen, rows, uncovered)).encode()).hexdigest()[:16] == want
+        assert (len(rows), uncovered.bit_count()) == core
