@@ -51,6 +51,14 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
+def _decimal_option(text: str) -> int:
+    """_decimal as an argparse type: the parser prints the text after the option."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}") from None
+
+
 def _directive_int(parts: List[str]) -> int:
     if len(parts) < 2:
         raise PlaError(f"{parts[0]} needs an integer argument")
@@ -279,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src = parser.add_mutually_exclusive_group()
     src.add_argument("--input", metavar="FILE.pla", help="single-output PLA input")
     src.add_argument("--minterms", metavar="N:LIST", help='minterm shorthand, e.g. "4:1,5,6,9"')
-    src.add_argument("--benchmark", type=int, metavar="COUNT",
+    src.add_argument("--benchmark", type=_decimal_option, metavar="COUNT",
                      help="run COUNT seeded random functions instead of one input")
     parser.add_argument("--order", choices=ORDERINGS, default="entropy")
     parser.add_argument("--emit", default="sop", help="comma-separated subset of dsop,sop")
@@ -287,8 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--report", metavar="PATH", help="write the JSON report here")
     parser.add_argument("--csv", metavar="PATH", help="also write a CSV table")
     parser.add_argument("--names", help="comma-separated variable names")
-    parser.add_argument("--seed", type=int, default=0, help="benchmark RNG seed")
-    parser.add_argument("--bench-vars", type=int, default=4, help="benchmark variable count")
+    parser.add_argument("--seed", type=_decimal_option, default=0, help="benchmark RNG seed")
+    parser.add_argument("--bench-vars", type=_decimal_option, default=4,
+                        help="benchmark variable count")
     parser.add_argument("--no-timing", action="store_true",
                         help="write the stage times as 0.0 (byte-stable reports)")
     return parser
@@ -323,6 +332,10 @@ def _run_one(args: argparse.Namespace, cfg: PipelineConfig, emit: Sequence[str])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the CLI; the exit status is 0 on success, 1 on an invariant
+    violation, 2 on bad input or an unreadable or unwritable file, and 141
+    (128 + SIGPIPE, what a shell shows for a program SIGPIPE ends) with no
+    error line when stdout's reader closes it early, as ``| head`` does."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not 1 <= args.bench_vars <= MAX_TABLE_VARS:
@@ -352,6 +365,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             emit_report(reports, args.report)
         if args.csv:
             emit_csv(reports, args.csv)
+        if sys.stdout is not None:  # None when the process starts with fd 1 closed
+            sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+    except BrokenPipeError:  # an OSError, but no bad input
+        sys.stdout = None  # the unwritten rest is dropped: nothing left to flush at exit
+        return 141
     except (OSError, ValueError) as exc:
         print(f"dsopmin: error: {exc}", file=sys.stderr)
         return 2

@@ -860,6 +860,64 @@ class TestMain:
         assert exc.value.code == 2
         assert "--benchmark" in capsys.readouterr().err
 
+    # argparse's type=int takes "1_0" as 10 and "\u0663" as 3 too
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "x"])
+    @pytest.mark.parametrize("flag", ["--benchmark", "--seed", "--bench-vars"])
+    def test_int_options_need_ascii_digits(self, capsys, flag, value):
+        options = {"--benchmark": "1", "--bench-vars": "3", "--seed": "0", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main([word for item in options.items() for word in item])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"dsopmin: error: argument {flag}: not a decimal integer: {value!r}\n")
+
+    def test_int_options_signs_and_spaces(self, capsys):
+        assert main(["--benchmark", " +2", "--bench-vars", "3 ", "--seed", "-3"]) == 0
+        assert capsys.readouterr().out == "benchmark: 2 runs, n=3, seed=-3\n"
+
+    # a reader that closes stdout early (`| head`) makes a write or the last
+    # flush raise BrokenPipeError: no bad input, so no error line and not 2
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_closed_stdout(self, monkeypatch, capsys, failing):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                if failing == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["--minterms", "4:1,5,6,9,12,13,14,15", "--emit", "dsop,sop"]) == 141
+        assert sys.stdout is None  # the flush at exit finds nothing to write
+        assert capsys.readouterr().err == ""
+
+    def test_no_stdout(self, monkeypatch, capsys):
+        # a process started with fd 1 closed has sys.stdout None: print
+        # writes nothing, and the flush must not fail either
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["--minterms", "4:1,5,6,9,12,13,14,15"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_process(self):
+        # the whole process, buffered, on a pipe whose reader is gone before
+        # it starts: the status and the empty stderr include the flush at exit
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "dsopmin", "--minterms", "4:1,5,6"],
+                                  stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
     @pytest.mark.parametrize("spec", ["4:1,,2", "4:1,", "4:,1", "4:,", "4: , "])
     def test_empty_minterm_entry_refused(self, capsys, spec):
         assert main(["--minterms", spec]) == 2

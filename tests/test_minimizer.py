@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 from functools import reduce
@@ -363,7 +364,11 @@ def nested_halves(rng, width: int, split: int, count: int):
 
 
 class TestContainmentKernel:
-    """scc, and merges of halves of 16 cubes or more, share one packed kernel: each field size."""
+    """scc, and merges of halves of 16 cubes or more, share one kernel: each field size.
+
+    The kernel packs a part, or tallies it where only an equal cube can
+    hold a query.
+    """
 
     @pytest.mark.parametrize("width", FIELD_WIDTHS)
     def test_merge_matches_reference(self, width):
@@ -402,6 +407,57 @@ class TestContainmentKernel:
                 assert k == want, (width, query, len(cubes))
             monkeypatch.undo()
         assert len(calls) > 1
+        # every query ties the cubes' fewest literals and the cubes hold
+        # duplicates, as a split's part can: only an equal cube holds a
+        # query, so the counts are a tally and nothing is packed
+        lits = rng.randint(0, width)
+
+        def tied():
+            care = sum(1 << s for s in rng.sample(range(width), lits))
+            return care, rng.getrandbits(width) & care
+
+        cubes = [tied() for _ in range(20)]
+        cubes += rng.choices(cubes, k=10)
+        cubes += [(care, value) for care, value in random_packed(rng, width, 20)
+                  if care.bit_count() > lits]
+        rng.shuffle(cubes)
+        queries = cubes[:10] + [tied() for _ in range(10)]
+        queries = [q for q in queries if q[0].bit_count() == lits]
+        packs = count_calls(monkeypatch, "_pack")
+        found = kernel_containers(queries, cubes, width)
+        assert found == brute_containers(queries, cubes), (width, lits)
+        assert kernel_containers(queries, [], width) == [0] * len(queries)
+        assert not packs and max(found) > 1
+
+    def test_minterm_halves_are_a_tally(self, monkeypatch):
+        # minterm halves: every cube has the same literal count, so a merge
+        # of halves of 16 cubes or more counts through the kernel without
+        # packing; in parity's simplify (every sub-cover is minterms and
+        # nothing lifts) _pack makes only the table's keys
+        rng = random.Random("kernel-tally")
+        n, split = 9, 1 << 4
+        free = [m for m in range(1 << n) if not m & split]
+        full = (1 << n) - 1 ^ split
+        kernel = count_calls(monkeypatch, "_containers")
+        packs = count_calls(monkeypatch, "_pack")
+        for _ in range(20):
+            h0 = [(full, m) for m in rng.sample(free, rng.randint(16, 60))]
+            h1 = [(full, m) for m in rng.sample(free, rng.randint(16, 60))]
+            assert kernel_merge(h0, h1, split, n) == ref_merge(h0, h1, split)
+        assert len(kernel) == 40 and not packs
+        monkeypatch.undo()
+        kernel = count_calls(monkeypatch, "_containers")
+        callers = []
+        pack = minimizer._pack
+
+        def traced_pack(cubes, n):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return pack(cubes, n)
+
+        monkeypatch.setattr(minimizer, "_pack", traced_pack)
+        dsop = parity_dsop(10)
+        assert set(simplify(dsop).cubes) == set(dsop.cubes)
+        assert kernel and callers and set(callers) == {"_simplify"}
 
     def test_few_cubes_mention_the_top_variables(self, monkeypatch):
         # over 512 dense cubes over the lowest 12 variables in each half and
