@@ -36,6 +36,7 @@ from .boolfn import (
     _set,
     cofactor_tables,
     full_mask,
+    level_masks,
     var_masks,
 )
 
@@ -150,7 +151,7 @@ class Levels:
 
 
 def split_levels(tt: TruthTable,
-                 rule: Callable[[int, List[int], Dict[int, int], Tuple[int, ...]], int]) -> Levels:
+                 rule: Callable[[int, List[int], Dict[int, int], Sequence[int]], int]) -> Levels:
     """Split tt one level at a time, each distinct subtable once.
 
     Every subtable at a level ranges over the same remaining variables,
@@ -158,14 +159,14 @@ def split_levels(tt: TruthTable,
     non-constant subtable's raw bits, the sharing a BDD makes of equal
     subfunctions.  The rule sees the level, the remaining variables,
     those counts and the level's literal masks, and returns the place of
-    the variable to split on.  The masks are var_masks of the level's
+    the variable to split on.  The masks are level_masks of the level's
     width, fetched once for the rule and the cofactors, and () on a
-    level of constants only, which splits nothing; they are dropped
-    before the next level's are built, so one width above 16 is alive
-    at a time.  Each distinct subtable is cofactored once, and its count
-    is added to each child's; constant children are terminals.  At most
-    two levels' tables are held at once; the levels above keep only
-    their children's references.
+    level of constants only, which splits nothing; above width 16 each
+    mask is built when it is read, so a wide level holds the few masks
+    its readers hold.  Each distinct subtable is cofactored once, and
+    its count is added to each child's; constant children are
+    terminals.  At most two levels' tables are held at once; the levels
+    above keep only their children's references.
     """
     n = tt.n
     full = full_mask(n)
@@ -177,7 +178,7 @@ def split_levels(tt: TruthTable,
     for level in range(n):
         # index: the next level's distinct subtable -> reference
         tables, below, index = below, {}, {}
-        masks = var_masks(n - level) if tables else ()
+        masks = level_masks(n - level) if tables else ()
         place = rule(level, remaining, tables, masks)
         perm.append(remaining.pop(place))
         full = full_mask(n - level - 1)
@@ -191,7 +192,6 @@ def split_levels(tt: TruthTable,
                     refs.append(index.setdefault(bits, len(index) + 2))
                     below[bits] = below.get(bits, 0) + count
         kids.append([*zip(refs[::2], refs[1::2])])
-        del masks  # before the next level's fetch: one wide width alive at a time
     return Levels(VariableOrder(tuple(perm)), root, tuple(kids))
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # Truth-table-backed operations refuse larger n; 2^24 bits is the ceiling.
 MAX_TABLE_VARS = 24
@@ -207,9 +207,8 @@ def format_cube(cube: Cube) -> str:
 
 # Widths up to 16 are kept, about 240 KiB in all; a wider width is built on
 # each call and dropped with its last reference.  Widths 17 to 24 together
-# take about 92 MiB, and a descent at n > 16 fetches each once, for its
-# place rule and its cofactors both, so keeping them would hold every width
-# it has passed: a sparse n=24 split then peaks at about 103 MiB, not 60 MiB.
+# take about 92 MiB, so keeping them would hold every width a descent at
+# n > 16 has passed: a sparse n=24 split would then peak at about 103 MiB.
 def var_masks(n: int) -> Tuple[int, ...]:
     """Truth-table masks of the positive literals over n variables.
 
@@ -224,17 +223,45 @@ def var_masks(n: int) -> Tuple[int, ...]:
 def _cached_var_masks(n: int) -> Tuple[int, ...]:
     if not 1 <= n <= MAX_TABLE_VARS:
         raise ValueError(f"variable count {n} outside [1, {MAX_TABLE_VARS}]")
+    return tuple(map(_var_mask, repeat(n), range(n)))
+
+
+def _var_mask(n: int, v: int) -> int:
+    """var_masks(n)[v], built by doubling a run of 1s."""
     size = 1 << n
-    masks = []
-    for v in range(n):
-        run = 1 << (n - 1 - v)  # minterms in a row with the same value of v
-        mask = ((1 << run) - 1) << run
-        width = 2 * run
-        while width < size:
-            mask |= mask << width
-            width *= 2
-        masks.append(mask)
-    return tuple(masks)
+    run = 1 << (n - 1 - v)  # minterms in a row with the same value of v
+    mask = ((1 << run) - 1) << run
+    width = 2 * run
+    while width < size:
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
+def level_masks(n: int) -> Sequence[int]:
+    """var_masks(n) for a descent level: above width 16, a sequence that
+    builds each mask when it is read and keeps none, so a level holds the
+    few masks its reader holds, not n of them (48 MiB at width 24)."""
+    return var_masks(n) if n <= 16 else _LazyMasks(n)
+
+
+class _LazyMasks:
+    """var_masks(n), one mask per read."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        if n > MAX_TABLE_VARS:
+            raise ValueError(f"variable count {n} outside [1, {MAX_TABLE_VARS}]")
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise IndexError(v)  # ends iteration
+        return _var_mask(self.n, v)
 
 
 def full_mask(n: int) -> int:
@@ -298,17 +325,17 @@ def truthtable_from_minterms(n: int, minterms: Iterable[int]) -> TruthTable:
     return truthtable_from_pairs(n, zip(repeat((1 << n) - 1), minterms))
 
 
-def cofactor_tables(tables: Iterable[int], masks: Tuple[int, ...], var: int) -> List[Tuple[int, int]]:
+def cofactor_tables(tables: Iterable[int], masks: Sequence[int], var: int) -> List[Tuple[int, int]]:
     """The (var=0, var=1) raw-bits cofactors of each n-variable table, over n-1 variables.
 
-    masks is var_masks(n), which the caller fetches: the descent fetches
-    a level's once, for its place rule and these cofactors.  Each half is
-    shifted into place and masked; then one shift-OR-mask step per
-    coarser variable, its mask read once for all the tables, closes the
-    gaps between its runs: O(var) big-int operations per table, no
-    per-minterm loop.  Each x & ~mask is written x ^ (x & mask): CPython
-    ANDs with a negative int several times slower, which shows on wide
-    tables.
+    masks is var_masks(n) or level_masks(n), which the caller fetches:
+    the descent fetches a level's once, for its place rule and these
+    cofactors.  Each half is shifted into place and masked; then one
+    shift-OR-mask step per coarser variable, its mask read once for all
+    the tables, closes the gaps between its runs: O(var) big-int
+    operations per table, no per-minterm loop.  Each x & ~mask is
+    written x ^ (x & mask): CPython ANDs with a negative int several
+    times slower, which shows on wide tables.
     """
     run, mask = 1 << (len(masks) - 1 - var), masks[var]
     steps = [(run << j, masks[coarser]) for j, coarser in enumerate(range(var - 1, -1, -1))]

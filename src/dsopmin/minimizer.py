@@ -13,19 +13,23 @@ node stays near linear in its cover:
   containment query of the merge or scc() a few operations.  Where no
   query has more literals than the fewest-literal cube, only an equal
   cube can hold one: the counts are one tally and nothing is packed
-  (48 of the 65 kernel leaves of a seed-1 structured benchmark pass, 2
+  (48 of the 67 kernel leaves of a seed-1 structured benchmark pass, 2
   of 318 of a random-dense one).  Below
   that, where most nodes are, packing costs more than it saves: a node
   counts its binate columns cube by cube (closed form for three cubes),
   the merge files each cube against a small other half in one loop, and
   a two-cube node is closed form;
 * the merge of two simplify() results needs no containment pass;
-* one call keeps a table from each binate sub-cover of 16 cubes or
-  more to its result (smaller ones seldom repeat on random inputs), the
-  computed table of BDD packages (Brace, Rudell and Bryant, DAC 1990)
-  applied to URP: cofactors of symmetric functions repeat (F|x=0,y=1 =
-  F|x=1,y=0).  Its key is the packed int, which holds no references
-  for the garbage collector to traverse.
+* one call keeps a table from each binate sub-cover of 4 cubes or more
+  to its result, the computed table of BDD packages (Brace, Rudell and
+  Bryant, DAC 1990) applied to URP: cofactors of symmetric functions
+  repeat (F|x=0,y=1 = F|x=1,y=0), and so do sub-covers below shared BDD
+  nodes.  From 16 cubes on its key is the packed int, which _pick reads
+  and which holds no references for the garbage collector to traverse;
+  below that, the records' tuple.  It is bounded by its input: an entry
+  is stored only while the result records held stay within the input
+  cover's record count, so a dense input, where hardly any sub-cover
+  repeats, holds at most one cover's worth.
 
 minimize() and simplify() turn ``(care, value)`` pairs into records on
 entry and back on exit.  expand() raises literals toward primeness and
@@ -55,8 +59,8 @@ from .boolfn import Cover, Cube, TruthTable, format_cube, full_mask, pair_mask, 
 Packed = Tuple[int, int]
 
 # Under this many cubes packing costs more than it saves: a binate node
-# picks its variable by counting cubes and stays out of the table, and the
-# merge scans such a half cube by cube instead of packing it.
+# picks its variable by counting cubes and is keyed by its records' tuple,
+# and the merge scans such a half cube by cube instead of packing it.
 _SMALL = 16
 
 # A packed cover: (size, cube count, fields).  Cube i's record fills bytes
@@ -144,7 +148,7 @@ def _containers(queries: Sequence[int], cubes: Sequence[int], n: int) -> List[in
     packed: each count is the query's multiplicity in it, duplicates
     included, read from one tally (Espresso's containment orders cubes by
     size the same way; Brayton et al., 1984).  On the seed-1 benchmark
-    passes that answers 48 of 65 such leaves on structured, 2 of 318 on
+    passes that answers 48 of 67 such leaves on structured, 2 of 318 on
     random-dense, 0 of 7 on wide-pla and 0 of 21 on the oracle pool's
     finishing functions.
     """
@@ -233,8 +237,27 @@ def _merge(h0: Sequence[int], h1: Sequence[int], bit: int, n: int) -> List[int]:
     return [*lifted, *rest]
 
 
-def _simplify(cubes: List[int], n: int, done: Dict[Key, List[int]]) -> List[int]:
-    """simplify() on records; done maps each binate cover's key to its result."""
+class _Table(dict):
+    """One simplify() call's table: binate sub-cover key -> its result.
+
+    room is how many more result records it may hold: it starts at the
+    input cover's record count, and an entry is stored only while it fits.
+    """
+
+    __slots__ = ("room",)
+
+    def __init__(self, room: int) -> None:
+        self.room = room
+
+
+def _simplify(cubes: List[int], n: int, done: _Table) -> List[int]:
+    """simplify() on records; done maps each binate cover of 4 cubes or more to its result.
+
+    The key of a cover under _SMALL cubes is its records' tuple; from
+    _SMALL on it is the packed cover, which _pick reads.  A tuple of four
+    or more records never equals a 3-field Key, so the two kinds share
+    one table; three-cube nodes stay out of it.
+    """
     if len(cubes) == 1:
         return cubes
     if 0 in cubes:
@@ -255,16 +278,20 @@ def _simplify(cubes: List[int], n: int, done: Dict[Key, List[int]]) -> List[int]
         if ca == cb:
             return [ca]
         return [ca, b] if ca | cb == ca else [cb, a]
-    if len(cubes) < _SMALL:
+    if len(cubes) == 3:
         return _split(cubes, _count_pick(cubes, binate, n), n, done)
-    key = _pack(cubes, n)
+    small = len(cubes) < _SMALL
+    key = tuple(cubes) if small else _pack(cubes, n)
     out = done.get(key)
     if out is None:
-        out = done[key] = _split(cubes, _pick(key, binate, n), n, done)
+        out = _split(cubes, _count_pick(cubes, binate, n) if small else _pick(key, binate, n), n, done)
+        if len(out) <= done.room:
+            done.room -= len(out)
+            done[key] = out
     return out
 
 
-def _split(cubes: List[int], bit: int, n: int, done: Dict[Key, List[int]]) -> List[int]:
+def _split(cubes: List[int], bit: int, n: int, done: _Table) -> List[int]:
     """A binate node: simplify the cofactors on the variable at bit and merge them."""
     h0, h1 = cover_cofactor(cubes, bit, n)
     h0 = _simplify(h0, n, done)  # frees the x' cofactor before the x one recurses
@@ -276,7 +303,8 @@ def _split(cubes: List[int], bit: int, n: int, done: Dict[Key, List[int]]) -> Li
 def _urp(cubes: Sequence[Packed], n: int) -> List[Packed]:
     """_simplify on pairs: each becomes the record (care ^ value) << n | value, and back."""
     low = (1 << n) - 1
-    out = _simplify([(care ^ value) << n | value for care, value in cubes], n, {})
+    records = [(care ^ value) << n | value for care, value in cubes]
+    out = _simplify(records, n, _Table(len(records)))
     return [(r >> n | r & low, r & low) for r in out]
 
 

@@ -7,13 +7,15 @@ on it, and recurses.  Ties break toward the lowest variable index.
 The pass is bdd.split_levels with the entropy score as its rule, the
 same descent the BDD is built from: a level is held as its distinct
 subtables with their counts, and each is scored and split once, with
-the literal masks the descent fetched for the level.
+the literal masks the descent fetched for the level.  A cofactor's
+entropy depends only on its ON count and its width, so each is computed
+once per width and, up to width 16, kept across calls.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence
 
 from .bdd import VariableOrder, split_levels
 from .boolfn import TruthTable, var_masks
@@ -60,8 +62,14 @@ class _Entropies(dict):
         return p
 
 
+# Each width's _Entropies, for widths up to 16, as boolfn.var_masks keeps its
+# masks: a width holds at most 2^(width-1) + 1 counts, so all of them at most
+# 65,551 (about 7 MiB); a wider width's are made per call.
+_KEPT: Dict[int, _Entropies] = {}
+
+
 def entropy_place(level: int, remaining: List[int], tables: Dict[int, int],
-                  masks: Tuple[int, ...]) -> int:
+                  masks: Sequence[int]) -> int:
     """The split_levels rule of the entropy order: the place in remaining
     of the minimum-average-entropy variable.
 
@@ -69,10 +77,13 @@ def entropy_place(level: int, remaining: List[int], tables: Dict[int, int],
     level of constants only has none and gets place 0.  A distinct
     subtable is scored once, its score weighted by its count; constant
     subtables score 0 and are not in tables, but the divisor still
-    counts all 2^level subtables.  A cofactor's entropy depends only on
-    its ON count, so each count's is computed once per call.
+    counts all 2^level subtables.  Each cofactor entropy comes from
+    the width's _Entropies.
     """
-    h = _Entropies(1 << (len(remaining) - 1))
+    width = len(remaining)
+    h = _Entropies(1 << (width - 1))
+    if width <= 16:
+        h = _KEPT.setdefault(width, h)
     rows = [(st, st.bit_count(), count) for st, count in tables.items()]
     best_j, best_score = 0, math.inf
     for j, pos in enumerate(masks):

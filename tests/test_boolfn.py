@@ -17,6 +17,7 @@ from dsopmin.boolfn import (
     decode_cube,
     format_cube,
     full_mask,
+    level_masks,
     literal_count,
     pair_mask,
     truthtable_from_minterms,
@@ -128,6 +129,20 @@ class TestCubeMask:
         wide = var_masks(17)
         assert var_masks(17) == wide and var_masks(17) is not wide
         assert _cached_var_masks.cache_info()[:2] == (16, 16)
+
+    def test_level_masks(self):
+        # up to width 16 the kept tuple; above it, each mask built on its read
+        for n in (1, 12, 16):
+            assert level_masks(n) is var_masks(n)
+        for n in (17, 18):
+            lazy, masks = level_masks(n), _cached_var_masks.__wrapped__(n)
+            assert len(lazy) == n and list(lazy) == [lazy[v] for v in range(n)] == list(masks)
+            assert lazy[n - 1] is not lazy[n - 1]  # nothing kept
+            for v in (-1, n):
+                with pytest.raises(IndexError):
+                    lazy[v]
+        with pytest.raises(ValueError, match=r"variable count 25 outside \[1, 24\]"):
+            level_masks(25)
 
 
 class TestCubeBits:

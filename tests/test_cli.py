@@ -32,6 +32,7 @@ from dsopmin.boolfn import (
     MAX_ONE_PATHS,
     TruthTable,
     cofactor_tables,
+    full_mask,
     literal_count,
     truthtable_from_minterms,
 )
@@ -451,8 +452,9 @@ class TestRunPipeline:
 
     def test_sparse_pla_split_at_n22_holds_one_wide_width(self):
         # the PLA's distinct subtables take a few hundred bytes each, so the
-        # descent's memory is its literal masks: one width above 16 at a time
-        # (11 MiB at width 22), not every width it has passed (about 23 MiB)
+        # descent's memory is its literal masks: above width 16 each is
+        # built when it is read, never every width it has passed (about
+        # 23 MiB)
         tt, _ = sparse_pla(22, WIDE_PLA_LITERALS, "sparse-pla/22")
         tracemalloc.start()
         try:
@@ -461,6 +463,23 @@ class TestRunPipeline:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+    @pytest.mark.parametrize("kind, bound_mib", [("x0", 16), ("sparse-pla", 40)])
+    def test_split_at_n24_builds_masks_when_read(self, kind, bound_mib):
+        # a width-24 level reads its masks one at a time (2 MiB each), not
+        # as one 48 MiB tuple: with the tuple, the peaks were 56.5 MiB (x0)
+        # and 60.2 MiB (the PLA, whose cofactors read up to 21 masks)
+        if kind == "x0":
+            tt = TruthTable(24, full_mask(24) ^ full_mask(23))
+        else:
+            tt, _ = sparse_pla(24, WIDE_PLA_LITERALS, "sparse-pla/24")
+        tracemalloc.start()
+        try:
+            split_levels(tt, entropy_place)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib << 20
 
     def test_constant_zero_at_n24_builds_no_wide_width(self):
         # every level of a constant holds only constants, so the descent

@@ -19,6 +19,7 @@ from dsopmin.boolfn import (
     literal_count,
     truthtable_from_minterms,
 )
+from dsopmin.cli import PipelineConfig, run_pipeline
 from dsopmin.minimizer import (
     cover_cofactor,
     expand,
@@ -674,8 +675,9 @@ class TestSimplifyTable:
 
     def test_parity12_merges(self, monkeypatch):
         # each cofactor of parity is parity or its complement over the rest,
-        # so each level has two distinct sub-covers, not 2^level; nodes under
-        # 16 cubes stay out of the table and are redone: 27 merges, not 1,023
+        # so each level has two distinct sub-covers, not 2^level; every node
+        # of 4 cubes or more is in the table, and a 2-cube node needs no
+        # merge: 19 merges, not 1,023
         merges = count_calls(monkeypatch, "_merge")
         dsop = parity_dsop(12, [5, 11, 0, 7, 2, 9, 4, 1, 10, 3, 8, 6])
         assert set(simplify(dsop).cubes) == set(dsop.cubes)  # nothing merges in parity
@@ -781,7 +783,8 @@ class TestSmallNodes:
         assert checked > 40
 
     def test_small_node_packs_nothing(self, monkeypatch):
-        # a binate DSOP of 3-15 cubes: no pack, no packed pick, no table entry
+        # a binate DSOP of 3-15 cubes: no pack and no packed pick; the table
+        # holds covers of 4-15 cubes, keyed by their records
         packs = count_calls(monkeypatch, "_pack")
         picks = count_calls(monkeypatch, "_pick")
         rng = random.Random("small-count")
@@ -789,21 +792,82 @@ class TestSmallNodes:
         for n, on in _random_tables(rng):
             dsop = enumerate_one_paths(build_from_truthtable(TruthTable(n, on)))
             if 3 <= len(dsop.cubes) < minimizer._SMALL:
-                done = {}
-                out = minimizer._simplify(records([(c.care, c.value) for c in dsop], n), n, done)
+                rs = records([(c.care, c.value) for c in dsop], n)
+                done = minimizer._Table(len(rs))
+                out = minimizer._simplify(rs, n, done)
                 assert [(c.care, c.value) for c in ref_simplify(dsop)] == pairs(out, n)
-                assert not done and not packs and not picks
+                assert not packs and not picks
+                assert all(type(key) is tuple and 4 <= len(key) < minimizer._SMALL
+                           and all(type(r) is int for r in key) for key in done)
                 checked += 1
         assert checked > 20
 
-    def test_table_keys_have_16_cubes_or_more(self):
+    def test_table_keys_by_cover_size(self):
+        # from 16 cubes on, the key is the packed cover; from 4 to 15, the
+        # records' tuple
         rng = random.Random("small-keys")
         for n in (8, 10, 12):
             dsop = enumerate_one_paths(build_from_truthtable(TruthTable(n, rng.getrandbits(1 << n))))
-            done = {}
-            out = minimizer._simplify(records([(c.care, c.value) for c in dsop], n), n, done)
+            rs = records([(c.care, c.value) for c in dsop], n)
+            done = minimizer._Table(len(rs))
+            out = minimizer._simplify(rs, n, done)
             assert [(c.care, c.value) for c in simplify(dsop)] == pairs(out, n)
-            assert done and min(count for _, count, _ in done) >= minimizer._SMALL == 16
+            packed_keys = [key for key in done if len(key) == 3]
+            tuple_keys = [key for key in done if len(key) != 3]
+            assert packed_keys and min(count for _, count, _ in packed_keys) >= minimizer._SMALL == 16
+            assert tuple_keys and all(4 <= len(key) < minimizer._SMALL for key in tuple_keys)
+            for key, result in done.items():  # each entry is its cover's result
+                cover = records(decode(key, n), n) if len(key) == 3 else list(key)
+                assert minimizer._simplify(cover, n, minimizer._Table(0)) == result
+
+
+class SpyTable(minimizer._Table):
+    """minimizer._Table recording the key of each lookup it answers."""
+
+    __slots__ = ("hits",)
+
+    def __init__(self, room: int) -> None:
+        super().__init__(room)
+        self.hits = []
+
+    def get(self, key):
+        out = super().get(key)
+        if out is not None:
+            self.hits.append(key)
+        return out
+
+
+class TestTableBound:
+    """One call's table holds no more result records than its input has."""
+
+    @pytest.mark.parametrize("name", ["dense14", "parity10"])
+    def test_results_held_within_the_input(self, name, monkeypatch):
+        if name == "dense14":
+            tt = TruthTable(14, random.Random("dense/14").getrandbits(1 << 14))
+            dsop = run_pipeline(tt, PipelineConfig())[1]["dsop"]
+        else:
+            dsop = parity_dsop(10)
+        rs = records([(c.care, c.value) for c in dsop], dsop.n)
+        splits = count_calls(monkeypatch, "_split")
+        done = minimizer._Table(len(rs))
+        out = minimizer._simplify(rs, dsop.n, done)
+        assert pairs(out, dsop.n) == [(c.care, c.value) for c in simplify(dsop)]
+        held = sum(map(len, done.values()))
+        assert held + done.room == len(rs) and done.room >= 0
+        if name == "dense14":  # few sub-covers repeat: the bound refuses most entries
+            assert len(done) < len(splits) // 2
+
+    @pytest.mark.parametrize("name", ["parity10", "majority9"])
+    def test_small_sub_covers_answered(self, name):
+        if name == "parity10":
+            dsop = parity_dsop(10)
+        else:
+            dsop = enumerate_one_paths(build_from_truthtable(table_of(9, lambda x: sum(x) >= 5)))
+        rs = records([(c.care, c.value) for c in dsop], dsop.n)
+        done = SpyTable(len(rs))
+        out = minimizer._simplify(rs, dsop.n, done)
+        assert pairs(out, dsop.n) == [(c.care, c.value) for c in simplify(dsop)]
+        assert any(type(key) is tuple and 4 <= len(key) < minimizer._SMALL for key in done.hits)
 
 
 class TestExpand:

@@ -10,6 +10,7 @@ from dsopmin.boolfn import (
     truthtable_from_minterms,
     var_masks,
 )
+from dsopmin import ordering
 from dsopmin.ordering import (
     _EPS,
     cofactor_entropy,
@@ -226,6 +227,34 @@ class TestPlaceScoresAreVariableEntropy:
             if tt.n <= 10:
                 assert split_levels(tt, rule).order == entropy_order(tt)
         assert checked > 1000
+
+
+class TestKeptEntropies:
+    """entropy_place keeps each width's cofactor entropies across calls,
+    up to width 16; a kept value is the value a fresh table computes."""
+
+    def test_cold_and_warm_splits_agree(self):
+        rng = random.Random("kept-entropies")
+        tables = [*order_tables(), *reference_tables(), *wide_tables()]
+        for n in range(1, 15):
+            for _ in range(3):
+                on = rng.getrandbits(1 << n)
+                tables += [TruthTable(n, on), TruthTable(n, on & rng.getrandbits(1 << n))]
+        cold = []
+        for tt in tables:
+            ordering._KEPT.clear()
+            levels = split_levels(tt, entropy_place)
+            cold.append((levels.order, levels.kids))
+        for tt, want in zip(tables, cold):  # warm from every table before it
+            levels = split_levels(tt, entropy_place)
+            assert (levels.order, levels.kids) == want, (tt.n, hex(tt.bits))
+
+    def test_only_widths_up_to_16_kept(self):
+        ordering._KEPT.clear()
+        split_levels(TruthTable(18, random.Random("dense/18").getrandbits(1 << 18)), entropy_place)
+        assert sorted(ordering._KEPT) == list(range(1, 17))
+        for width, h in ordering._KEPT.items():
+            assert h.half == 1 << (width - 1) and len(h) <= h.half + 1
 
 
 class TestEntropyReport:
