@@ -36,7 +36,6 @@ from .boolfn import (
     _set,
     cofactor_tables,
     full_mask,
-    level_masks,
     var_masks,
 )
 
@@ -159,14 +158,14 @@ def split_levels(tt: TruthTable,
     non-constant subtable's raw bits, the sharing a BDD makes of equal
     subfunctions.  The rule sees the level, the remaining variables,
     those counts and the level's literal masks, and returns the place of
-    the variable to split on.  The masks are level_masks of the level's
+    the variable to split on.  The masks are var_masks of the level's
     width, fetched once for the rule and the cofactors, and () on a
-    level of constants only, which splits nothing; above width 16 each
-    mask is built when it is read, so a wide level holds the few masks
-    its readers hold.  Each distinct subtable is cofactored once, and
-    its count is added to each child's; constant children are
-    terminals.  At most two levels' tables are held at once; the levels
-    above keep only their children's references.
+    level of constants only, which splits nothing; above
+    boolfn.KEPT_WIDTH each mask is built when it is read, so a wide
+    level holds the few masks its readers hold.  Each distinct subtable
+    is cofactored once, and its count is added to each child's; constant
+    children are terminals.  At most two levels' tables are held at
+    once; the levels above keep only their children's references.
     """
     n = tt.n
     full = full_mask(n)
@@ -178,7 +177,7 @@ def split_levels(tt: TruthTable,
     for level in range(n):
         # index: the next level's distinct subtable -> reference
         tables, below, index = below, {}, {}
-        masks = level_masks(n - level) if tables else ()
+        masks = var_masks(n - level) if tables else ()
         place = rule(level, remaining, tables, masks)
         perm.append(remaining.pop(place))
         full = full_mask(n - level - 1)
@@ -261,8 +260,12 @@ def enumerate_one_paths(h: FunctionHandle) -> Cover:
 
 
 def to_truthtable(h: FunctionHandle) -> TruthTable:
-    """The function's truth table, combined bottom-up from literal masks."""
-    n, masks = h.manager.n, var_masks(h.manager.n)
+    """The function's truth table, combined bottom-up from literal masks.
+
+    Every node reads its variable's mask, so the width's masks are built
+    once, as a tuple, even above boolfn.KEPT_WIDTH.
+    """
+    n, masks = h.manager.n, tuple(var_masks(h.manager.n))
     # lo & ~mask, kept non-negative: CPython ANDs with a negative int several
     # times slower, which shows on wide tables
     return TruthTable(n, _fold(h, 0, full_mask(n),

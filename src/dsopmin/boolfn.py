@@ -205,24 +205,28 @@ def format_cube(cube: Cube) -> str:
                    for s in range(cube.n - 1, -1, -1))
 
 
-# Widths up to 16 are kept, about 240 KiB in all; a wider width is built on
-# each call and dropped with its last reference.  Widths 17 to 24 together
-# take about 92 MiB, so keeping them would hold every width a descent at
-# n > 16 has passed: a sparse n=24 split would then peak at about 103 MiB.
-def var_masks(n: int) -> Tuple[int, ...]:
+# Widths up to KEPT_WIDTH keep their literal masks here (about 240 KiB in
+# all) and their cofactor entropies in ordering.  Widths 17 to 24 would take
+# about 92 MiB of masks together, so a wider width's masks are built one per
+# read and dropped with their last reference.
+KEPT_WIDTH = 16
+
+
+def var_masks(n: int) -> Sequence[int]:
     """Truth-table masks of the positive literals over n variables.
 
     Bit m of ``var_masks(n)[v]`` is set iff variable v is 1 in minterm m;
     the complemented literal's mask is ``full_mask(n) ^ var_masks(n)[v]``.
-    Only the n positive masks are kept: n * 2^n bits per n.
+    Up to KEPT_WIDTH the kept tuple of the n masks; above it a sequence
+    that builds each mask when it is read and keeps none.
     """
-    return _cached_var_masks(n) if n <= 16 else _cached_var_masks.__wrapped__(n)
-
-
-@lru_cache(maxsize=16)
-def _cached_var_masks(n: int) -> Tuple[int, ...]:
     if not 1 <= n <= MAX_TABLE_VARS:
         raise ValueError(f"variable count {n} outside [1, {MAX_TABLE_VARS}]")
+    return _kept_masks(n) if n <= KEPT_WIDTH else _LazyMasks(n)
+
+
+@lru_cache(maxsize=KEPT_WIDTH)
+def _kept_masks(n: int) -> Tuple[int, ...]:
     return tuple(map(_var_mask, repeat(n), range(n)))
 
 
@@ -238,21 +242,12 @@ def _var_mask(n: int, v: int) -> int:
     return mask
 
 
-def level_masks(n: int) -> Sequence[int]:
-    """var_masks(n) for a descent level: above width 16, a sequence that
-    builds each mask when it is read and keeps none, so a level holds the
-    few masks its reader holds, not n of them (48 MiB at width 24)."""
-    return var_masks(n) if n <= 16 else _LazyMasks(n)
-
-
 class _LazyMasks:
-    """var_masks(n), one mask per read."""
+    """var_masks(n) above KEPT_WIDTH: one mask built per read."""
 
     __slots__ = ("n",)
 
     def __init__(self, n: int) -> None:
-        if n > MAX_TABLE_VARS:
-            raise ValueError(f"variable count {n} outside [1, {MAX_TABLE_VARS}]")
         self.n = n
 
     def __len__(self) -> int:
@@ -328,12 +323,12 @@ def truthtable_from_minterms(n: int, minterms: Iterable[int]) -> TruthTable:
 def cofactor_tables(tables: Iterable[int], masks: Sequence[int], var: int) -> List[Tuple[int, int]]:
     """The (var=0, var=1) raw-bits cofactors of each n-variable table, over n-1 variables.
 
-    masks is var_masks(n) or level_masks(n), which the caller fetches:
-    the descent fetches a level's once, for its place rule and these
-    cofactors.  Each half is shifted into place and masked; then one
-    shift-OR-mask step per coarser variable, its mask read once for all
-    the tables, closes the gaps between its runs: O(var) big-int
-    operations per table, no per-minterm loop.  Each x & ~mask is
+    masks is var_masks(n), which the caller fetches: the descent fetches
+    a level's once, for its place rule and these cofactors.  Each half is
+    shifted into place and masked by masks[var]; then one shift-OR-mask
+    step per coarser variable, its mask read once for all the tables,
+    closes the gaps between its runs: O(var) big-int operations per
+    table, no per-minterm loop.  Each x & ~mask is
     written x ^ (x & mask): CPython ANDs with a negative int several
     times slower, which shows on wide tables.
     """

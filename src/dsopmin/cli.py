@@ -126,6 +126,7 @@ def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
     out_count: Optional[int] = None
     names: Optional[List[str]] = None
     cubes: List[str] = []  # each cube line's two fields, in file order
+    headers: List[str] = []  # the .i, .o and .ilb lines read so far
     # the line list is a temporary of the loop, freed before the cubes are decoded
     for line in ([raw.partition("#")[0] for raw in text.splitlines()] if "#" in text
                  else text.splitlines()):
@@ -134,6 +135,10 @@ def parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
             continue
         key = parts[0]
         if key[0] == ".":
+            if key in (".i", ".o", ".ilb"):  # each may appear once
+                if key in headers:
+                    raise PlaError(f"repeated {key} directive")
+                headers.append(key)
             if key == ".i":
                 n = _directive_int(parts)
                 if not 1 <= n <= MAX_TABLE_VARS:
@@ -318,6 +323,8 @@ def _run_one(args: argparse.Namespace, cfg: PipelineConfig, emit: Sequence[str])
     for i, name in enumerate(names):  # an expression must name each variable once
         if not name or name in names[:i]:
             raise ValueError(f"repeated variable name {name!r}" if name else "empty variable name")
+        if name.split() != [name] or "'" in name or "+" in name:  # format_expression's separators
+            raise ValueError(f"variable name {name!r} holds whitespace, ' or +")
     report, covers = run_pipeline(tt, cfg)
     if "dsop" in emit:
         print(f"dsop ({report.dsop_cubes} cubes): {format_expression(covers['dsop'], names)}")

@@ -260,8 +260,6 @@ def _simplify(cubes: List[int], n: int, done: _Table) -> List[int]:
     """
     if len(cubes) == 1:
         return cubes
-    if 0 in cubes:
-        return [0]  # the universal cube
     acc = 0
     for r in cubes:
         acc |= r

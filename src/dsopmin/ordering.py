@@ -9,7 +9,7 @@ same descent the BDD is built from: a level is held as its distinct
 subtables with their counts, and each is scored and split once, with
 the literal masks the descent fetched for the level.  A cofactor's
 entropy depends only on its ON count and its width, so each is computed
-once per width and, up to width 16, kept across calls.
+once per width and, up to boolfn.KEPT_WIDTH, kept across calls.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from typing import Dict, List, Sequence
 
 from .bdd import VariableOrder, split_levels
-from .boolfn import TruthTable, var_masks
+from .boolfn import KEPT_WIDTH, TruthTable, var_masks
 
 # Scores are irrational in general; comparisons use this slack.
 _EPS = 1e-9
@@ -62,9 +62,9 @@ class _Entropies(dict):
         return p
 
 
-# Each width's _Entropies, for widths up to 16, as boolfn.var_masks keeps its
-# masks: a width holds at most 2^(width-1) + 1 counts, so all of them at most
-# 65,551 (about 7 MiB); a wider width's are made per call.
+# Each width's _Entropies, for widths up to KEPT_WIDTH, as boolfn.var_masks
+# keeps its masks: a width holds at most 2^(width-1) + 1 counts, so all of
+# them at most 65,551 (about 7 MiB); a wider width's are made per call.
 _KEPT: Dict[int, _Entropies] = {}
 
 
@@ -81,9 +81,9 @@ def entropy_place(level: int, remaining: List[int], tables: Dict[int, int],
     the width's _Entropies.
     """
     width = len(remaining)
-    h = _Entropies(1 << (width - 1))
-    if width <= 16:
-        h = _KEPT.setdefault(width, h)
+    h = _KEPT[width] if width in _KEPT else _Entropies(1 << (width - 1))
+    if width <= KEPT_WIDTH:
+        _KEPT[width] = h
     rows = [(st, st.bit_count(), count) for st, count in tables.items()]
     best_j, best_score = 0, math.inf
     for j, pos in enumerate(masks):

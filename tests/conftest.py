@@ -1007,6 +1007,7 @@ def ref_parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
     out_count: Optional[int] = None
     names: Optional[List[str]] = None
     cubes: List[Tuple[str, str]] = []
+    seen = set()  # header directives read so far: each may appear once
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -1014,6 +1015,10 @@ def ref_parse_pla(text: str) -> Tuple[TruthTable, Optional[List[str]]]:
         if line.startswith("."):
             parts = line.split()
             key = parts[0]
+            if key in (".i", ".o", ".ilb"):
+                if key in seen:
+                    raise PlaError(f"repeated {key} directive")
+                seen.add(key)
             if key == ".i":
                 n = _ref_directive_int(parts)
                 if not 1 <= n <= MAX_TABLE_VARS:

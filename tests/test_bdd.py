@@ -24,6 +24,7 @@ from dsopmin.boolfn import (
     format_cube,
     full_mask,
     truthtable_from_minterms,
+    truthtable_from_pairs,
     var_masks,
 )
 from dsopmin.cli import ORDERINGS, PipelineConfig, run_pipeline
@@ -131,6 +132,20 @@ class TestBuild:
     def test_to_truthtable_refuses_25_variables(self):
         with pytest.raises(ValueError, match="variable count 25 outside"):
             to_truthtable(bdd.FunctionHandle(BddManager(25), bdd.ONE))
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_to_truthtable_above_the_kept_width(self, n):
+        # past boolfn.KEPT_WIDTH to_truthtable builds its width's masks itself
+        rng = random.Random(f"wide-table/{n}")
+        pairs = []
+        for _ in range(40):
+            care = rng.getrandbits(n) | rng.getrandbits(n)
+            pairs.append((care, rng.getrandbits(n) & care))
+        tt = truthtable_from_pairs(n, pairs)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for order in (None, VariableOrder(tuple(perm))):
+            assert to_truthtable(build_from_truthtable(tt, order)) == tt
 
     def test_repeat_build_identical_root(self, golden_tt):
         h = build_from_truthtable(golden_tt, ORDER_BACD)

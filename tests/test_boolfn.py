@@ -2,13 +2,16 @@ import copy
 import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dsopmin.bdd import VariableOrder
 from dsopmin.boolfn import (
-    _cached_var_masks,
+    KEPT_WIDTH,
+    _kept_masks,
+    _var_mask,
     Cover,
     Cube,
     TruthTable,
@@ -17,7 +20,6 @@ from dsopmin.boolfn import (
     decode_cube,
     format_cube,
     full_mask,
-    level_masks,
     literal_count,
     pair_mask,
     truthtable_from_minterms,
@@ -95,9 +97,10 @@ class TestCubeMask:
     @pytest.mark.parametrize("n", range(1, 25))
     def test_random_cubes_match_references(self, n):
         # up to n=12 against the cube's minterm list; wider, against the AND
-        # of its literals' masks (built uncached, so no width stays held)
+        # of its literals' masks (read through var_masks, which keeps no
+        # width above KEPT_WIDTH)
         rng = random.Random(f"pair-mask/{n}")
-        masks = _cached_var_masks.__wrapped__(n) if n > 12 else None
+        masks = var_masks(n) if n > 12 else None
         for _ in range(20 if n <= 12 else 4):
             text = random_cube(rng, n, rng.randint(0, n))
             mask = pair_mask(n, *decode_cube(text, n))
@@ -117,32 +120,41 @@ class TestCubeMask:
             var_masks(25)
 
     def test_mask_cache_keeps_the_last_16_widths(self):
-        # a descent uses widths n, n-1, ..., 1: afterwards only widths up to
-        # 16 stay, and a wider width is built on each call and never kept
-        _cached_var_masks.cache_clear()
-        for n in range(17, 0, -1):
+        # a descent uses widths n, n-1, ..., 1: only the widths up to
+        # KEPT_WIDTH reach the cache, each built once, and a wider width
+        # never does
+        assert KEPT_WIDTH == 16
+        _kept_masks.cache_clear()
+        for n in range(24, 0, -1):
             var_masks(n)
-        assert _cached_var_masks.cache_info()[1:] == (16, 16, 16)  # misses, maxsize, size
+        assert _kept_masks.cache_info()[1:] == (16, 16, 16)  # misses, maxsize, size
         for n in range(16, 0, -1):
-            var_masks(n)
-        assert _cached_var_masks.cache_info()[:2] == (16, 16)  # 16 hits, no new miss
-        wide = var_masks(17)
-        assert var_masks(17) == wide and var_masks(17) is not wide
-        assert _cached_var_masks.cache_info()[:2] == (16, 16)
+            assert var_masks(n) is var_masks(n)
+        assert _kept_masks.cache_info()[:2] == (32, 16)  # hits, and no new miss
+        for n in (0, 25):
+            with pytest.raises(ValueError, match=rf"variable count {n} outside \[1, 24\]"):
+                var_masks(n)
+        assert _kept_masks.cache_info()[:2] == (32, 16)
 
-    def test_level_masks(self):
-        # up to width 16 the kept tuple; above it, each mask built on its read
-        for n in (1, 12, 16):
-            assert level_masks(n) is var_masks(n)
-        for n in (17, 18):
-            lazy, masks = level_masks(n), _cached_var_masks.__wrapped__(n)
-            assert len(lazy) == n and list(lazy) == [lazy[v] for v in range(n)] == list(masks)
-            assert lazy[n - 1] is not lazy[n - 1]  # nothing kept
+    def test_wide_masks_built_on_read(self):
+        # above KEPT_WIDTH a sequence that builds each mask when it is read:
+        # no tuple is made or kept, and at most two masks are held here at once
+        _kept_masks.cache_clear()
+        for n in range(17, 25):
+            masks = var_masks(n)
+            assert not isinstance(masks, tuple) and len(masks) == n
+            rng = random.Random(f"wide-masks/{n}")
+            for v in range(n):
+                mask = masks[v]
+                assert mask == _var_mask(n, v)
+                for m in [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(8))]:
+                    assert mask >> m & 1 == m >> (n - 1 - v) & 1
+            assert masks[n - 1] is not masks[n - 1]  # nothing kept
             for v in (-1, n):
                 with pytest.raises(IndexError):
-                    lazy[v]
-        with pytest.raises(ValueError, match=r"variable count 25 outside \[1, 24\]"):
-            level_masks(25)
+                    masks[v]
+        assert list(var_masks(17)) == [_var_mask(17, v) for v in range(17)]
+        assert _kept_masks.cache_info().currsize == 0
 
 
 class TestCubeBits:
@@ -390,6 +402,21 @@ class TestTruthTable:
                     sub = cofactor_bits(bits, n, var, val)
                     assert sub.bit_length() <= 1 << (n - 1)  # a table over n-1 variables
                     assert sub == ref_cofactor_bits(bits, n, var, val)
+
+    def test_dense_24_low_variable_reads_one_mask(self):
+        # the cofactor on variable 0 reads var_masks(24)[0] only: its 2 MiB
+        # mask and the 2 MiB intermediates of one half, under 10 MiB in all
+        # (about 6.4 MiB measured), not the width's 48 MiB of masks
+        bits = random.Random("dense/24").getrandbits(1 << 24)
+        for val in (False, True):
+            tracemalloc.start()
+            try:
+                sub = cofactor_bits(bits, 24, 0, val)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 << 20, (val, peak)
+            assert sub == (bits >> (1 << 23) if val else bits & full_mask(23))
 
     @pytest.mark.parametrize("n", [1, 3, 24])
     def test_bits_bound(self, n):

@@ -218,13 +218,25 @@ def seeded_pla(rng, n, cubes=None):
     return "\n".join(lines)
 
 
-# One bad line of each kind that the reader rejects, for a four-input PLA.
-# Lines are read (directives, two fields per cube line) before any cube's
-# fields are decoded, so an error of the first group comes before one of
-# the second wherever they stand, as in the former reader.
-BAD_READ_LINES = [".type fr", ".i", ".i x", ".i 0", ".i 25", ".o 2", ".o 1.5", "1 1 1", "1011"]
+# One bad line of each kind that the reader rejects, for a four-input PLA
+# whose .i and .o lines (HEADERS) come first.  Lines are read (directives,
+# two fields per cube line) before any cube's fields are decoded, so an
+# error of the first group comes before one of the second wherever they
+# stand, as in the former reader.
+HEADERS = [".i 4", ".o 1"]
+BAD_READ_LINES = [".type fr", ".i", ".i x", ".i 0", ".i 25", ".o 2", ".o 1.5", "1 1 1", "1011",
+                  *HEADERS]
 BAD_CUBE_LINES = ["101 1", "10110 0", "1x01 1", "10_1 0", "1011 -", "1011 ~", "1011 2",
                   "1011 10"]
+
+
+def headers_for(*bad):
+    """HEADERS less each line whose directive one of the bad lines gives a
+    bad value, so that bad line is the first of its kind and raises its
+    value error, not a repeat.  The header lines themselves stay bad as
+    repeats of HEADERS."""
+    keys = {line.split()[0] for line in bad if line not in HEADERS}
+    return [h for h in HEADERS if h.split()[0] not in keys]
 
 
 class TestParsePlaReference:
@@ -247,12 +259,28 @@ class TestParsePlaReference:
 
     @pytest.mark.parametrize("bad", BAD_READ_LINES + BAD_CUBE_LINES)
     def test_each_bad_line(self, bad):
-        base = [".i 4", ".o 1", "1-01 1", "0000 0", "22-1 1", ".e"]
-        for at in range(2, 6):
-            text = "\n".join(base[:at] + [bad] + base[at:])
+        head, body = headers_for(bad), ["1-01 1", "0000 0", "22-1 1", ".e"]
+        for at in range(len(body)):
+            text = "\n".join(head + body[:at] + [bad] + body[at:])
             got = parse_outcome(parse_pla, text)
             assert isinstance(got[0], type) and issubclass(got[0], ValueError)
             assert got == parse_outcome(ref_parse_pla, text)
+
+    @pytest.mark.parametrize("bad, error", [
+        (".i", ".i needs an integer argument"),
+        (".i x", ".i argument 'x' is not an integer"),
+        (".i 0", ".i 0 outside [1, 24]"),
+        (".i 25", ".i 25 outside [1, 24]"),
+        (".o 2", "only single-output functions are supported (.o 1)"),
+        (".o 1.5", ".o argument '1.5' is not an integer"),
+        (".i 4", "repeated .i directive"),
+        (".o 1", "repeated .o directive"),
+    ])
+    def test_header_line_errors(self, bad, error):
+        # the bad .i and .o lines above raise their own errors, not a repeat
+        text = "\n".join(headers_for(bad) + ["1-01 1", bad, ".e"])
+        assert parse_outcome(parse_pla, text) == (PlaError, error)
+        assert parse_outcome(ref_parse_pla, text) == (PlaError, error)
 
     def test_missing_headers_and_names(self):
         for text in ["1-01 1\n.e", ".i 4\n1-01 1", ".o 1\n.i 4\n.ilb a b\n1-01 1",
@@ -265,16 +293,20 @@ class TestParsePlaReference:
         # two bad lines of one group: the one first in file order decides
         for bad_lines in (BAD_READ_LINES, BAD_CUBE_LINES):
             for first, second in itertools.permutations(bad_lines, 2):
-                text = "\n".join([".i 4", ".o 1", "1-01 1", first, "0000 0", second, ".e"])
-                alone = "\n".join([".i 4", ".o 1", "1-01 1", first, "0000 0", ".e"])
+                head = headers_for(first, second)
+                if first in HEADERS and first not in head:
+                    continue  # second gives first's directive a bad value: first is no repeat
+                text = "\n".join(head + ["1-01 1", first, "0000 0", second, ".e"])
+                alone = "\n".join(head + ["1-01 1", first, "0000 0", ".e"])
                 got = parse_outcome(parse_pla, text)
                 assert got == parse_outcome(parse_pla, alone) == parse_outcome(ref_parse_pla, text)
 
     def test_read_errors_come_first(self):
         for cube_line, read_line in itertools.product(BAD_CUBE_LINES, BAD_READ_LINES):
+            head = headers_for(read_line)
             for pair in ((cube_line, read_line), (read_line, cube_line)):
-                text = "\n".join([".i 4", ".o 1", *pair, ".e"])
-                alone = "\n".join([".i 4", ".o 1", read_line, ".e"])
+                text = "\n".join([*head, *pair, ".e"])
+                alone = "\n".join([*head, read_line, ".e"])
                 got = parse_outcome(parse_pla, text)
                 assert got == parse_outcome(parse_pla, alone) == parse_outcome(ref_parse_pla, text)
 
@@ -1037,6 +1069,10 @@ class TestMain:
         ("p,,q", "empty variable name"),
         ("a,a,b", "repeated variable name 'a'"),
         ("p,q,q", "repeated variable name 'q'"),
+        ("a b,c,d", "variable name 'a b' holds whitespace, ' or +"),
+        ("p,\tq,r", "variable name '\\tq' holds whitespace, ' or +"),
+        ("p,q',r", "variable name \"q'\" holds whitespace, ' or +"),
+        ("p,q,r+s", "variable name 'r+s' holds whitespace, ' or +"),
     ])
     def test_names_refused(self, monkeypatch, capsys, names, error):
         def never(*args):
@@ -1055,6 +1091,28 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "dsopmin: error: repeated variable name 'a'\n"
+
+    @pytest.mark.parametrize("ilb, name", [(".ilb a b' c d", "\"b'\""), (".ilb a b c+d e", "'c+d'")])
+    def test_ilb_name_with_separator_refused(self, tmp_path, capsys, ilb, name):
+        # format_expression prints whitespace, ' and + between and after
+        # names, so a name holding one would make the printed SOP ambiguous
+        path = tmp_path / "f.pla"
+        path.write_text(GOLDEN_PLA.replace(".ilb a b c d", ilb))
+        assert main(["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dsopmin: error: variable name {name} holds whitespace, ' or +\n"
+
+    @pytest.mark.parametrize("line", [".i 4", ".i 3", ".o 1", ".ilb a b c d", ".ilb"])
+    def test_repeated_directive_refused(self, tmp_path, capsys, line):
+        # a second .i, .o or .ilb line is refused where it stands, not
+        # read over the first
+        path = tmp_path / "f.pla"
+        path.write_text(GOLDEN_PLA.replace("0001 1", f"0001 1\n{line}"))
+        assert main(["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dsopmin: error: repeated {line.split()[0]} directive\n"
 
     def test_python_m_dsopmin(self):
         src = str(Path(__file__).resolve().parent.parent / "src")

@@ -607,6 +607,20 @@ class TestSimplify:
                          text_cube("1" * n, n)))
         assert simplify(some) == ref_simplify(some) == Cover(n, (Cube(n, 0, 0),))
 
+    def test_universal_among_binate_cubes(self):
+        # four or more cubes that are binate together, the universal cube
+        # among them anywhere: the recursion, small nodes and tabled ones
+        # alike, returns the universal cube alone
+        rng = random.Random("urp-universal")
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            texts = ["".join(rng.choice("0122") for _ in range(n))
+                     for _ in range(rng.randint(4, 24))]
+            texts[:2] = ["0" + texts[0][1:], "1" + texts[1][1:]]  # binate in variable 0
+            texts.insert(rng.randint(0, len(texts)), "2" * n)
+            c = Cover(n, tuple(text_cube(t, n) for t in texts))
+            assert simplify(c) == ref_simplify(c) == Cover(n, (Cube(n, 0, 0),)), texts
+
 
 def count_calls(monkeypatch, name: str):
     """A list that grows by one on each call of minimizer.<name>."""

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -164,6 +165,20 @@ class TestCofactorEntropy:
     def test_bad_index(self, golden_tt):
         with pytest.raises(ValueError):
             cofactor_entropy(golden_tt, 4, True)
+
+    def test_dense_24_reads_one_mask(self):
+        # above boolfn.KEPT_WIDTH only the variable's own mask is built: a
+        # 2 MiB mask and the 2 MiB AND, not the width's 48 MiB of masks
+        tt = TruthTable(24, random.Random("dense/24").getrandbits(1 << 24))
+        for var in (0, 23):
+            tracemalloc.start()
+            try:
+                h = cofactor_entropy(tt, var, True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 << 20, (var, peak)
+            assert 0.99 < h <= 1.0
 
 
 class TestVariableEntropy:
