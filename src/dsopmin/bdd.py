@@ -477,7 +477,10 @@ def sift_paths(mgr: BddManager, h: FunctionHandle) -> int:
 
 
 def to_dot(h: FunctionHandle, names: Optional[Sequence[str]] = None) -> str:
-    """Diagnostic dot-format dump: dashed = lo (else), solid = hi (then)."""
+    """Diagnostic dot-format dump: dashed = lo (else), solid = hi (then).
+
+    A name's backslashes and double quotes are escaped in its quoted label.
+    """
     mgr = h.manager
     if names is None:
         names = [f"x{v}" for v in range(mgr.n)]
@@ -486,7 +489,8 @@ def to_dot(h: FunctionHandle, names: Optional[Sequence[str]] = None) -> str:
     lines.append('  node1 [label="1", shape=box];')
     for u in mgr.reachable(h.root):
         var, lo, hi = mgr._nodes[u]
-        lines.append(f'  node{u} [label="{names[var]}"];')
+        label = names[var].replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  node{u} [label="{label}"];')
         lines.append(f"  node{u} -> node{lo} [style=dashed];")
         lines.append(f"  node{u} -> node{hi} [style=solid];")
     lines.append("}")

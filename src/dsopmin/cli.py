@@ -308,6 +308,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _uniquely_decodable(words: Sequence[str]) -> bool:
+    """Whether every string of the words joined splits back into them one way.
+
+    The Sardinas-Patterson test: a dangling suffix is what is left of one
+    word past another that is its proper prefix, or, recursively, of a
+    word past a dangling suffix or of a dangling suffix past a word; the
+    words decode one way iff no dangling suffix is a word.  Each suffix is
+    a suffix of a word, so the search ends.
+    """
+    code, seen = set(words), set()
+    dangling = {w[len(u):] for u in code for w in code if w != u and w.startswith(u)}
+    while dangling and not dangling & code:
+        seen |= dangling
+        dangling = ({w[len(s):] for s in dangling for w in code if w.startswith(s)}
+                    | {s[len(w):] for s in dangling for w in code if s.startswith(w)}) - seen - {""}
+    return not dangling
+
+
 def _run_one(args: argparse.Namespace, cfg: PipelineConfig, emit: Sequence[str]) -> StatsReport:
     """Read the one input, run it and print its covers and counts."""
     if args.input:
@@ -325,6 +343,11 @@ def _run_one(args: argparse.Namespace, cfg: PipelineConfig, emit: Sequence[str])
             raise ValueError(f"repeated variable name {name!r}" if name else "empty variable name")
         if name.split() != [name] or "'" in name or "+" in name:  # format_expression's separators
             raise ValueError(f"variable name {name!r} holds whitespace, ' or +")
+        if name in ("0", "1"):
+            raise ValueError(f"variable name {name!r} is the text of a constant")
+    if not _uniquely_decodable(names + [name + "'" for name in names]):  # a cube joins its literals
+        raise ValueError(f"variable names {','.join(names)} run together: "
+                         "a cube's literals, printed side by side, could be read two ways")
     report, covers = run_pipeline(tt, cfg)
     if "dsop" in emit:
         print(f"dsop ({report.dsop_cubes} cubes): {format_expression(covers['dsop'], names)}")

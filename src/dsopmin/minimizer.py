@@ -8,17 +8,27 @@ positive ones.  A node's polarity is one OR per cube, a cofactor one
 test and one XOR, a containment test one OR, and the work per recursion
 node stays near linear in its cover:
 
+* a binate node picks Espresso's most-binate variable (most cubes with
+  a literal on it, then most balanced; Brayton et al., 1984), but counts
+  only the variables that can win: one with a literal in every cube has
+  the most rows there are, so a node of 4 cubes or more ANDs its
+  records' care bits into its binate mask, and what survives is ranked
+  by balance alone, one count each, or taken with no count if it is
+  alone.  On the pipeline's DSOPs every such node keeps a variable (all
+  1,542 of a seed-1 random-dense pass, with 2.6 candidates for 4.2
+  binate variables on average below 16 cubes); a cover with none counts
+  every binate variable.  Three cubes are the rule in closed form;
 * a cover of 16 cubes or more packs its records into one int, a field
-  per cube; each binate count is one popcount on it and each
-  containment query of the merge or scc() a few operations.  Where no
-  query has more literals than the fewest-literal cube, only an equal
-  cube can hold one: the counts are one tally and nothing is packed
-  (48 of the 67 kernel leaves of a seed-1 structured benchmark pass, 2
-  of 318 of a random-dense one).  Below
-  that, where most nodes are, packing costs more than it saves: a node
-  counts its binate columns cube by cube (closed form for three cubes),
-  the merge files each cube against a small other half in one loop, and
-  a two-cube node is closed form;
+  per cube, from 32 cubes on through one array copy; each count of the
+  pick is one popcount on it and each containment query of the merge
+  or scc() a few operations, the merge's a yes or no read off the
+  guard bits.  Where no query has more literals than the fewest-literal
+  cube, only an equal cube can hold one: the counts are one tally and
+  nothing is packed (48 of the 67 kernel leaves of a seed-1 structured
+  benchmark pass, 2 of 318 of a random-dense one).  Below that, where
+  most nodes are, packing costs more than it saves: a node counts cube
+  by cube, the merge files each cube against a small other half in one
+  loop, and a two-cube node is closed form;
 * the merge of two simplify() results needs no containment pass;
 * one call keeps a table from each binate sub-cover of 4 cubes or more
   to its result, the computed table of BDD packages (Brace, Rudell and
@@ -44,6 +54,7 @@ irredundant() wrap the same kernels for a Cover.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections import Counter
 from functools import lru_cache, reduce
@@ -69,17 +80,52 @@ Key = Tuple[int, int, int]
 
 
 def _pack(cubes: Sequence[int], n: int) -> Key:
-    """The cover's records packed into one int."""
-    size = n // 4 + 1  # two n-bit masks and the guard bit
-    fields = int.from_bytes(b"".join([r.to_bytes(size, "little") for r in cubes]), "little")
-    return size, len(cubes), fields
+    """The cover's records packed into one int.
+
+    From 32 cubes on the records go through one array("Q") copy, whose
+    little-endian bytes fill the fields with one strided slice assignment
+    per field byte (a record's 2n bits, at most 48, fit in its low size
+    bytes); below that, joining each record's bytes costs less.  Either
+    way the int is the same, so table keys do not depend on the path.
+    """
+    size, count = n // 4 + 1, len(cubes)  # two n-bit masks and the guard bit
+    if count < 32:
+        data = b"".join([r.to_bytes(size, "little") for r in cubes])
+    else:
+        words = array("Q", cubes)
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw, data = words.tobytes(), bytearray(size * count)
+        for b in range(size):
+            data[b::size] = raw[b::words.itemsize]
+    return size, count, int.from_bytes(data, "little")
 
 
-def _count_pick(cubes: Sequence[int], binate: int, n: int) -> int:
-    """_pick on a cover of fewer than _SMALL cubes, counted cube by cube."""
-    if len(cubes) == 3:  # a variable all three cubes care about has the most rows; else all tie
+def _count_pick(cubes: Sequence[int], binate: int, n: int, every: int = 0) -> int:
+    """_pick on a cover of fewer than _SMALL cubes, every as there, counted cube by cube.
+
+    Three cubes are _pick's rule in closed form: a variable all three care
+    about has the most rows and a balance of 1, so all such tie; without
+    one, every binate variable has 2 rows and a balance of 0.
+    """
+    if len(cubes) == 3:
         a, b, c = cubes
         return 1 << (binate & (a | a >> n) & (b | b >> n) & (c | c >> n) or binate).bit_length() - 1
+    if every:
+        if not every & every - 1:
+            return every
+        k, best, pick = len(cubes), len(cubes), 0
+        while every:  # top bit first, so a tie keeps the lowest index
+            bit = 1 << every.bit_length() - 1
+            every ^= bit
+            ones = 0
+            for r in cubes:
+                if r & bit:
+                    ones += 1
+            score = abs(k - 2 * ones)
+            if score < best:
+                best, pick = score, bit
+        return pick
     best, pick = (0, 0), 0
     while binate:  # top bit first, so a tie keeps the lowest index
         bit = 1 << binate.bit_length() - 1
@@ -97,19 +143,27 @@ def _count_pick(cubes: Sequence[int], binate: int, n: int) -> int:
     return pick
 
 
-def _pick(key: Key, binate: int, n: int) -> int:
+def _pick(key: Key, binate: int, n: int, every: int = 0) -> int:
     """Bit of the packed cover's most-binate variable, as _count_pick picks it.
 
-    Most rows, most balanced, then lowest index (top bit); each count is
-    one popcount under a periodic mask.
+    Most rows, most balanced, then lowest index (top bit).  every holds
+    the binate variables with a literal in every cube (_simplify ANDs each
+    record's care bits into the binate mask), or 0 where there are none or
+    they are not known.  Such a variable has the most rows there are, so
+    only those compete: one wins with no count, several by balance alone,
+    |k - 2 ones| for k cubes.  On the pipeline's DSOPs every binate node of
+    4 cubes or more has one.  With every 0, all binate variables are
+    counted in full.  Each count is one popcount under a periodic mask.
     """
+    if every and not every & every - 1:
+        return every
     size, count, fields = key
     column = _columns(size, count)[0]
-    keys = []
-    for s in range(binate.bit_length()):
-        if binate >> s & 1:
+    keys, candidates = [], every or binate
+    for s in range(candidates.bit_length()):
+        if candidates >> s & 1:
             c1 = (fields & column << s).bit_count()
-            c0 = (fields & column << s + n).bit_count()
+            c0 = count - c1 if every else (fields & column << s + n).bit_count()
             keys.append((-(c0 + c1), abs(c0 - c1), -(1 << s)))
     return -min(keys)[2]
 
@@ -136,8 +190,8 @@ def cover_cofactor(cubes: Sequence[int], bit: int, n: int) -> Tuple[List[int], L
     return h0, h1
 
 
-def _containers(queries: Sequence[int], cubes: Sequence[int], n: int) -> List[int]:
-    """For each query record, how many of the cube records contain it.
+def _containers(queries: Sequence[int], cubes: Sequence[int], n: int, held: bool = False) -> List[int]:
+    """For each query record, how many of the cube records contain it; with held, whether any does.
 
     A container's record has no bit (a miss) outside the query's; adding
     low carries into the guard of each field with one (broadword, Knuth
@@ -162,14 +216,18 @@ def _containers(queries: Sequence[int], cubes: Sequence[int], n: int) -> List[in
         sides = [[r ^ lit for r in cubes if r & both == lit] for lit in lits]
         if 3 * (len(sides[0]) + max(len(sides[1]), len(sides[2]))) <= 2 * len(cubes):
             parts = {lit: iter(_containers([q for q in queries if q & both == lit],
-                                           side + sides[0] if lit else side, n))
+                                           side + sides[0] if lit else side, n, held))
                      for lit, side in zip(lits, sides)}
             return [next(parts[q & both]) for q in queries]
     if _equal_only(queries, cubes, n):
+        if held:
+            return [*map(set(cubes).__contains__, queries)]
         return [*map(Counter(cubes).get, queries, repeat(0))]
     size, count, fields = _pack(cubes, n)
     below = (1 << 8 * size - 1) - 1  # a field's bits under its guard
     column, low, guard = _columns(size, count)
+    if held:  # some guard stays clear
+        return [guard & (fields & (below ^ q) * column) + low != guard for q in queries]
     return [count - (guard & (fields & (below ^ q) * column) + low).bit_count() for q in queries]
 
 
@@ -217,6 +275,11 @@ def _merge(h0: Sequence[int], h1: Sequence[int], bit: int, n: int) -> List[int]:
     (which would have lifted it); a lifted cube inside another would put
     one cube of a half inside another; and the two specialized sides
     differ in the bit.
+
+    A cube is lifted if some cube of the other half holds it.  Against a
+    half of _SMALL cubes or more that is _containers' yes or no: a guard
+    bit left clear in the packed scan, or membership in the tally, with
+    no count of the containers (scc() keeps the counts).
     """
     lifted, rest = {}, []  # lifted: an insertion-ordered set
     for half, other, lit in ((h0, h1, bit << n), (h1, h0, bit)):
@@ -229,7 +292,7 @@ def _merge(h0: Sequence[int], h1: Sequence[int], bit: int, n: int) -> List[int]:
                 else:
                     rest.append(r | lit)
             continue
-        for r, inside in zip(half, _containers(half, other, n)):
+        for r, inside in zip(half, _containers(half, other, n, True)):
             if inside:
                 lifted[r] = None
             else:
@@ -282,7 +345,11 @@ def _simplify(cubes: List[int], n: int, done: _Table) -> List[int]:
     key = tuple(cubes) if small else _pack(cubes, n)
     out = done.get(key)
     if out is None:
-        out = _split(cubes, _count_pick(cubes, binate, n) if small else _pick(key, binate, n), n, done)
+        every = binate  # the binate variables with a literal in every cube: see _pick
+        for r in cubes:
+            every &= r | r >> n
+        out = _split(cubes, _count_pick(cubes, binate, n, every) if small else _pick(key, binate, n, every),
+                     n, done)
         if len(out) <= done.room:
             done.room -= len(out)
             done[key] = out

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 
 import pytest
@@ -712,3 +713,14 @@ class TestDot:
         dot = to_dot(h)
         assert dot == to_dot(h, ["x0", "x1", "x2", "x3"])
         assert 'label="x1"' in dot
+
+    def test_quotes_and_backslashes_escaped(self, golden_tt):
+        # each label is one DOT quoted string, \" and \\ its only escapes,
+        # and reads back as its name
+        names = ['a"b', "c\\", '\\"', "d"]
+        dot = to_dot(build_from_truthtable(golden_tt, ORDER_BACD), names)
+        assert 'label="a\\"b"' in dot and 'label="c\\\\"' in dot
+        labels = re.findall(r'label=("(?:[^"\\]|\\.)*")(.*)', dot)
+        assert len(labels) == 2 + 6 and all(rest == ", shape=box];" or rest == "];" for _, rest in labels)
+        read = {re.sub(r"\\(.)", r"\1", text[1:-1]) for text, _ in labels}
+        assert read == {"0", "1", *names}

@@ -1103,6 +1103,57 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == f"dsopmin: error: variable name {name} holds whitespace, ' or +\n"
 
+    @pytest.mark.parametrize("argv, error", [
+        # the cube a·b and the literal ab would both print as ab
+        (["--minterms", "3:6,7", "--names", "a,b,ab"],
+         "variable names a,b,ab run together: a cube's literals, printed side by side, "
+         "could be read two ways"),
+        (["--minterms", "3:1,3,5,7", "--names", "a,b,ab"],
+         "variable names a,b,ab run together: a cube's literals, printed side by side, "
+         "could be read two ways"),
+        # the literal would print as the constant 1
+        (["--minterms", "2:2,3", "--names", "1,b"], "variable name '1' is the text of a constant"),
+        (["--minterms", "2:2,3", "--names", "b,0"], "variable name '0' is the text of a constant"),
+        # the cube ab·c and the literal abc
+        (["--minterms", "3:1", "--names", "ab,c,abc"],
+         "variable names ab,c,abc run together: a cube's literals, printed side by side, "
+         "could be read two ways"),
+    ])
+    def test_names_that_print_ambiguously_refused(self, monkeypatch, capsys, argv, error):
+        def never(*args):
+            raise AssertionError("run_pipeline ran before the name check")
+
+        monkeypatch.setattr(cli, "run_pipeline", never)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dsopmin: error: {error}\n"
+
+    def test_ilb_names_that_run_together_refused(self, tmp_path, capsys):
+        path = tmp_path / "f.pla"
+        path.write_text(GOLDEN_PLA.replace(".ilb a b c d", ".ilb a bc ab c"))
+        assert main(["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("dsopmin: error: variable names a,bc,ab,c run together: a cube's "
+                                "literals, printed side by side, could be read two ways\n")
+
+    @pytest.mark.parametrize("names", ["x1,x10", ",".join(f"x{i}" for i in range(12))])
+    def test_names_that_read_back_one_way_accepted(self, capsys, names):
+        n = names.count(",") + 1
+        assert main(["--minterms", f"{n}:{(1 << n) - 1}", "--names", names, "--emit", "sop"]) == 0
+        assert f"sop (1 cubes, {n} literals): {names.replace(',', '')}\n" in capsys.readouterr().out
+
+    def test_uniquely_decodable(self):
+        # Sardinas-Patterson on codes whose answers are known
+        assert cli._uniquely_decodable(["a", "ba", "bb"])  # a prefix code
+        assert cli._uniquely_decodable(["1", "10", "100"])  # not prefix-free, yet decodable
+        assert not cli._uniquely_decodable(["0", "01", "10"])  # 010 = 0.10 = 01.0
+        assert not cli._uniquely_decodable(["1", "011", "01110", "1110", "10011"])
+        assert cli._uniquely_decodable(["a", "a'", "b", "b'"])
+        names = [f"x{i}" for i in range(24)]
+        assert cli._uniquely_decodable(names + [name + "'" for name in names])
+
     @pytest.mark.parametrize("line", [".i 4", ".i 3", ".o 1", ".ilb a b c d", ".ilb"])
     def test_repeated_directive_refused(self, tmp_path, capsys, line):
         # a second .i, .o or .ilb line is refused where it stands, not

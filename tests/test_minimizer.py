@@ -495,6 +495,36 @@ class TestContainmentKernel:
         assert got[1] == got[2] == ref_merge(h0, h1, 1 << 23)
         assert got[3] == brute_containers(queries, h0)
 
+    @pytest.mark.parametrize("width", FIELD_WIDTHS)
+    def test_held_scan_matches_counts(self, width, monkeypatch):
+        # the merge's yes/no answers are the counts' "some cube holds it", on
+        # a flat scan, a tally (only an equal cube can hold a query) and a
+        # split past 512 queries and cubes
+        rng = random.Random(f"kernel-held/{width}")
+        dense = [rng.getrandbits(width) | rng.getrandbits(width) for _ in range(700)]
+        lits = rng.randint(0, width)
+        tied = [(care, rng.getrandbits(width) & care)
+                for care in (sum(1 << s for s in rng.sample(range(width), lits)) for _ in range(40))]
+        cases = {
+            "flat": [random_packed(rng, width, count) for count in FIELD_COUNTS],
+            "tally": [tied[:20] + rng.choices(tied[:20], k=10)],
+            "split": [[(care, rng.getrandbits(width) & care) for care in dense]],
+        }
+        for kind, covers in cases.items():
+            packs = count_calls(monkeypatch, "_pack")
+            calls = count_calls(monkeypatch, "_containers")
+            for cubes in covers:
+                queries = (tied[20:] if kind == "tally" else random_packed(rng, width, len(cubes) // 2 + 1))
+                queries += cubes[:len(cubes) // 2]
+                rs, qs = records(cubes, width), records(queries, width)
+                held = minimizer._containers(qs, rs, width, True)
+                assert held == [c > 0 for c in minimizer._containers(qs, rs, width)], (kind, width)
+            if kind == "tally":
+                assert not packs and any(held)
+            if kind == "split":
+                assert len(calls) > 2
+            monkeypatch.undo()
+
 
 # n where 2n and the guard bit cross a byte: the packed field takes
 # 2n // 8 + 1 bytes, one more from each step on.
@@ -687,6 +717,20 @@ class TestSimplifyTable:
                 rng.shuffle(cubes)
             assert decode(minimizer._pack(records(cubes, n), n), n) == cubes, (n, cubes)
 
+    @pytest.mark.parametrize("n", KERNEL_NS)
+    def test_pack_copy_equals_byte_join(self, n):
+        # from 32 cubes on _pack copies the records through one array; the
+        # int, so every table key, is the join of each record's bytes.  Some
+        # records have their top bits set, the zeros of the first variables
+        rng = random.Random(f"pack/{n}")
+        size = n // 4 + 1
+        for count in (1, 31, 32, 33, 700):
+            top = 1 << 2 * n - 1
+            rs = [rng.getrandbits(2 * n) | (top if rng.random() < 0.5 else 0) for _ in range(count)]
+            rs[-1] = (1 << 2 * n) - 1
+            want = int.from_bytes(b"".join(r.to_bytes(size, "little") for r in rs), "little")
+            assert minimizer._pack(rs, n) == (size, count, want), (n, count)
+
     def test_parity12_merges(self, monkeypatch):
         # each cofactor of parity is parity or its complement over the rest,
         # so each level has two distinct sub-covers, not 2^level; every node
@@ -833,6 +877,86 @@ class TestSmallNodes:
             for key, result in done.items():  # each entry is its cover's result
                 cover = records(decode(key, n), n) if len(key) == 3 else list(key)
                 assert minimizer._simplify(cover, n, minimizer._Table(0)) == result
+
+
+def every_mask(rs, binate: int, n: int) -> int:
+    """The binate variables with a literal in each record, the mask _simplify hands the picks."""
+    return reduce(lambda every, r: every & (r | r >> n), rs, binate)
+
+
+def every_cube_cover(rng, n: int, count: int):
+    """count random cubes where a few variables carry a literal in every cube.
+
+    Half the time a further variable copies or mirrors one of them, so two
+    variables in every cube tie on balance and the lowest index must win;
+    now and then a cube loses its literals on them all, leaving none.
+    """
+    cubes = random_packed(rng, n, count)
+    every = sum(1 << s for s in rng.sample(range(n), rng.randint(1, min(n, 3))))
+    cubes = [(care | every, value & ~every | rng.getrandbits(n) & every) for care, value in cubes]
+    if rng.random() < 0.5:
+        src, dst = every & -every, 1 << rng.randrange(n)
+        mirror = rng.random() < 0.5
+        cubes = [(care | dst, value & ~dst | (dst if bool(value & src) != mirror else 0))
+                 for care, value in cubes]
+    if rng.random() < 0.2:
+        i = rng.randrange(count)
+        cubes[i] = (cubes[i][0] & ~every, cubes[i][1] & ~every)
+    return cubes
+
+
+class TestEveryCubePick:
+    """A binate variable with a literal in every cube has the most rows.
+
+    _simplify ANDs each record's care bits into the binate mask; where that
+    leaves variables, the picks rank only those, by balance alone, and the
+    choice is the full count's.
+    """
+
+    def test_pick_matches_reference(self):
+        rng = random.Random("every-pick")
+        seen = {"one": 0, "tied": 0, "several": 0, "none": 0}
+        for i in range(3000):
+            n = rng.choice(KERNEL_NS)
+            count = rng.randint(4, minimizer._SMALL - 1) if i % 2 else rng.randint(minimizer._SMALL, 40)
+            cubes = every_cube_cover(rng, n, count) if i % 3 else tied_cover(rng, n, count)
+            rs, binate = records(cubes, n), binate_mask(cubes, n)
+            if not binate:
+                continue
+            every = every_mask(rs, binate, n)
+            want = ref_select_binate(cubes)
+            if count < minimizer._SMALL:
+                assert minimizer._count_pick(rs, binate, n, every) == want, (n, cubes)
+            else:
+                assert minimizer._pick(minimizer._pack(rs, n), binate, n, every) == want, (n, cubes)
+            if every and not every & every - 1:
+                seen["one"] += 1
+            elif every:
+                ones = sorted(abs(count - 2 * sum(1 for r in rs if r & b))
+                              for b in (1 << s for s in range(n)) if every & b)
+                seen["tied" if ones[0] == ones[1] else "several"] += 1
+            else:
+                seen["none"] += 1
+        assert min(seen.values()) > 200, seen
+
+    def test_pipeline_nodes_take_the_every_cube_path(self, monkeypatch):
+        # on a one-path DSOP every binate node of 4 cubes or more has a
+        # variable with a literal in every cube, so no pick counts every
+        # binate variable: pinned on a dense n=10 table, 256 of 256 nodes
+        picked = []
+        for name in ("_count_pick", "_pick"):
+            original = getattr(minimizer, name)
+
+            def traced(cover, binate, n, every=0, original=original, name=name):
+                if name == "_pick" or len(cover) > 3:  # three cubes: closed form, no every
+                    picked.append(every)
+                return original(cover, binate, n, every)
+
+            monkeypatch.setattr(minimizer, name, traced)
+        tt = TruthTable(10, random.Random("dense/10").getrandbits(1 << 10))
+        dsop = run_pipeline(tt, PipelineConfig())[1]["dsop"]
+        assert simplify(dsop) == ref_simplify(dsop)
+        assert (sum(1 for every in picked if every), len(picked)) == (256, 256)
 
 
 class SpyTable(minimizer._Table):
