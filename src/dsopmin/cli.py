@@ -38,6 +38,11 @@ STAGES = ("order", "build", "dsop", "minimize", "oracle")
 
 ORDERINGS = ("entropy", "given", "sift")
 
+# The longest variable name accepted.  Names are checked for unique
+# decodability, whose dangling suffixes grow with name length: with at
+# most MAX_TABLE_VARS names of this length the check stays in milliseconds.
+MAX_NAME_LENGTH = 64
+
 
 class PlaError(ValueError):
     pass
@@ -339,6 +344,9 @@ def _run_one(args: argparse.Namespace, cfg: PipelineConfig, emit: Sequence[str])
     if len(names) != tt.n:
         raise ValueError("variable name count does not match n")
     for i, name in enumerate(names):  # an expression must name each variable once
+        if len(name) > MAX_NAME_LENGTH:
+            raise ValueError(f"variable name of {len(name)} characters: "
+                             f"at most {MAX_NAME_LENGTH} are accepted")
         if not name or name in names[:i]:
             raise ValueError(f"repeated variable name {name!r}" if name else "empty variable name")
         if name.split() != [name] or "'" in name or "+" in name:  # format_expression's separators

@@ -11,7 +11,7 @@ node stays near linear in its cover:
 * a binate node picks Espresso's most-binate variable (most cubes with
   a literal on it, then most balanced; Brayton et al., 1984), but counts
   only the variables that can win: one with a literal in every cube has
-  the most rows there are, so a node of 4 cubes or more ANDs its
+  the most rows there are, so a node of 3 cubes or more ANDs its
   records' care bits into its binate mask, and what survives is ranked
   by balance alone, one count each, or taken with no count if it is
   alone.  On the pipeline's DSOPs every such node keeps a variable (all
@@ -82,14 +82,14 @@ Key = Tuple[int, int, int]
 def _pack(cubes: Sequence[int], n: int) -> Key:
     """The cover's records packed into one int.
 
-    From 32 cubes on the records go through one array("Q") copy, whose
-    little-endian bytes fill the fields with one strided slice assignment
-    per field byte (a record's 2n bits, at most 48, fit in its low size
-    bytes); below that, joining each record's bytes costs less.  Either
-    way the int is the same, so table keys do not depend on the path.
+    From 32 cubes on, where a field fits in one 8-byte word (n up to 31),
+    the records go through one array("Q") copy, whose little-endian bytes
+    fill the fields with one strided slice assignment per field byte;
+    fewer cubes or wider fields join each record's bytes.  Either way the
+    int is the same, so table keys do not depend on the path.
     """
     size, count = n // 4 + 1, len(cubes)  # two n-bit masks and the guard bit
-    if count < 32:
+    if count < 32 or size > 8:
         data = b"".join([r.to_bytes(size, "little") for r in cubes])
     else:
         words = array("Q", cubes)
@@ -104,39 +104,20 @@ def _pack(cubes: Sequence[int], n: int) -> Key:
 def _count_pick(cubes: Sequence[int], binate: int, n: int, every: int = 0) -> int:
     """_pick on a cover of fewer than _SMALL cubes, every as there, counted cube by cube.
 
-    Three cubes are _pick's rule in closed form: a variable all three care
-    about has the most rows and a balance of 1, so all such tie; without
-    one, every binate variable has 2 rows and a balance of 0.
+    A candidate in every has len(cubes) rows, so only its ones are counted.
     """
-    if len(cubes) == 3:
-        a, b, c = cubes
-        return 1 << (binate & (a | a >> n) & (b | b >> n) & (c | c >> n) or binate).bit_length() - 1
-    if every:
-        if not every & every - 1:
-            return every
-        k, best, pick = len(cubes), len(cubes), 0
-        while every:  # top bit first, so a tie keeps the lowest index
-            bit = 1 << every.bit_length() - 1
-            every ^= bit
-            ones = 0
-            for r in cubes:
-                if r & bit:
-                    ones += 1
-            score = abs(k - 2 * ones)
-            if score < best:
-                best, pick = score, bit
-        return pick
+    candidates = every or binate
+    if not candidates & candidates - 1:
+        return candidates
     best, pick = (0, 0), 0
-    while binate:  # top bit first, so a tie keeps the lowest index
-        bit = 1 << binate.bit_length() - 1
-        binate ^= bit
-        zero = bit << n
-        ones = zeros = 0
+    while candidates:  # top bit first, so a tie keeps the lowest index
+        bit = 1 << candidates.bit_length() - 1
+        candidates ^= bit
+        ones = 0
         for r in cubes:
             if r & bit:
                 ones += 1
-            elif r & zero:
-                zeros += 1
+        zeros = len(cubes) - ones if every else sum(1 for r in cubes if r & bit << n)
         score = ones + zeros, -abs(zeros - ones)
         if score > best:
             best, pick = score, bit
@@ -155,11 +136,12 @@ def _pick(key: Key, binate: int, n: int, every: int = 0) -> int:
     4 cubes or more has one.  With every 0, all binate variables are
     counted in full.  Each count is one popcount under a periodic mask.
     """
-    if every and not every & every - 1:
-        return every
+    candidates = every or binate
+    if not candidates & candidates - 1:
+        return candidates
     size, count, fields = key
     column = _columns(size, count)[0]
-    keys, candidates = [], every or binate
+    keys = []
     for s in range(candidates.bit_length()):
         if candidates >> s & 1:
             c1 = (fields & column << s).bit_count()
@@ -339,8 +321,10 @@ def _simplify(cubes: List[int], n: int, done: _Table) -> List[int]:
         if ca == cb:
             return [ca]
         return [ca, b] if ca | cb == ca else [cb, a]
-    if len(cubes) == 3:
-        return _split(cubes, _count_pick(cubes, binate, n), n, done)
+    if len(cubes) == 3:  # _pick in closed form: a variable all three care about has the most
+        a, b, c = cubes  # rows and a balance of 1, so all such tie; else all binate ones do
+        every = binate & (a | a >> n) & (b | b >> n) & (c | c >> n)
+        return _split(cubes, 1 << (every or binate).bit_length() - 1, n, done)
     small = len(cubes) < _SMALL
     key = tuple(cubes) if small else _pack(cubes, n)
     out = done.get(key)

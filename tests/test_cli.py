@@ -1144,6 +1144,28 @@ class TestMain:
         assert main(["--minterms", f"{n}:{(1 << n) - 1}", "--names", names, "--emit", "sop"]) == 0
         assert f"sop (1 cubes, {n} literals): {names.replace(',', '')}\n" in capsys.readouterr().out
 
+    def test_long_name_refused_before_decodability(self, monkeypatch, tmp_path, capsys):
+        # a name past MAX_NAME_LENGTH exits 2 before the Sardinas-Patterson
+        # test, whose time grows with name length (a long prefix chain
+        # of another name took seconds); a name of the longest length passes
+        def never(words):
+            raise AssertionError("the decodability test ran on an over-long name")
+
+        monkeypatch.setattr(cli, "_uniquely_decodable", never)
+        chain = "a" * 30_000 + "b"
+        path = tmp_path / "f.pla"
+        path.write_text(GOLDEN_PLA.replace(".ilb a b c d", f".ilb a b c {chain}"))
+        for argv in (["--minterms", "2:3", "--names", f"a,{chain}"], ["--input", str(path)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("dsopmin: error: variable name of 30001 characters: "
+                                    f"at most {cli.MAX_NAME_LENGTH} are accepted\n")
+        monkeypatch.undo()
+        longest = "a" * (cli.MAX_NAME_LENGTH - 1) + "b"
+        assert main(["--minterms", "2:3", "--names", f"a,{longest}", "--emit", "sop"]) == 0
+        assert f"sop (1 cubes, 2 literals): a{longest}\n" in capsys.readouterr().out
+
     def test_uniquely_decodable(self):
         # Sardinas-Patterson on codes whose answers are known
         assert cli._uniquely_decodable(["a", "ba", "bb"])  # a prefix code

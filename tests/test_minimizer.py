@@ -717,11 +717,12 @@ class TestSimplifyTable:
                 rng.shuffle(cubes)
             assert decode(minimizer._pack(records(cubes, n), n), n) == cubes, (n, cubes)
 
-    @pytest.mark.parametrize("n", KERNEL_NS)
+    @pytest.mark.parametrize("n", KERNEL_NS + (31, 32, 33, 40))
     def test_pack_copy_equals_byte_join(self, n):
-        # from 32 cubes on _pack copies the records through one array; the
-        # int, so every table key, is the join of each record's bytes.  Some
-        # records have their top bits set, the zeros of the first variables
+        # from 32 cubes on _pack copies the records through one array while
+        # a field fits in its 8-byte word (n up to 31); the int, so every
+        # table key, is the join of each record's bytes.  Some records have
+        # their top bits set, the zeros of the first variables
         rng = random.Random(f"pack/{n}")
         size = n // 4 + 1
         for count in (1, 31, 32, 33, 700):
@@ -730,6 +731,26 @@ class TestSimplifyTable:
             rs[-1] = (1 << 2 * n) - 1
             want = int.from_bytes(b"".join(r.to_bytes(size, "little") for r in rs), "little")
             assert minimizer._pack(rs, n) == (size, count, want), (n, count)
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 40])
+    def test_wide_covers(self, n):
+        # simplify() takes covers of any width; from n=32 a packed field is
+        # wider than the array word, so a binate cover of 32 cubes or more
+        # is packed by the byte join.  Cubes care about 8 of the variables,
+        # the first and last among them, so that some merge
+        rng = random.Random(f"wide/{n}")
+        merged = 0
+        for _ in range(6):
+            spots = [0, n - 1] + rng.sample(range(1, n - 1), 6)
+            cubes = []
+            for _ in range(rng.randint(32, 60)):
+                care = sum(1 << s for s in spots if rng.random() < 0.7) | 1 | 1 << n - 1
+                cubes.append(Cube(n, care, rng.getrandbits(n) & care))
+            cover = Cover(n, tuple(cubes))
+            got = simplify(cover)
+            assert got == ref_simplify(cover), n
+            merged += len(got) < len(cover)
+        assert merged
 
     def test_parity12_merges(self, monkeypatch):
         # each cofactor of parity is parity or its complement over the rest,
@@ -947,9 +968,8 @@ class TestEveryCubePick:
         for name in ("_count_pick", "_pick"):
             original = getattr(minimizer, name)
 
-            def traced(cover, binate, n, every=0, original=original, name=name):
-                if name == "_pick" or len(cover) > 3:  # three cubes: closed form, no every
-                    picked.append(every)
+            def traced(cover, binate, n, every=0, original=original):
+                picked.append(every)
                 return original(cover, binate, n, every)
 
             monkeypatch.setattr(minimizer, name, traced)
